@@ -23,8 +23,8 @@ from .generators import GenSpec, generate_random
 from .heatmap import compute_heatmap, write_heatmap_csvs
 from .io import format_diagram, load_bifiltration, write_bifiltration, write_trace_csv
 from .persistence import diagram
-from .slices import Slice, center, initial_boxes, restrict
-from .solver import ApproxResult, SolverConfig, approximate, eval_slice, reduction_rate
+from .slices import restrict
+from .solver import ApproxResult, SolverConfig, approximate, reduction_rate
 
 _BOUNDS = {"l": BoundKind.LOCAL_LINEAR, "c": BoundKind.LOCAL_CONSTANT, "g": BoundKind.GLOBAL}
 
@@ -68,7 +68,6 @@ def cmd_dist(args) -> int:
         traversal=args.traversal,
         budget_ms=args.budget_ms,
         trace=args.trace is not None,
-        threads=args.threads,
     )
     res = approximate(F1, F2, cfg)
     _print_report(res)
@@ -83,15 +82,7 @@ def cmd_dist(args) -> int:
 
 def _dump_best_diagrams(F1, F2, res: ApproxResult, dim: int, out_dir: Path) -> None:
     """Diagrams of both inputs at the slice realizing the lower bound."""
-    best: Slice | None = None
-    if res.trace:
-        for row in res.trace:
-            if row.rho == res.rho:
-                best = center(row.box)
-                break
-    if best is None:
-        candidates = [center(b) for b in initial_boxes(F1, F2)]
-        best = max(candidates, key=lambda L: eval_slice(F1, F2, L, dim))
+    best = res.best_slice
     out_dir.mkdir(parents=True, exist_ok=True)
     comment = f"slice type={best.stype.value} lam={repr(best.lam)} mu={repr(best.mu)}"
     for name, F in (("f1_diagram.txt", F1), ("f2_diagram.txt", F2)):
@@ -191,12 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(1+eps)-approximation instead of additive eps")
     p.add_argument("--bound", choices=["l", "c", "g"], default="l")
     p.add_argument("--dim", type=int, default=0, help="homology dimension")
-    p.add_argument("--traversal", choices=["bfs", "dfs", "priority"], default="bfs")
+    p.add_argument("--traversal", choices=["bfs", "priority"], default="bfs")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--trace", metavar="PATH", default=None, help="write per-call CSV")
     p.add_argument("--dump-diagrams", metavar="DIR", default=None,
                    help="dump both diagrams at the best slice found")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("heatmap", help="distance grids over slice space")

@@ -8,6 +8,10 @@ and subdivides boxes whose bound exceeds the current pruning threshold:
 rho + eps in absolute mode, (1 + eps) * rho in relative mode, where rho is
 the largest evaluated distance so far.
 
+A box is evaluated and bounded when it is queued, so the four level-0
+boxes are evaluated even under a zero budget. One heap holds the queue:
+bfs pops it in queue order, priority pops the largest bound first.
+
 Every queue entry carries the tightest bound certified for its region by
 any ancestor ("inherited"); a box's certified bound is the minimum of its
 own bound and the inherited one. This keeps the reported global upper
@@ -19,10 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,26 +53,25 @@ class SolverConfig:
     variant cannot terminate when the matching distance is zero, so runs
     whose lower bound is still exactly zero stop once boxes reach
     zero_stall_level and report an honest residual instead.
+    traversal is "bfs" or "priority"; a budget_ms requires priority.
     """
 
     epsilon: float = 0.1
     mode: str = "absolute"  # or "relative"
     bound_kind: BoundKind = BoundKind.LOCAL_LINEAR
     homology_dim: int = 0
-    traversal: str = "bfs"  # or "dfs", "priority"
+    traversal: str = "bfs"  # or "priority"
     budget_ms: Optional[float] = None
     max_level: int = 40
     zero_stall_level: int = 6
     trace: bool = False
-    early_exit: bool = True
-    threads: int = 1
 
     def validate(self) -> None:
         if not (self.epsilon > 0.0):
             raise InvalidConfig("epsilon must be positive")
         if self.mode not in ("absolute", "relative"):
             raise InvalidConfig(f"unknown mode {self.mode!r}")
-        if self.traversal not in ("bfs", "dfs", "priority"):
+        if self.traversal not in ("bfs", "priority"):
             raise InvalidConfig(f"unknown traversal {self.traversal!r}")
         if self.budget_ms is not None:
             if self.traversal != "priority":
@@ -82,10 +82,13 @@ class SolverConfig:
             raise InvalidConfig("homology dimension must be non-negative")
         if self.max_level < 0 or self.zero_stall_level < 0:
             raise InvalidConfig("level caps must be non-negative")
-        if self.threads < 1:
-            raise InvalidConfig("threads must be >= 1")
-        if self.threads > 1 and self.traversal != "bfs":
-            raise InvalidConfig("worker pool only supports bfs traversal")
+
+
+def _rel_error(rho: float, upper: float) -> float:
+    """(upper - rho) / rho, or 0.0 when the bracket is exact (even at inf)."""
+    if rho == 0.0:
+        return INF
+    return 0.0 if upper == rho else (upper - rho) / rho
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,8 @@ class ApproxResult:
     delta is the returned approximation: rho in absolute mode,
     (1 + eps) * rho in relative mode, or the honest residual upper bound
     when the run did not converge. residual_upper always upper-bounds the
-    true matching distance.
+    true matching distance. best_slice is the evaluated slice at which rho
+    was attained.
     """
 
     delta: float
@@ -122,13 +126,12 @@ class ApproxResult:
     trace: Optional[list[TraceRow]] = None
     retired_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
     unresolved_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
+    best_slice: Optional[Slice] = None
 
     @property
     def rel_error(self) -> float:
         """Guaranteed relative error (residual_upper - rho) / rho."""
-        if self.rho == 0.0:
-            return INF
-        return (self.residual_upper - self.rho) / self.rho
+        return _rel_error(self.rho, self.residual_upper)
 
 
 class _MaxTracker:
@@ -156,6 +159,7 @@ class _RunState:
     def __init__(self, F1, F2, cfg: SolverConfig):
         self.F1, self.F2, self.cfg = F1, F2, cfg
         self.rho = 0.0
+        self.best_slice: Optional[Slice] = None
         self.calls = 0
         self.deepest_level = 0
         self.deepest_evaluated_level = 0
@@ -175,22 +179,20 @@ class _RunState:
         return (1.0 + self.cfg.epsilon) * self.rho
 
     def do_eval(self, box: ParamBox, in_flight_cover: float) -> float:
-        d = eval_slice(self.F1, self.F2, center(box), self.cfg.homology_dim)
+        L = center(box)
+        d = eval_slice(self.F1, self.F2, L, self.cfg.homology_dim)
         self.calls += 1
-        if d > self.rho:
+        if d > self.rho or self.best_slice is None:
             self.rho = d
+            self.best_slice = L
         self.deepest_evaluated_level = max(self.deepest_evaluated_level, box.level)
         if self.trace is not None:
             upper = max(self.threshold(), self.cover.max(), in_flight_cover)
-            rel = INF if self.rho == 0.0 else (upper - self.rho) / self.rho
+            rel = _rel_error(self.rho, upper)
             self.trace.append(
                 TraceRow(self.calls, self.elapsed_ms(), self.rho, upper, rel, box)
             )
         return d
-
-    def own_bound(self, box: ParamBox, d: float, thr: float) -> float:
-        threshold = thr if (self.cfg.early_exit and self.cfg.bound_kind is BoundKind.LOCAL_LINEAR) else None
-        return box_bound(self.cfg.bound_kind, self.F1, self.F2, box, d, threshold=threshold)
 
     def finish(self) -> ApproxResult:
         cfg = self.cfg
@@ -217,6 +219,7 @@ class _RunState:
             trace=self.trace,
             retired_boxes=self.retired,
             unresolved_boxes=self.unresolved,
+            best_slice=self.best_slice,
         )
 
     def stalled(self, box: ParamBox) -> bool:
@@ -249,154 +252,45 @@ def approximate(
     cfg.validate()
     _require_quadrant(F1)
     _require_quadrant(F2)
-    if cfg.threads > 1:
-        return _run_parallel(F1, F2, cfg)
-    if cfg.traversal == "priority":
-        return _run_priority(F1, F2, cfg)
-    return _run_fifo_lifo(F1, F2, cfg)
-
-
-def _run_fifo_lifo(F1, F2, cfg) -> ApproxResult:
     st = _RunState(F1, F2, cfg)
-    queue: deque[tuple[ParamBox, float]] = deque()
-    for b in initial_boxes(F1, F2):
-        queue.append((b, INF))
-        st.cover.add(INF)
-
-    while queue:
-        box, inherited = queue.popleft() if cfg.traversal == "bfs" else queue.pop()
-        st.cover.remove(inherited)
-        d = st.do_eval(box, inherited)
-        thr = st.threshold()
-        if inherited <= thr:
-            st.retired.append((box, inherited))
-            continue
-        eff = min(st.own_bound(box, d, thr), inherited)
-        if eff <= thr:
-            st.retired.append((box, eff))
-            continue
-        if st.stalled(box):
-            st.not_converged = True
-            st.unresolved.append((box, eff))
-            for b, inh in queue:
-                if inh == INF:
-                    # never covered by any ancestor bound (possible under
-                    # dfs); evaluate once so the residual stays finite
-                    d2 = st.do_eval(b, inh)
-                    inh = st.own_bound(b, d2, st.threshold())
-                st.unresolved.append((b, inh))
-            break
-        if box.level >= cfg.max_level:
-            st.not_converged = True
-            st.unresolved.append((box, eff))
-            continue
-        for child in subdivide(box):
-            st.deepest_level = max(st.deepest_level, child.level)
-            queue.append((child, eff))
-            st.cover.add(eff)
-    return st.finish()
-
-
-def _run_priority(F1, F2, cfg) -> ApproxResult:
-    st = _RunState(F1, F2, cfg)
+    by_bound = cfg.traversal == "priority"
+    # entries are (key, seq, box, eff); bfs keys every entry 0.0, so the
+    # rising seq alone orders the heap and it pops first in, first out
     heap: list[tuple[float, int, ParamBox, float]] = []
-    seq = 0
 
-    def enqueue(box: ParamBox, parent_eff: float) -> None:
-        nonlocal seq
+    def push(box: ParamBox, parent_eff: float) -> None:
         d = st.do_eval(box, parent_eff)
-        eff = min(st.own_bound(box, d, st.threshold()), parent_eff)
-        heapq.heappush(heap, (-eff, seq, box, eff))
+        own = box_bound(cfg.bound_kind, F1, F2, box, d, threshold=st.threshold())
+        eff = min(own, parent_eff)
+        # each push makes exactly one evaluation, so calls is a rising seq
+        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff))
         st.cover.add(eff)
-        seq += 1
 
     for b in initial_boxes(F1, F2):
-        enqueue(b, INF)
+        push(b, INF)
 
     while heap:
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
-            st.not_converged = True
-            for _, _, b, e in heap:
-                st.unresolved.append((b, e))
             break
         _, _, box, eff = heapq.heappop(heap)
         st.cover.remove(eff)
         if eff <= st.threshold():
             st.retired.append((box, eff))
-            continue
-        if st.stalled(box):
+        elif st.stalled(box):
             st.not_converged = True
             st.unresolved.append((box, eff))
-            for _, _, b, e in heap:
-                st.unresolved.append((b, e))
             break
-        if box.level >= cfg.max_level:
+        elif box.level >= cfg.max_level:
             st.not_converged = True
             st.unresolved.append((box, eff))
-            continue
-        for child in subdivide(box):
-            st.deepest_level = max(st.deepest_level, child.level)
-            enqueue(child, eff)
-    return st.finish()
-
-
-def _run_parallel(F1, F2, cfg) -> ApproxResult:
-    """Batched breadth-first variant with a thread pool.
-
-    Eval calls are pure; the shared lower bound is merged under a lock and
-    pruning uses the snapshot at decision time, which never prunes a box
-    the sequential run would have kept. Call counts and traces are
-    non-deterministic.
-    """
-    st = _RunState(F1, F2, cfg)
-    lock = threading.Lock()
-
-    def process(entry: tuple[ParamBox, float]):
-        box, inherited = entry
-        d = eval_slice(F1, F2, center(box), cfg.homology_dim)
-        with lock:
-            st.calls += 1
-            if d > st.rho:
-                st.rho = d
-            st.deepest_evaluated_level = max(st.deepest_evaluated_level, box.level)
-            thr = st.threshold()
-            call_no = st.calls
-            elapsed = st.elapsed_ms()
-        if inherited <= thr:
-            return ("retired", box, inherited, call_no, elapsed)
-        eff = min(st.own_bound(box, d, thr), inherited)
-        if eff <= thr:
-            return ("retired", box, eff, call_no, elapsed)
-        if box.level >= cfg.max_level:
-            return ("unresolved", box, eff, call_no, elapsed)
-        return ("split", box, eff, call_no, elapsed)
-
-    frontier: list[tuple[ParamBox, float]] = [(b, INF) for b in initial_boxes(F1, F2)]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        while frontier:
-            # the inherited bounds cover every region still in flight
-            batch_cover = max(inh for _, inh in frontier)
-            results = list(pool.map(process, frontier))
-            next_frontier: list[tuple[ParamBox, float]] = []
-            for verdict, box, eff, call_no, elapsed in results:
-                if st.trace is not None:
-                    upper = max(st.threshold(), batch_cover)
-                    rel = INF if st.rho == 0.0 else (upper - st.rho) / st.rho
-                    st.trace.append(TraceRow(call_no, elapsed, st.rho, upper, rel, box))
-                if verdict == "retired":
-                    st.retired.append((box, eff))
-                elif verdict == "unresolved":
-                    st.not_converged = True
-                    st.unresolved.append((box, eff))
-                else:
-                    if st.stalled(box):
-                        st.not_converged = True
-                        st.unresolved.append((box, eff))
-                        continue
-                    for child in subdivide(box):
-                        st.deepest_level = max(st.deepest_level, child.level)
-                        next_frontier.append((child, eff))
-            frontier = next_frontier
+        else:
+            for child in subdivide(box):
+                st.deepest_level = max(st.deepest_level, child.level)
+                push(child, eff)
+    if heap:
+        # stopped by the budget or a stall: every queued box stays open
+        st.not_converged = True
+        st.unresolved.extend((b, e) for _, _, b, e in heap)
     return st.finish()
 
 

@@ -245,8 +245,7 @@ def test_c9_cli_determinism(tmp_path):
              "--out", str(a)])
     run_cli(["gen", "--vertices", "8", "--maximal", "10", "--dim", "1", "--seed", "5",
              "--out", str(b)])
-    dist_args = ["dist", str(a), str(b), "--epsilon", "0.5", "--relative",
-                 "--threads", "1"]
+    dist_args = ["dist", str(a), str(b), "--epsilon", "0.5", "--relative"]
     r1 = run_cli(dist_args)
     r2 = run_cli(dist_args)
     assert r1[0] == r2[0] == 0

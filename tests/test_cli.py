@@ -89,6 +89,48 @@ def test_dist_dump_diagrams(dataset, tmp_path):
         assert lines[1].startswith("# slice type=")
 
 
+def test_dist_dump_diagrams_at_best_slice_without_trace(tmp_path):
+    from matchdist.complexes import normalize_pair
+    from matchdist.io import load_bifiltration
+    from matchdist.solver import SolverConfig, approximate, eval_slice
+
+    # on this pair rho is attained below level 0, away from the four
+    # level-0 centers
+    paths = []
+    for seed in (4, 5):
+        p = tmp_path / f"s{seed}.txt"
+        run_cli(["gen", "--vertices", "7", "--maximal", "8", "--dim", "1",
+                 "--seed", str(seed), "--out", str(p)])
+        paths.append(str(p))
+    dd = tmp_path / "dd"
+    code, out, _ = run_cli(["dist", *paths, "--epsilon", "0.5", "--relative",
+                            "--dump-diagrams", str(dd)])
+    assert code == 0
+    F1, F2, _ = normalize_pair(*(load_bifiltration(p) for p in paths))
+    res = approximate(F1, F2, SolverConfig(epsilon=0.5, mode="relative"))
+    L = res.best_slice
+    assert eval_slice(F1, F2, L) == res.rho
+    assert dict(line.split() for line in out.splitlines())["rho"] == repr(res.rho)
+    comment = f"# slice type={L.stype.value} lam={L.lam!r} mu={L.mu!r}"
+    for name in ("f1_diagram.txt", "f2_diagram.txt"):
+        assert (dd / name).read_text().splitlines()[1] == comment
+
+
+def test_dist_infinite_distance_reports_exact_bracket(tmp_path):
+    # one component against two: the dim-0 distance is infinite
+    a, b = tmp_path / "one.txt", tmp_path / "two.txt"
+    a.write_text("bifiltration\n1\n0 ; 0 0\n")
+    b.write_text("bifiltration\n2\n0 ; 0 0\n1 ; 1 1\n")
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(["dist", str(a), str(b), "--epsilon", "0.1",
+                            "--trace", str(trace)])
+    assert code == 0
+    report = dict(line.split() for line in out.splitlines())
+    assert report["rho"] == report["residual_upper"] == "inf"
+    assert report["rel_error"] == "0.0"
+    assert "nan" not in trace.read_text()
+
+
 def test_dist_usage_error_exit_one(dataset):
     code, _, err = run_cli(["dist", str(dataset / "a.txt")])
     assert code == 1

@@ -30,7 +30,7 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         SolverConfig(epsilon=0.1, budget_ms=10.0, traversal="bfs").validate()
     with pytest.raises(InvalidConfig):
-        SolverConfig(epsilon=0.1, threads=2, traversal="dfs").validate()
+        SolverConfig(epsilon=0.1, traversal="dfs").validate()
     with pytest.raises(InvalidConfig):
         SolverConfig(epsilon=0.1, mode="nearest").validate()
 
@@ -94,9 +94,10 @@ def test_level_cap_absolute():
         assert res.deepest_level <= cap
 
 
-def test_terminal_boxes_cover_initial_boxes():
+@pytest.mark.parametrize("traversal", ["bfs", "priority"])
+def test_terminal_boxes_cover_initial_boxes(traversal):
     F1, F2 = small_pair(61, 62)
-    res = approximate(F1, F2, SolverConfig(epsilon=0.2))
+    res = approximate(F1, F2, SolverConfig(epsilon=0.2, traversal=traversal))
     per_type = {t: Fraction(0) for t in SLICE_TYPES}
     for box, _ in res.retired_boxes + res.unresolved_boxes:
         per_type[box.stype] += Fraction(1, 4**box.level)
@@ -118,7 +119,7 @@ def test_pruned_boxes_are_sound():
 def test_traversals_agree_on_guarantee():
     F1, F2 = small_pair(81, 82)
     results = {}
-    for trav in ("bfs", "dfs", "priority"):
+    for trav in ("bfs", "priority"):
         res = approximate(F1, F2, SolverConfig(epsilon=0.2, traversal=trav))
         assert not res.not_converged
         results[trav] = res
@@ -130,7 +131,7 @@ def test_traversals_agree_on_guarantee():
 
 def test_determinism_bfs_and_dfs():
     F1, F2 = small_pair(91, 92)
-    for trav in ("bfs", "dfs", "priority"):
+    for trav in ("bfs", "priority"):
         cfg = SolverConfig(epsilon=0.2, traversal=trav, trace=True)
         a = approximate(F1, F2, cfg)
         b = approximate(F1, F2, cfg)
@@ -166,18 +167,6 @@ def test_budgeted_relative_error_non_increasing():
         assert b <= a + 1e-12
     # trace rows stop at the last eval; the drained result is tighter
     assert res.rel_error <= 0.3 + 1e-12
-
-
-def test_parallel_matches_guarantee():
-    F1, F2 = small_pair(131, 132)
-    seq = approximate(F1, F2, SolverConfig(epsilon=0.2))
-    par = approximate(F1, F2, SolverConfig(epsilon=0.2, threads=4))
-    assert not par.not_converged
-    assert par.rho <= seq.rho + 0.2 + 1e-12
-    assert seq.rho <= par.rho + 0.2 + 1e-12
-    # both deltas carry the same absolute guarantee
-    sampled = dmatch_sampled(F1, F2, n=16)
-    assert par.delta + 0.2 >= sampled - 1e-9
 
 
 def test_reduction_rate_examples():
