@@ -13,7 +13,8 @@ pairwise sup-distances or half-persistences, so we binary-search that
 candidate set. Feasibility of a threshold t asks for a matching in the
 t-threshold graph covering every point whose diagonal cost exceeds t on
 either side; by the Mendelsohn-Dulmage theorem it is enough to saturate
-each side separately, which is a plain maximum bipartite matching.
+each side separately, which is a plain maximum bipartite matching: scipy's
+maximum_bipartite_matching (Hopcroft-Karp) at every graph size.
 """
 
 from __future__ import annotations
@@ -25,44 +26,29 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from .errors import DimensionMismatch
 from .persistence import Diagram
 
-# below this many potential edges a pure-python augmenting path search is
-# cheaper than building a scipy sparse matrix
-_SMALL_GRAPH = 4096
-
 
 def _saturates(adj: np.ndarray) -> bool:
-    """True when some matching covers every row of the boolean biadjacency."""
+    """True when some matching covers every row of the boolean biadjacency.
+
+    The CSR graph is built directly: np.nonzero lists the edges row-major
+    with sorted columns, and the cumulative row degrees are the row pointers.
+    """
     nrows, ncols = adj.shape
     if nrows == 0:
         return True
     if ncols == 0:
         return False
-    if not adj.any(axis=1).all():
+    degrees = adj.sum(axis=1)
+    if not degrees.all():
         return False
-    if nrows * ncols <= _SMALL_GRAPH:
-        return _saturates_kuhn(adj)
-    m = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
+    indptr = np.zeros(nrows + 1, dtype=np.int32)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.nonzero(adj)[1].astype(np.int32)
+    graph = csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(nrows, ncols)
+    )
+    m = maximum_bipartite_matching(graph, perm_type="column")
     return int((m >= 0).sum()) == nrows
-
-
-def _saturates_kuhn(adj: np.ndarray) -> bool:
-    nrows, ncols = adj.shape
-    neighbors = [np.flatnonzero(adj[r]) for r in range(nrows)]
-    match_col = [-1] * ncols
-
-    def augment(r: int, seen: list[bool]) -> bool:
-        for c in neighbors[r]:
-            if not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or augment(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(nrows):
-        if not augment(r, [False] * ncols):
-            return False
-    return True
 
 
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import BiFiltration
 from .errors import InvalidLevel
-from .slices import ParamBox, SliceType, center, weighted_push_points
+from .slices import ParamBox, SliceType, center, pair_extents, weighted_push
 
 _LEVEL_TOL = 1e-12
 
@@ -41,8 +41,8 @@ def _corner_center_pushes(
     xs: np.ndarray, ys: np.ndarray, B: ParamBox
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point pushes at the four corners (4 x n) and at the center (n)."""
-    c = weighted_push_points(xs, ys, center(B))
-    corners = np.stack([weighted_push_points(xs, ys, L) for L in B.corners()])
+    c = weighted_push(xs, ys, center(B))
+    corners = np.stack([weighted_push(xs, ys, L) for L in B.corners()])
     return corners, c
 
 
@@ -124,8 +124,7 @@ def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
 
 def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
     """Local constant bound: the per-type closed form, point-independent."""
-    X = max(F1.max_x, F2.max_x)
-    Y = max(F1.max_y, F2.max_y)
+    X, Y, _ = pair_extents(F1, F2)
     vbar = _vbar_constant(B, X, Y)
     return d_center + vbar + vbar
 
@@ -136,9 +135,7 @@ def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) ->
     Only valid for boxes produced by initial_boxes/subdivide, whose lam
     width is exactly 2**-level and whose mu height is at most C * 2**-level.
     """
-    X = max(F1.max_x, F2.max_x)
-    Y = max(F1.max_y, F2.max_y)
-    C = max(X, Y)
+    _, _, C = pair_extents(F1, F2)
     g = C * 2.0 ** (-B.level)
     if B.dlam != 2.0 ** (-B.level):
         raise InvalidLevel(

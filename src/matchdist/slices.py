@@ -108,25 +108,13 @@ class ParamBox:
         )
 
 
-def weighted_push(px: float, py: float, L: Slice) -> float:
-    """Weighted push of the point (px, py) onto L.
+def weighted_push(xs: np.ndarray | float, ys: np.ndarray | float, L: Slice) -> np.ndarray:
+    """Weighted push of the points (xs, ys) onto L, elementwise.
 
     Each slice type selects one of two affine branches depending on whether
-    the point lies above or below the line; the selected branch is always
-    the larger one, so the value is their maximum.
+    a point lies above or below the line; the selected branch is always the
+    larger one, so the value is their maximum. Scalars give a numpy scalar.
     """
-    lam, mu = L.lam, L.mu
-    if L.stype is SliceType.FLAT_Y:
-        return max(py - mu, lam * px)
-    if L.stype is SliceType.STEEP_Y:
-        return max(lam * (py - mu), px)
-    if L.stype is SliceType.FLAT_X:
-        return max(py, lam * (px - mu))
-    return max(lam * py, px - mu)  # steep x
-
-
-def weighted_push_points(xs: np.ndarray, ys: np.ndarray, L: Slice) -> np.ndarray:
-    """Vectorized weighted push of many points onto one slice."""
     lam, mu = L.lam, L.mu
     if L.stype is SliceType.FLAT_Y:
         return np.maximum(ys - mu, lam * xs)
@@ -134,7 +122,7 @@ def weighted_push_points(xs: np.ndarray, ys: np.ndarray, L: Slice) -> np.ndarray
         return np.maximum(lam * (ys - mu), xs)
     if L.stype is SliceType.FLAT_X:
         return np.maximum(ys, lam * (xs - mu))
-    return np.maximum(lam * ys, xs - mu)
+    return np.maximum(lam * ys, xs - mu)  # steep x
 
 
 def weighted_push_grid(
@@ -158,7 +146,7 @@ def restrict(F: BiFiltration, L: Slice) -> MonoFiltration:
 
     Each simplex takes the minimum weighted push over its critical set
     (the slice meets the staircase boundary at the smallest push)."""
-    wp = weighted_push_points(F.px, F.py, L)
+    wp = weighted_push(F.px, F.py, L)
     if F.one_critical:
         values = wp
     else:

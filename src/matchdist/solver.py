@@ -325,6 +325,7 @@ def budgeted_approximate(
 
 
 def reduction_rate(result: ApproxResult) -> float:
-    """Fraction of the level-k brute force avoided: 1 - calls / 4**k with
-    k the deepest level actually evaluated."""
-    return 1.0 - result.calls / math.pow(4.0, result.deepest_evaluated_level)
+    """Fraction of the level-k brute force avoided: 1 - calls / 4**(k+1)
+    with k the deepest level actually evaluated. The brute force evaluates
+    every center of the 4 * 4**k level-k boxes, as heatmap --depth k does."""
+    return 1.0 - result.calls / math.pow(4.0, result.deepest_evaluated_level + 1)

@@ -2,13 +2,15 @@
 
 The oracles deliberately avoid the code paths they check: the geometric
 push oracle goes through angles and trigonometry instead of the closed
-formulas, and the bottleneck oracle enumerates every partial matching.
+formulas, and the bottleneck oracles either enumerate every partial
+matching or solve assignment problems on the diagonal-augmented matrix.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from matchdist.complexes import BiFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
@@ -73,6 +75,45 @@ def bottleneck_brute(D1: Diagram, D2: Diagram) -> float:
 
     rec(0, 0, 0.0)
     return best
+
+
+def bottleneck_assignment(D1: Diagram, D2: Diagram) -> float:
+    """Finite-part bottleneck distance by threshold search over assignments.
+
+    The standard (n1+n2) x (n1+n2) augmentation: row i < n1 is a point of
+    D1, row n1 + j the diagonal copy of point j of D2; column j < n2 is a
+    point of D2, column n2 + i the diagonal copy of point i of D1. A point
+    may take only its own diagonal copy, and diagonal copies match each
+    other for free. A threshold is feasible iff the 0/1 assignment problem
+    with cost 1 on every entry above it has optimum 0.
+    """
+    a = np.array(D1.finite, dtype=np.float64).reshape(-1, 2)
+    b = np.array(D2.finite, dtype=np.float64).reshape(-1, 2)
+    n1, n2 = len(a), len(b)
+    if n1 + n2 == 0:
+        return 0.0
+    cost = np.full((n1 + n2, n1 + n2), math.inf)
+    cost[:n1, :n2] = np.maximum(
+        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+    )
+    cost[np.arange(n1), n2 + np.arange(n1)] = (a[:, 1] - a[:, 0]) / 2.0
+    cost[n1 + np.arange(n2), np.arange(n2)] = (b[:, 1] - b[:, 0]) / 2.0
+    cost[n1:, n2:] = 0.0
+
+    def feasible(t: float) -> bool:
+        over = (cost > t).astype(np.int8)
+        r, c = linear_sum_assignment(over)
+        return int(over[r, c].sum()) == 0
+
+    candidates = np.unique(cost[np.isfinite(cost)])
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(candidates[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def grid_slices(B: ParamBox, n: int) -> list[Slice]:

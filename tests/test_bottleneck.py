@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from conftest import bottleneck_brute, random_diagram
-from matchdist.bottleneck import bottleneck_distance
+from conftest import bottleneck_assignment, bottleneck_brute, random_diagram
+from matchdist.bottleneck import _saturates, bottleneck_distance
 from matchdist.errors import DimensionMismatch
 from matchdist.persistence import Diagram
 
@@ -98,3 +99,62 @@ def test_homogeneity(seed, s):
         assert scaled == 0.0
     else:
         assert scaled == pytest.approx(s * base, rel=1e-12)
+
+
+def _saturates_by_assignment(adj: np.ndarray) -> bool:
+    # with at least as many columns as rows every row gets assigned, and an
+    # optimum of 0 means every assigned pair is an edge
+    nrows, ncols = adj.shape
+    if nrows > ncols:
+        return False
+    if nrows == 0:
+        return True
+    cost = (~adj).astype(np.int8)
+    r, c = linear_sum_assignment(cost)
+    return int(cost[r, c].sum()) == 0
+
+
+def test_saturates_matches_assignment_across_sizes():
+    # sizes from 1 x 1 to 120 x 150, small graphs and ones with more than
+    # 4096 potential edges, sparse to dense, with edgeless rows, empty sides
+    # and more rows than columns
+    rng = np.random.Generator(np.random.Philox(4096))
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (64, 64), (65, 64), (120, 150), (150, 120)]
+    shapes += [(int(rng.integers(1, 121)), int(rng.integers(1, 151))) for _ in range(240)]
+    large = 0
+    for nrows, ncols in shapes:
+        for density in (0.02, 0.1, 0.5):
+            adj = rng.random((nrows, ncols)) < density
+            if nrows > 2 and rng.random() < 0.2:
+                adj[int(rng.integers(0, nrows))] = False
+            expected = _saturates_by_assignment(adj)
+            assert _saturates(adj) == expected, (nrows, ncols, density)
+            # the row-saturation answer does not depend on the memory layout
+            assert _saturates(np.asfortranarray(adj)) == expected
+            large += nrows * ncols > 4096
+    assert large > 100
+
+
+def _grid_diagram(rng: np.random.Generator, n: int) -> Diagram:
+    # dyadic values, so every candidate cost is exact and ties are frequent
+    births = rng.integers(0, 257, size=n) / 4.0
+    lengths = rng.integers(1, 65, size=n) / 4.0
+    return D(list(zip(births, births + lengths)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matches_assignment_oracle_on_large_diagrams(seed):
+    rng = np.random.Generator(np.random.Philox(900 + seed))
+    n1, n2 = (int(x) for x in rng.integers(50, 201, size=2))
+    d1, d2 = _grid_diagram(rng, n1), _grid_diagram(rng, n2)
+    assert bottleneck_distance(d1, d2) == bottleneck_assignment(d1, d2)
+    assert bottleneck_distance(d2, d1) == bottleneck_assignment(d1, d2)
+
+
+def test_assignment_oracle_agrees_with_exhaustive_oracle():
+    rng = np.random.Generator(np.random.Philox(77))
+    for _ in range(200):
+        d1 = random_diagram(rng, max_pts=4)
+        d2 = random_diagram(rng, max_pts=4)
+        d1, d2 = D(d1.finite), D(d2.finite)
+        assert bottleneck_assignment(d1, d2) == bottleneck_brute(d1, d2)

@@ -128,6 +128,7 @@ def test_dist_infinite_distance_reports_exact_bracket(tmp_path):
     report = dict(line.split() for line in out.splitlines())
     assert report["rho"] == report["residual_upper"] == "inf"
     assert report["rel_error"] == "0.0"
+    assert report["reduction_rate"] == "0.0"
     assert "nan" not in trace.read_text()
 
 
@@ -203,7 +204,7 @@ def test_bench_two_files(dataset, tmp_path):
     for row in data_rows:
         cells = row.split("\t")
         calls, lvl, rate = int(cells[3]), int(cells[6]), float(cells[7])
-        assert rate == 1.0 - calls / 4.0**lvl
+        assert rate == 1.0 - calls / 4.0 ** (lvl + 1)
     assert out_csv.read_text().splitlines()[0].startswith("fileA,fileB,bound")
 
 

@@ -16,7 +16,6 @@ from matchdist.slices import (
     restrict,
     subdivide,
     weighted_push,
-    weighted_push_points,
 )
 
 finite_lam = st.floats(0.0, 1.0, allow_nan=False)
@@ -190,6 +189,6 @@ def test_points_vectorization_matches_scalar(px, py, lam, mu, stype):
     L = Slice(lam, mu, stype)
     xs = np.array([px, px / 2.0])
     ys = np.array([py, py / 3.0])
-    vec = weighted_push_points(xs, ys, L)
+    vec = weighted_push(xs, ys, L)
     assert vec[0] == weighted_push(px, py, L)
     assert vec[1] == weighted_push(px / 2.0, py / 3.0, L)

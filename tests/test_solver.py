@@ -173,9 +173,9 @@ def test_reduction_rate_examples():
     r = ApproxResult(0, 0, 0, calls=4, deepest_level=0, deepest_evaluated_level=0,
                      not_converged=False, epsilon=0.1, mode="absolute",
                      bound_kind=BoundKind.LOCAL_LINEAR, elapsed_ms=0.0)
-    assert reduction_rate(r) == -3.0
+    assert reduction_rate(r) == 0.0
     r.calls, r.deepest_evaluated_level = 16, 3
-    assert reduction_rate(r) == 0.75
+    assert reduction_rate(r) == 0.9375
 
 
 def test_bound_kinds_all_converge_and_order_statistically():
