@@ -9,7 +9,9 @@ from scipy.optimize import linear_sum_assignment
 from conftest import bottleneck_assignment, bottleneck_brute, random_diagram
 from matchdist.bottleneck import _saturates, bottleneck_distance
 from matchdist.errors import DimensionMismatch
-from matchdist.persistence import Diagram
+from matchdist.generators import GenSpec, generate_random
+from matchdist.persistence import Diagram, diagram
+from matchdist.slices import SLICE_TYPES, Slice, pair_extents, restrict
 
 
 def D(finite=(), essential=(), dim=0):
@@ -158,3 +160,132 @@ def test_assignment_oracle_agrees_with_exhaustive_oracle():
         d2 = random_diagram(rng, max_pts=4)
         d1, d2 = D(d1.finite), D(d2.finite)
         assert bottleneck_assignment(d1, d2) == bottleneck_brute(d1, d2)
+
+
+def _lb_and_candidates(d1: Diagram, d2: Diagram) -> tuple[float, list[float]]:
+    """The finite part's lower bound and the candidate costs above it.
+
+    Every point pays at least the smaller of its nearest-partner distance
+    and its diagonal cost; the candidates are the pairwise sup-distances
+    and half-persistences in (lb, ub], ub being the all-unmatched cost.
+    """
+    pts1, pts2 = list(d1.finite), list(d2.finite)
+
+    def sup(p, q):
+        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+    def half(p):
+        return (p[1] - p[0]) / 2.0
+
+    lb = max([min([half(p)] + [sup(p, q) for q in pts2]) for p in pts1]
+             + [min([half(q)] + [sup(p, q) for p in pts1]) for q in pts2])
+    ub = max(half(p) for p in pts1 + pts2)
+    pool = {sup(p, q) for p in pts1 for q in pts2} | {half(p) for p in pts1 + pts2}
+    return lb, sorted(c for c in pool if lb < c <= ub)
+
+
+def _tiny_diagram(rng: np.random.Generator, max_pts: int = 4) -> Diagram:
+    # finite points on a coarse dyadic grid, so ties are frequent
+    n = int(rng.integers(1, max_pts + 1))
+    births = rng.integers(0, 9, size=n) / 4.0
+    return D(list(zip(births, births + rng.integers(1, 9, size=n) / 4.0)))
+
+
+def _tiny_pairs() -> list[tuple[Diagram, Diagram]]:
+    rng = np.random.Generator(np.random.Philox(4))
+    return [(_tiny_diagram(rng), _tiny_diagram(rng)) for _ in range(300)]
+
+
+# lb = 0 (each point has a twin on the other side) is infeasible: one of
+# the two copies must go to the diagonal, at cost 5
+TWIN_PAIR = (D([(0, 10)]), D([(0, 10), (0, 10)]))
+
+
+def _shift_pair(k: int) -> tuple[Diagram, Diagram]:
+    """k + 1 points against k on the line of births, all dying at 4k.
+
+    One of the k + 1 must go to the diagonal, cheapest the one born at k
+    (cost 1.5k), and the rest shift by at most lb = 1. The candidates above
+    lb are the distances 2, ..., k and then the diagonal costs from 1.5k
+    up, so the answer is the k-th candidate: the gallop doubles past the
+    distances before it bisects.
+    """
+    births1 = [0] + list(range(2, k + 1))
+    return D([(b, 4 * k) for b in births1]), D([(b, 4 * k) for b in range(k + 1)])
+
+
+def test_answer_above_lb_matches_exhaustive_oracle():
+    assert _lb_and_candidates(*TWIN_PAIR) == (0.0, [5.0])
+    for k in (5, 40):
+        lb, candidates = _lb_and_candidates(*_shift_pair(k))
+        assert lb == 1.0 and candidates.index(1.5 * k) == k - 1
+    assert bottleneck_brute(*_shift_pair(5)) == 7.5
+    assert bottleneck_assignment(*_shift_pair(40)) == 60.0
+    for (d1, d2), expected in ((TWIN_PAIR, 5.0), (_shift_pair(5), 7.5), (_shift_pair(40), 60.0)):
+        assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == expected
+
+    above = 0
+    for d1, d2 in _tiny_pairs():
+        expected = bottleneck_brute(d1, d2)
+        assert bottleneck_distance(d1, d2) == expected
+        assert bottleneck_distance(d2, d1) == expected
+        above += expected > _lb_and_candidates(d1, d2)[0]
+    assert above >= 10
+
+
+def _count_saturates(monkeypatch) -> list[tuple[int, int]]:
+    calls = []
+
+    def counting(adj):
+        calls.append(adj.shape)
+        return _saturates(adj)
+
+    monkeypatch.setattr("matchdist.bottleneck._saturates", counting)
+    return calls
+
+
+def test_answer_at_lb_takes_one_probe_per_side(monkeypatch):
+    calls = _count_saturates(monkeypatch)
+    d1 = D([(0.1, 0.6), (0.5, 0.75)])
+    d2 = D([(0.15, 0.55)])
+    assert _lb_and_candidates(d1, d2)[0] == 0.125
+    assert bottleneck_distance(d1, d2) == 0.125
+    # a bisection of [lb, ub] = {0.125, 0.2, 0.25} would make two
+    # feasibility checks, four matchings
+    assert len(calls) <= 2
+
+
+def test_search_above_lb_probe_count(monkeypatch):
+    # the lb check plus gallop and bisection over the n candidates above lb
+    # make at most 2 * ceil(log2(n)) + 1 feasibility checks, and each check
+    # matches each side at most once
+    calls = _count_saturates(monkeypatch)
+    pairs = [TWIN_PAIR, _shift_pair(5), _shift_pair(40)]
+    pairs += [(d1, d2) for d1, d2 in _tiny_pairs()
+              if bottleneck_brute(d1, d2) > _lb_and_candidates(d1, d2)[0]]
+    assert len(pairs) >= 12
+    for d1, d2 in pairs:
+        lb, candidates = _lb_and_candidates(d1, d2)
+        checks = 2 * math.ceil(math.log2(len(candidates))) + 1
+        for x, y in ((d1, d2), (d2, d1)):
+            calls.clear()
+            assert bottleneck_distance(x, y) > lb
+            assert len(calls) <= 2 * checks, (x, y, len(calls))
+
+
+def test_matches_assignment_oracle_on_c7_slice_diagrams():
+    # the roughly 100-point diagrams the solver sees on the c7 pair,
+    # on seeded slices of every type
+    F1 = generate_random(GenSpec(100, 400, 1, seed=7000))
+    F2 = generate_random(GenSpec(100, 400, 1, seed=7100))
+    X, Y, _ = pair_extents(F1, F2)
+    rng = np.random.Generator(np.random.Philox(7))
+    for i in range(32):
+        stype = SLICE_TYPES[i % 4]
+        L = Slice(float(rng.uniform()), float(rng.uniform(0.0, X if stype.is_x else Y)), stype)
+        # the finite parts: essential points are paired apart from the search
+        d1 = D(diagram(restrict(F1, L), 0).finite)
+        d2 = D(diagram(restrict(F2, L), 0).finite)
+        expected = bottleneck_assignment(d1, d2)
+        assert bottleneck_distance(d1, d2) == expected, L
+        assert bottleneck_distance(d2, d1) == expected, L
