@@ -4,8 +4,8 @@ Three interchangeable rules, ordered by tightness on subdivision boxes
 (linear <= constant <= global):
 
 * local linear: exact per-point variation, evaluated at the four box
-  corners against the center, maximized over all critical values; linear
-  time in the number of critical values.
+  corners against the center, maximized over all critical values in one
+  vectorized scan; linear time in the number of critical values.
 * local constant: a closed-form per-type bound on the variation that only
   depends on the box and the coordinate maxima; constant time.
 * global: the constant bound relaxed using only the subdivision level.
@@ -37,17 +37,11 @@ class BoundKind(enum.Enum):
         return self.value
 
 
-def _corner_center_pushes(
-    xs: np.ndarray, ys: np.ndarray, B: ParamBox
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point pushes at the four corners (4 x n) and at the center (n)."""
+def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray:
+    """Per-point maximal push change over the four corners of B, relative
+    to the center slice."""
     c = weighted_push(xs, ys, center(B))
     corners = np.stack([weighted_push(xs, ys, L) for L in B.corners()])
-    return corners, c
-
-
-def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray:
-    corners, c = _corner_center_pushes(xs, ys, B)
     return np.abs(corners - c[None, :]).max(axis=0)
 
 
@@ -74,39 +68,9 @@ def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     return float(_point_variations(F.px, F.py, B).max())
 
 
-def bound_L(
-    F1: BiFiltration,
-    F2: BiFiltration,
-    B: ParamBox,
-    d_center: float,
-    *,
-    threshold: float | None = None,
-) -> float:
-    """Local linear bound: v(F1, B) + d_center + v(F2, B).
-
-    With a threshold, the scan starts from the constant bound: if that
-    already settles the comparison the scan is skipped, and if a partial
-    scan proves the linear bound exceeds the threshold the constant bound
-    is returned instead (still a sound upper bound, and on the same side
-    of the threshold as the full linear value).
-    """
-    if threshold is None:
-        return d_center + variation_filtration(F1, B) + variation_filtration(F2, B)
-
-    c = bound_C(F1, F2, B, d_center)
-    if c <= threshold:
-        return c
-    v = [0.0, 0.0]
-    for i, F in enumerate((F1, F2)):
-        if F.n == 0:
-            continue
-        for start in range(0, len(F.px), 256):
-            sl = slice(start, start + 256)
-            chunk = _point_variations(F.px[sl], F.py[sl], B)
-            v[i] = max(v[i], float(chunk.max()))
-            if d_center + v[0] + v[1] > threshold:
-                return c
-    return d_center + v[0] + v[1]
+def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
+    """Local linear bound: v(F1, B) + d_center + v(F2, B)."""
+    return d_center + variation_filtration(F1, B) + variation_filtration(F2, B)
 
 
 def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
@@ -149,17 +113,11 @@ def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) ->
 
 
 def box_bound(
-    kind: BoundKind,
-    F1: BiFiltration,
-    F2: BiFiltration,
-    B: ParamBox,
-    d_center: float,
-    *,
-    threshold: float | None = None,
+    kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float
 ) -> float:
     """Dispatch to the configured bound rule."""
     if kind is BoundKind.GLOBAL:
         return bound_G(F1, F2, B, d_center)
     if kind is BoundKind.LOCAL_CONSTANT:
         return bound_C(F1, F2, B, d_center)
-    return bound_L(F1, F2, B, d_center, threshold=threshold)
+    return bound_L(F1, F2, B, d_center)

@@ -35,6 +35,12 @@ from .persistence import diagram
 from .slices import ParamBox, Slice, center, initial_boxes, restrict, subdivide
 
 INF = float("inf")
+# subdivision depth cap; a box at this level is left unresolved
+MAX_LEVEL = 40
+# the relative variant cannot terminate when the matching distance is zero,
+# so a run whose lower bound is still exactly zero stops once boxes reach
+# this level and reports an honest residual instead
+ZERO_STALL_LEVEL = 6
 
 
 def eval_slice(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int = 0) -> float:
@@ -49,11 +55,8 @@ class SolverConfig:
     """Knobs for :func:`approximate`.
 
     epsilon is the absolute error in absolute mode and the relative error
-    in relative mode. max_level caps the subdivision depth; the relative
-    variant cannot terminate when the matching distance is zero, so runs
-    whose lower bound is still exactly zero stop once boxes reach
-    zero_stall_level and report an honest residual instead.
-    traversal is "bfs" or "priority"; a budget_ms requires priority.
+    in relative mode. traversal is "bfs" or "priority"; a budget_ms
+    requires priority.
     """
 
     epsilon: float = 0.1
@@ -62,8 +65,6 @@ class SolverConfig:
     homology_dim: int = 0
     traversal: str = "bfs"  # or "priority"
     budget_ms: Optional[float] = None
-    max_level: int = 40
-    zero_stall_level: int = 6
     trace: bool = False
 
     def validate(self) -> None:
@@ -80,8 +81,6 @@ class SolverConfig:
                 raise InvalidConfig("budget must be non-negative")
         if self.homology_dim < 0:
             raise InvalidConfig("homology dimension must be non-negative")
-        if self.max_level < 0 or self.zero_stall_level < 0:
-            raise InvalidConfig("level caps must be non-negative")
 
 
 def _rel_error(rho: float, upper: float) -> float:
@@ -228,7 +227,7 @@ class _RunState:
         return (
             self.cfg.mode == "relative"
             and self.rho == 0.0
-            and box.level >= self.cfg.zero_stall_level
+            and box.level >= ZERO_STALL_LEVEL
         )
 
 
@@ -260,7 +259,7 @@ def approximate(
 
     def push(box: ParamBox, parent_eff: float) -> None:
         d = st.do_eval(box, parent_eff)
-        own = box_bound(cfg.bound_kind, F1, F2, box, d, threshold=st.threshold())
+        own = box_bound(cfg.bound_kind, F1, F2, box, d)
         eff = min(own, parent_eff)
         # each push makes exactly one evaluation, so calls is a rising seq
         heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff))
@@ -280,7 +279,7 @@ def approximate(
             st.not_converged = True
             st.unresolved.append((box, eff))
             break
-        elif box.level >= cfg.max_level:
+        elif box.level >= MAX_LEVEL:
             st.not_converged = True
             st.unresolved.append((box, eff))
         else:

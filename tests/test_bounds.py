@@ -133,25 +133,6 @@ def test_bounds_dominate_sampled_slices(seed):
         assert eval_slice(F1, F2, L, 0) <= l + 1e-9
 
 
-def test_bound_L_early_exit_contract():
-    F1, F2 = _pair()
-    B = initial_boxes(F1, F2)[2]
-    d = eval_slice(F1, F2, center(B), 0)
-    full = bound_L(F1, F2, B, d)
-    c = bound_C(F1, F2, B, d)
-    # pruning side: threshold above C, returned value equals C (a sound
-    # bound on the same side of the threshold)
-    assert bound_L(F1, F2, B, d, threshold=c + 1.0) == c
-    # subdividing side: full L exceeds the threshold, so the early exit may
-    # return C, which is also above the threshold
-    thr = full - abs(full) * 0.5
-    got = bound_L(F1, F2, B, d, threshold=thr)
-    assert got > thr
-    # a threshold between L and C forces the complete scan
-    thr2 = (full + c) / 2.0 if c > full else full
-    assert bound_L(F1, F2, B, d, threshold=thr2) == full
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_kcritical_variation_bound(seed):

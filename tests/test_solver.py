@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import dmatch_sampled, grid_slices, scaled_copy
-from matchdist.bounds import BoundKind
+from matchdist import solver
+from matchdist.bounds import BoundKind, bound_L
 from matchdist.errors import InvalidConfig
 from matchdist.generators import GenSpec, generate_random
-from matchdist.slices import SLICE_TYPES, pair_extents
+from matchdist.slices import SLICE_TYPES, center, pair_extents
 from matchdist.solver import (
     ApproxResult,
     SolverConfig,
@@ -45,10 +46,12 @@ def test_identical_absolute_is_zero():
     assert all(e <= 0.1 for _, e in res.retired_boxes)
 
 
-def test_identical_relative_does_not_converge():
+def test_identical_relative_does_not_converge(monkeypatch):
+    monkeypatch.setattr(solver, "ZERO_STALL_LEVEL", 4)
     F1, _ = small_pair()
-    res = approximate(F1, F1, SolverConfig(epsilon=0.5, mode="relative", zero_stall_level=4))
+    res = approximate(F1, F1, SolverConfig(epsilon=0.5, mode="relative"))
     assert res.not_converged
+    assert res.deepest_level == 4
     assert res.rho == 0.0
     assert res.residual_upper > 0.0
     assert res.delta == res.residual_upper
@@ -114,6 +117,19 @@ def test_pruned_boxes_are_sound():
         assert eff <= final_thr
         for L in grid_slices(box, 5):
             assert eval_slice(F1, F2, L, 0) <= eff + 1e-9
+
+
+def test_retired_bounds_never_exceed_the_linear_bound():
+    # a stored bound is the box's own L bound or a tighter inherited one,
+    # never the looser C bound in place of an L bound it could have had
+    for i in range(6):
+        F1, F2 = small_pair(21 + i, 121 + i)
+        for cfg in (SolverConfig(epsilon=0.2),
+                    SolverConfig(epsilon=0.3, mode="relative")):
+            res = approximate(F1, F2, cfg)
+            assert res.retired_boxes
+            for box, eff in res.retired_boxes:
+                assert eff <= bound_L(F1, F2, box, eval_slice(F1, F2, center(box)))
 
 
 def test_traversals_agree_on_guarantee():
