@@ -8,14 +8,13 @@ the slice-parameter space, with three interchangeable bound rules.
 """
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration, variation_point
+from .bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
 from .complexes import (
     BiFiltration,
     MonoFiltration,
     lower_star,
     mono_filtration,
     normalize_pair,
-    normalize_to_positive_quadrant,
     validate_bifiltration,
 )
 from .generators import GenSpec, generate_random, generate_random_kcritical
@@ -68,7 +67,6 @@ __all__ = [
     "lower_star",
     "mono_filtration",
     "normalize_pair",
-    "normalize_to_positive_quadrant",
     "persistence_dim0",
     "persistence_general",
     "reduction_rate",
@@ -76,7 +74,6 @@ __all__ = [
     "subdivide",
     "validate_bifiltration",
     "variation_filtration",
-    "variation_point",
     "weighted_push",
 ]
 

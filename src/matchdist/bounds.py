@@ -45,18 +45,6 @@ def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray
     return np.abs(corners - c[None, :]).max(axis=0)
 
 
-def variation_point(px: float, py: float, B: ParamBox) -> float:
-    """Exact maximal change of the weighted push of (px, py) over B,
-    relative to the center slice.
-
-    The difference has no isolated interior maxima along axis directions,
-    so the maximum over the box is attained at a corner.
-    """
-    xs = np.array([px], dtype=np.float64)
-    ys = np.array([py], dtype=np.float64)
-    return float(_point_variations(xs, ys, B)[0])
-
-
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     """Maximal variation over all critical values of all simplices.
 

@@ -8,6 +8,7 @@ monotonicity along faces. Coordinates are plain doubles throughout.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,19 +84,10 @@ class BiFiltration:
 
         vertex_ids = sorted(s[0] for s in self.simplices if len(s) == 1)
         self.vertex_ids: list[int] = vertex_ids
+        # vertices come first in storage order, so a vertex's storage index
+        # is its rank among the vertex ids; the edges follow as one block
         self.vertex_count = len(vertex_ids)
-        vpos = {v: i for i, v in enumerate(vertex_ids)}
-        # plain-list mirrors: the persistence loops index these per simplex
-        self._dims: list[int] = [len(s) - 1 for s in self.simplices]
-        self._vertex_of: list[int] = [-1] * self.n
-        self._edge_u: list[int] = [-1] * self.n
-        self._edge_v: list[int] = [-1] * self.n
-        for i, s in enumerate(self.simplices):
-            if len(s) == 1:
-                self._vertex_of[i] = vpos[s[0]]
-            elif len(s) == 2:
-                self._edge_u[i] = vpos[s[0]]
-                self._edge_v[i] = vpos[s[1]]
+        self.edge_count = int(np.count_nonzero(self.dims == 1))
 
         counts = [len(c) for c in self.critical]
         self.offsets = np.zeros(self.n + 1, dtype=np.int64)
@@ -111,6 +103,18 @@ class BiFiltration:
 
     def __len__(self) -> int:
         return self.n
+
+    @cached_property
+    def cofacet_indices(self) -> list[tuple[int, ...]]:
+        """Codimension-1 cofaces of each simplex, by storage index.
+
+        Built on first use: only persistence above dimension 0 reads them.
+        """
+        cof: list[list[int]] = [[] for _ in range(self.n)]
+        for i, fs in enumerate(self.facet_indices):
+            for f in fs:
+                cof[f].append(i)
+        return [tuple(c) for c in cof]
 
     def __repr__(self) -> str:
         return (
@@ -210,23 +214,6 @@ def validate_bifiltration(
                     )
 
     return BiFiltration(simps, crits)
-
-
-def normalize_to_positive_quadrant(F: BiFiltration) -> tuple[BiFiltration, Point]:
-    """Translate so the minimal x and y coordinates are both zero.
-
-    Returns the applied shift vector. Idempotent: a second call returns a
-    zero shift.
-    """
-    if F.n == 0:
-        return F, (0.0, 0.0)
-    vx = -float(F.px.min())
-    vy = -float(F.py.min())
-    vx = vx if vx != 0.0 else 0.0
-    vy = vy if vy != 0.0 else 0.0
-    if vx == 0.0 and vy == 0.0:
-        return F, (0.0, 0.0)
-    return F.translated(vx, vy), (vx, vy)
 
 
 def normalize_pair(

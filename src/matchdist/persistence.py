@@ -1,12 +1,21 @@
 """Persistence diagrams of mono-filtrations.
 
-Dimension 0 uses union-find with the elder rule; arbitrary dimension uses
-column reduction of the boundary matrix over the two-element field, with
-columns kept as integer bitmasks. Both paths order simplices by
-(value, dimension, vertex tuple) ascending, which keeps faces before
-cofaces at equal values. Pairs with death equal to birth are dropped: they
-cost nothing in any bottleneck matching and bloat diagrams on degenerate
-slices.
+Simplices are ordered by (value, storage index) ascending; storage order
+is (dimension, vertex tuple), so faces come before cofaces at equal values.
+
+Dimension 0 is one union-find pass over the edges in that order with the
+elder rule. The same pass finds the negative edges, the ones that merge
+two components. Dimensions k >= 1 reduce the coboundary matrix over the
+two-element field with clearing (Chen & Kerber's twist, as in Ripser):
+dimensions go upward, a k-simplex that dimension k - 1 paired as a death
+is skipped, and each remaining k-simplex, in reverse order, has its
+coboundary column reduced. Columns are integer bitmasks with the earliest
+cofacet as the highest bit. A column's pivot is the cofacet that kills the
+class the simplex creates; a column that reduces to zero is essential.
+The pairs equal those of boundary-matrix reduction on the same order.
+
+Pairs with death equal to birth are dropped: they cost nothing in any
+bottleneck matching and bloat diagrams on degenerate slices.
 """
 
 from __future__ import annotations
@@ -34,46 +43,26 @@ class Diagram:
             dim,
         )
 
-    def shifted(self, r: float) -> "Diagram":
-        return Diagram.make(
-            [(b + r, d + r) for b, d in self.finite],
-            [b + r for b in self.essential],
-            self.homology_dimension,
-        )
-
-    def scaled(self, s: float) -> "Diagram":
-        return Diagram.make(
-            [(b * s, d * s) for b, d in self.finite],
-            [b * s for b in self.essential],
-            self.homology_dimension,
-        )
-
     def __len__(self) -> int:
         return len(self.finite) + len(self.essential)
 
 
-def _simplex_order(M: MonoFiltration) -> np.ndarray:
-    # storage index is already (dimension, lexicographic), so it breaks ties
-    return np.lexsort((np.arange(M.complex.n), M.values))
+def _merge_edges(M: MonoFiltration) -> tuple[list[tuple[float, float]], list[float], set[int]]:
+    """Union-find over the edges in simplex order, with the elder rule.
 
-
-def persistence_dim0(M: MonoFiltration) -> Diagram:
-    """Dimension-0 diagram via union-find and the elder rule.
-
-    When an edge merges two components the younger one dies: larger minimum
-    birth value, ties broken in favour of the smaller creator-vertex id.
-    Each connected component of the full complex contributes one essential
-    point at its minimal vertex value.
+    When an edge merges two components the younger one dies: larger birth
+    value, ties broken in favour of the smaller creator-vertex id. A root
+    is always its component's creator vertex, and vertex storage indices
+    rise with the ids, so births and creators are known before the loop.
+    Returns the finite dimension-0 pairs, the births of the components
+    left at the end, and the set of merging (negative) edges.
     """
     K = M.complex
     vals = M.values.tolist()
-    order = _simplex_order(M).tolist()
-    dims, vertex_of = K._dims, K._vertex_of
-    edge_u, edge_v = K._edge_u, K._edge_v
-
-    parent = list(range(K.vertex_count))
-    birth = [0.0] * K.vertex_count
-    creator = [0] * K.vertex_count
+    lo = K.vertex_count
+    edges = lo + np.argsort(M.values[lo : lo + K.edge_count], kind="stable")
+    facets = K.facet_indices
+    parent = list(range(lo))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -82,82 +71,78 @@ def persistence_dim0(M: MonoFiltration) -> Diagram:
         return a
 
     finite: list[tuple[float, float]] = []
-    for idx in order:
-        d = dims[idx]
-        if d == 0:
-            v = vertex_of[idx]
-            birth[v] = vals[idx]
-            creator[v] = K.vertex_ids[v]
-        elif d == 1:
-            ra = find(edge_u[idx])
-            rb = find(edge_v[idx])
-            if ra == rb:
-                continue
-            # younger component dies
-            if (birth[ra], -creator[ra]) > (birth[rb], -creator[rb]):
-                young, old = ra, rb
-            else:
-                young, old = rb, ra
-            death = vals[idx]
-            if death > birth[young]:
-                finite.append((birth[young], death))
-            parent[young] = old
+    negative: set[int] = set()
+    for e in edges.tolist():
+        v, u = facets[e]
+        ra, rb = find(u), find(v)
+        if ra == rb:
+            continue
+        ba, bb = vals[ra], vals[rb]
+        if ba > bb or (ba == bb and ra < rb):
+            ra, rb, bb = rb, ra, ba
+        # rb is the younger root, born at bb
+        if vals[e] > bb:
+            finite.append((bb, vals[e]))
+        parent[rb] = ra
+        negative.add(e)
+    essential = [vals[v] for v in range(lo) if parent[v] == v]
+    return finite, essential, negative
 
-    roots = {find(v) for v in range(K.vertex_count)}
-    essential = [birth[r] for r in roots]
+
+def persistence_dim0(M: MonoFiltration) -> Diagram:
+    """Dimension-0 diagram via union-find and the elder rule.
+
+    Each connected component of the full complex contributes one essential
+    point at its minimal vertex value.
+    """
+    finite, essential, _ = _merge_edges(M)
     return Diagram.make(finite, essential, 0)
 
 
 def persistence_general(M: MonoFiltration, dim: int) -> Diagram:
-    """Diagram in the given homology dimension by boundary-matrix reduction.
-
-    Coefficients are in the two-element field; columns are bitmasks over
-    the sorted simplex positions.
-    """
+    """Diagram in the given homology dimension by coboundary reduction
+    with clearing; dimension 0 is the union-find diagram."""
+    if dim == 0:
+        return persistence_dim0(M)
     K = M.complex
-    vals = M.values
-    order = _simplex_order(M)
-    pos_of = np.empty(K.n, dtype=np.int64)
-    pos_of[order] = np.arange(K.n)
+    vals = M.values.tolist()
+    cofacets = K.cofacet_indices
+    rev = np.argsort(M.values, kind="stable")[::-1]
+    # bit b of a column stands for the simplex rev[b]: earlier is higher
+    bit = np.empty(K.n, dtype=np.int64)
+    bit[rev] = np.arange(K.n)
+    bit = bit.tolist()
+    by_bit = rev.tolist()
+    rev_dims = K.dims[rev]
 
-    cols: list[int] = []
-    pivot_of_low: dict[int, int] = {}
-    paired = [False] * K.n
+    _, _, cleared = _merge_edges(M)
     finite: list[tuple[float, float]] = []
     essential: list[float] = []
-
-    for j in range(K.n):
-        idx = int(order[j])
-        col = 0
-        for f in K.facet_indices[idx]:
-            col ^= 1 << int(pos_of[f])
-        while col:
-            low = col.bit_length() - 1
-            k = pivot_of_low.get(low)
-            if k is None:
-                break
-            col ^= cols[k]
-        cols.append(col)
-        if col:
-            low = col.bit_length() - 1
-            pivot_of_low[low] = j
-            paired[low] = True
-            paired[j] = True
-            if K.dims[order[low]] == dim:
-                b = float(vals[order[low]])
-                d = float(vals[idx])
-                if d > b:
-                    finite.append((b, d))
-
-    for j in range(K.n):
-        if not paired[j] and cols[j] == 0 and K.dims[order[j]] == dim:
-            essential.append(float(vals[order[j]]))
-
+    for k in range(1, dim + 1):
+        reduced: dict[int, int] = {}  # pivot bit -> reduced column
+        for s in rev[rev_dims == k].tolist():
+            if s in cleared:
+                continue
+            col = 0
+            for t in cofacets[s]:
+                col |= 1 << bit[t]
+            while col:
+                p = col.bit_length() - 1
+                other = reduced.get(p)
+                if other is None:
+                    reduced[p] = col
+                    t = by_bit[p]
+                    if k == dim and vals[t] > vals[s]:
+                        finite.append((vals[s], vals[t]))
+                    break
+                col ^= other
+            else:
+                if k == dim:
+                    essential.append(vals[s])
+        cleared = {by_bit[p] for p in reduced}
     return Diagram.make(finite, essential, dim)
 
 
 def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
-    """Persistence diagram, using the fast path for dimension 0."""
-    if dim == 0:
-        return persistence_dim0(M)
+    """Persistence diagram of M in homology dimension dim."""
     return persistence_general(M, dim)

@@ -125,22 +125,6 @@ def weighted_push(xs: np.ndarray | float, ys: np.ndarray | float, L: Slice) -> n
     return np.maximum(lam * ys, xs - mu)  # steep x
 
 
-def weighted_push_grid(
-    px: float, py: float, lams: np.ndarray, mus: np.ndarray, stype: SliceType
-) -> np.ndarray:
-    """Vectorized weighted push of one point onto many slices.
-
-    lams and mus broadcast against each other; used by grid scans
-    (heatmaps, variation cross-checks)."""
-    if stype is SliceType.FLAT_Y:
-        return np.maximum(py - mus, lams * px)
-    if stype is SliceType.STEEP_Y:
-        return np.maximum(lams * (py - mus), px)
-    if stype is SliceType.FLAT_X:
-        return np.maximum(py, lams * (px - mus))
-    return np.maximum(lams * py, px - mus)
-
-
 def restrict(F: BiFiltration, L: Slice) -> MonoFiltration:
     """Weighted restriction of F onto L.
 

@@ -167,7 +167,8 @@ class _RunState:
         self.retired: list[tuple[ParamBox, float]] = []
         self.unresolved: list[tuple[ParamBox, float]] = []
         self.t0 = time.perf_counter()
-        self.cover = _MaxTracker()
+        # only trace rows read the largest queued bound
+        self.cover: Optional[_MaxTracker] = _MaxTracker() if cfg.trace else None
 
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
@@ -263,7 +264,8 @@ def approximate(
         eff = min(own, parent_eff)
         # each push makes exactly one evaluation, so calls is a rising seq
         heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff))
-        st.cover.add(eff)
+        if st.cover is not None:
+            st.cover.add(eff)
 
     for b in initial_boxes(F1, F2):
         push(b, INF)
@@ -272,7 +274,8 @@ def approximate(
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
             break
         _, _, box, eff = heapq.heappop(heap)
-        st.cover.remove(eff)
+        if st.cover is not None:
+            st.cover.remove(eff)
         if eff <= st.threshold():
             st.retired.append((box, eff))
         elif st.stalled(box):

@@ -1,9 +1,11 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, test-only helpers and independent oracles.
 
 The oracles deliberately avoid the code paths they check: the geometric
 push oracle goes through angles and trigonometry instead of the closed
-formulas, and the bottleneck oracles either enumerate every partial
-matching or solve assignment problems on the diagonal-augmented matrix.
+formulas, the bottleneck oracles either enumerate every partial matching
+or solve assignment problems on the diagonal-augmented matrix, and the
+persistence oracle reduces the full boundary matrix where the package
+uses union-find and coboundary reduction with clearing.
 """
 
 import math
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matchdist.complexes import BiFiltration, validate_bifiltration
+from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
-from matchdist.slices import SLICE_TYPES, ParamBox, Slice, pair_extents
+from matchdist.slices import SLICE_TYPES, ParamBox, Slice, SliceType, center, pair_extents
 from matchdist.solver import eval_slice
 
 
@@ -37,6 +39,118 @@ def wpush_geometric(px: float, py: float, L: Slice) -> float:
         qx, qy = px, line_y
     signed_dist = (qx - ox) * math.cos(gamma) + (qy - oy) * math.sin(gamma)
     return w * signed_dist
+
+
+def weighted_push_grid(
+    px: float, py: float, lams: np.ndarray, mus: np.ndarray, stype: SliceType
+) -> np.ndarray:
+    """Weighted push of one point onto many slices; lams and mus broadcast
+    against each other."""
+    if stype is SliceType.FLAT_Y:
+        return np.maximum(py - mus, lams * px)
+    if stype is SliceType.STEEP_Y:
+        return np.maximum(lams * (py - mus), px)
+    if stype is SliceType.FLAT_X:
+        return np.maximum(py, lams * (px - mus))
+    return np.maximum(lams * py, px - mus)
+
+
+def variation_point(px: float, py: float, B: ParamBox) -> float:
+    """Largest change of the weighted push of (px, py) between the center
+    slice of B and its four corners.
+
+    The difference has no isolated interior maxima along axis directions,
+    so this is the maximal change over the whole box.
+    """
+    lams = np.array([B.lam_min, B.lam_max])
+    mus = np.array([B.mu_min, B.mu_max])
+    corners = weighted_push_grid(px, py, lams[:, None], mus[None, :], B.stype)
+    L = center(B)
+    c = weighted_push_grid(px, py, np.array(L.lam), np.array(L.mu), B.stype)
+    return float(np.abs(corners - c).max())
+
+
+def normalize_to_positive_quadrant(F: BiFiltration) -> tuple[BiFiltration, tuple[float, float]]:
+    """Translate one filtration so its minimal x and y are both zero.
+
+    Returns the applied shift; a second call returns a zero shift. A pair
+    must be normalized together (``normalize_pair``); this single-input
+    form only serves the translation tests.
+    """
+    if F.n == 0:
+        return F, (0.0, 0.0)
+    vx = -float(F.px.min())
+    vy = -float(F.py.min())
+    vx = vx if vx != 0.0 else 0.0
+    vy = vy if vy != 0.0 else 0.0
+    if vx == 0.0 and vy == 0.0:
+        return F, (0.0, 0.0)
+    return F.translated(vx, vy), (vx, vy)
+
+
+def diagram_shifted(D: Diagram, r: float) -> Diagram:
+    """Every coordinate of D plus r."""
+    return Diagram.make(
+        [(b + r, d + r) for b, d in D.finite],
+        [b + r for b in D.essential],
+        D.homology_dimension,
+    )
+
+
+def diagram_scaled(D: Diagram, s: float) -> Diagram:
+    """Every coordinate of D times s."""
+    return Diagram.make(
+        [(b * s, d * s) for b, d in D.finite],
+        [b * s for b in D.essential],
+        D.homology_dimension,
+    )
+
+
+def persistence_boundary_oracle(M: MonoFiltration, dim: int) -> Diagram:
+    """Diagram by reduction of the full boundary matrix, in every dimension.
+
+    Simplices are ordered by (value, storage index); columns are bitmasks
+    over the sorted positions, reduced left to right over the two-element
+    field. Every column is reduced, vertices included, with no clearing
+    and no union-find, so it shares no pairing logic with the package.
+    """
+    K = M.complex
+    vals = M.values
+    order = np.lexsort((np.arange(K.n), vals))
+    pos_of = np.empty(K.n, dtype=np.int64)
+    pos_of[order] = np.arange(K.n)
+
+    cols: list[int] = []
+    pivot_of_low: dict[int, int] = {}
+    paired = [False] * K.n
+    finite: list[tuple[float, float]] = []
+    essential: list[float] = []
+    for j in range(K.n):
+        idx = int(order[j])
+        col = 0
+        for f in K.facet_indices[idx]:
+            col ^= 1 << int(pos_of[f])
+        while col:
+            low = col.bit_length() - 1
+            k = pivot_of_low.get(low)
+            if k is None:
+                break
+            col ^= cols[k]
+        cols.append(col)
+        if col:
+            low = col.bit_length() - 1
+            pivot_of_low[low] = j
+            paired[low] = True
+            paired[j] = True
+            if K.dims[order[low]] == dim:
+                b = float(vals[order[low]])
+                d = float(vals[idx])
+                if d > b:
+                    finite.append((b, d))
+    for j in range(K.n):
+        if not paired[j] and cols[j] == 0 and K.dims[order[j]] == dim:
+            essential.append(float(vals[order[j]]))
+    return Diagram.make(finite, essential, dim)
 
 
 def bottleneck_brute(D1: Diagram, D2: Diagram) -> float:

@@ -13,18 +13,23 @@ import pytest
 
 from conftest import (
     bottleneck_brute,
+    diagram_scaled,
+    diagram_shifted,
     dmatch_sampled,
     grid_slices,
+    persistence_boundary_oracle,
     random_diagram,
     random_genspec,
     scaled_copy,
+    variation_point,
+    weighted_push_grid,
     wpush_geometric,
 )
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration, variation_point
+from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
 from matchdist.complexes import mono_filtration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
-from matchdist.persistence import persistence_dim0, persistence_general
+from matchdist.persistence import persistence_dim0
 from matchdist.slices import (
     SLICE_TYPES,
     ParamBox,
@@ -33,7 +38,6 @@ from matchdist.slices import (
     pair_extents,
     restrict,
     weighted_push,
-    weighted_push_grid,
 )
 from matchdist.solver import SolverConfig, approximate, eval_slice
 
@@ -130,9 +134,9 @@ def test_c4_bottleneck_oracle():
         if math.isfinite(dab) and math.isfinite(dbc):
             assert dac <= dab + dbc + 1e-9
         r = int(rng.integers(-12, 13)) / 4.0  # dyadic shift, exact sums
-        assert bottleneck_distance(a.shifted(r), b.shifted(r)) == dab
+        assert bottleneck_distance(diagram_shifted(a, r), diagram_shifted(b, r)) == dab
         s = float(rng.uniform(0.1, 8.0))
-        ds = bottleneck_distance(a.scaled(s), b.scaled(s))
+        ds = bottleneck_distance(diagram_scaled(a, s), diagram_scaled(b, s))
         if math.isinf(dab):
             assert math.isinf(ds)
         else:
@@ -159,7 +163,7 @@ def test_c5_persistence_cross_check():
         t = SLICE_TYPES[int(rng.integers(0, 4))]
         L = Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 800)), t)
         M = restrict(F, L)
-        assert persistence_dim0(M) == persistence_general(M, 0)
+        assert persistence_dim0(M) == persistence_boundary_oracle(M, 0)
 
 
 @criterion(6, "absolute runs bracket the sampled distance; level cap holds")

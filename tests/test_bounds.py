@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_slices, random_box
-from matchdist.bounds import bound_C, bound_G, bound_L, variation_filtration, variation_point
+from conftest import grid_slices, random_box, variation_point, weighted_push_grid
+from matchdist.bounds import bound_C, bound_G, bound_L, variation_filtration
 from matchdist.complexes import validate_bifiltration
 from matchdist.errors import InvalidLevel
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
@@ -16,7 +16,6 @@ from matchdist.slices import (
     restrict,
     subdivide,
     weighted_push,
-    weighted_push_grid,
 )
 from matchdist.solver import eval_slice
 

@@ -1,6 +1,7 @@
 import io as stdio
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from matchdist.cli import main
@@ -212,3 +213,38 @@ def test_bench_empty_dataset(tmp_path):
     code, _, err = run_cli(["bench", str(tmp_path), "--epsilon", "0.5"])
     assert code == 1
     assert "no usable pairs" in err
+
+
+def test_dist_dim1_dump_diagrams_match_boundary_oracle(tmp_path):
+    from conftest import persistence_boundary_oracle
+    from matchdist.complexes import normalize_pair
+    from matchdist.generators import GenSpec, generate_random
+    from matchdist.io import format_diagram, load_bifiltration
+    from matchdist.slices import Slice, SliceType, restrict
+
+    # one 2-complex with two lower-star vertex assignments
+    K = generate_random(GenSpec(9, 14, 2, seed=3))
+    rng = np.random.Generator(np.random.Philox(9))
+    paths = []
+    for name in ("a.txt", "b.txt"):
+        values = rng.integers(0, 50, size=(K.vertex_count, 2))
+        lines = ["lowerstar", f"{K.vertex_count} {K.n}"]
+        lines += [f"{x} {y}" for x, y in values]
+        lines += [" ".join(str(K.vertex_ids.index(v)) for v in s) for s in K.simplices]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        paths.append(str(tmp_path / name))
+    dd = tmp_path / "dd"
+    code, _, _ = run_cli(["dist", *paths, "--dim", "1", "--epsilon", "0.5", "--relative",
+                          "--dump-diagrams", str(dd)])
+    assert code == 0
+    F1, F2 = normalize_pair(*(load_bifiltration(p) for p in paths))[:2]
+    points = 0
+    for name, F in (("f1_diagram.txt", F1), ("f2_diagram.txt", F2)):
+        text = (dd / name).read_text()
+        comment = text.splitlines()[1]
+        fields = dict(f.split("=") for f in comment[2:].split()[1:])
+        L = Slice(float(fields["lam"]), float(fields["mu"]), SliceType(fields["type"]))
+        D = persistence_boundary_oracle(restrict(F, L), 1)
+        assert text == format_diagram(D, comment[2:])
+        points += len(D)
+    assert points > 0

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import normalize_to_positive_quadrant
 from matchdist.complexes import (
     lower_star,
     mono_filtration,
     normalize_pair,
-    normalize_to_positive_quadrant,
     reduce_antichain,
     validate_bifiltration,
 )

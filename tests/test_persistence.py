@@ -2,9 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.complexes import mono_filtration
-from matchdist.generators import generate_random
+from matchdist.complexes import mono_filtration, validate_bifiltration
+from matchdist.generators import generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, persistence_dim0, persistence_general
 from matchdist.slices import SLICE_TYPES, Slice, restrict
 
@@ -60,8 +61,6 @@ def test_filled_triangle_dim1():
 
 
 def _random_mono(seed: int):
-    from conftest import random_genspec
-
     rng = np.random.Generator(np.random.Philox(seed))
     F = generate_random(random_genspec(rng, seed, d_hi=2))
     t = SLICE_TYPES[int(rng.integers(0, 4))]
@@ -73,7 +72,7 @@ def _random_mono(seed: int):
 @given(st.integers(0, 2**32 - 1))
 def test_dim0_matches_general_reduction(seed):
     M = _random_mono(seed)
-    assert persistence_dim0(M) == persistence_general(M, 0)
+    assert persistence_dim0(M) == persistence_boundary_oracle(M, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,3 +123,83 @@ def test_dimension_beyond_complex_is_empty():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 0.0, 1.0])
     D = persistence_general(M, 2)
     assert D.finite == () and D.essential == ()
+    triangle = mono_filtration(
+        [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]], [0, 0, 0, 1, 1, 1, 2]
+    )
+    for dim in (3, 4):
+        assert persistence_general(triangle, dim) == Diagram((), (), dim)
+
+
+def _tetrahedron(filled: bool):
+    # vertices at 0, edges at 1, triangles at 2, the solid at 3
+    simplices = [[v] for v in range(4)]
+    simplices += [[a, b] for a in range(4) for b in range(a + 1, 4)]
+    simplices += [[a, b, c] for a in range(4) for b in range(a + 1, 4) for c in range(b + 1, 4)]
+    values = [float(len(s) - 1) for s in simplices]
+    if filled:
+        simplices.append([0, 1, 2, 3])
+        values.append(3.0)
+    return mono_filtration(simplices, values)
+
+
+def test_hollow_tetrahedron_has_an_essential_void():
+    M = _tetrahedron(filled=False)
+    # three independent loops are born with the edges and filled in at 2
+    assert persistence_general(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
+    assert persistence_general(M, 2) == Diagram((), (2.0,), 2)
+    assert persistence_general(M, 3) == Diagram((), (), 3)
+
+
+def test_filled_tetrahedron_void_dies():
+    # the void is a finite pair only if the dim-1 pass clears the three
+    # triangles that kill loops, leaving the fourth to pair with the solid
+    M = _tetrahedron(filled=True)
+    assert persistence_general(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
+    assert persistence_general(M, 2) == Diagram(((2.0, 3.0),), (), 2)
+    assert persistence_general(M, 3) == Diagram((), (), 3)
+    assert persistence_dim0(M) == Diagram(((0.0, 1.0),) * 3, (0.0,), 0)
+
+
+def _multicritical_square():
+    # a square with two-point critical sets and one diagonal; the triangle
+    # on one side fills it, the loop on the other side stays open
+    crit = {
+        (0,): [(0, 0)], (1,): [(1, 0)], (2,): [(1, 1)], (3,): [(0, 1)],
+        (0, 1): [(1, 2), (2, 1)], (1, 2): [(1, 1)], (2, 3): [(1, 3), (3, 1)],
+        (0, 3): [(0, 2)], (0, 2): [(2, 2)], (0, 1, 2): [(4, 2), (2, 4)],
+    }
+    return validate_bifiltration(list(crit), list(crit.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_general_matches_boundary_oracle(seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec = random_genspec(rng, seed, n_hi=9, m_hi=9, d_hi=3)
+    complexes = [
+        generate_random(spec),
+        generate_random_kcritical(spec, int(rng.integers(2, 4))),
+        _multicritical_square(),
+    ]
+    for F in complexes:
+        for _ in range(3):
+            t = SLICE_TYPES[int(rng.integers(0, 4))]
+            L = Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 6)), t)
+            M = restrict(F, L)
+            for dim in range(4):
+                assert persistence_general(M, dim) == persistence_boundary_oracle(M, dim)
+
+
+def test_general_matches_oracle_on_random_three_complexes():
+    # dense complexes, so that voids and their deaths occur at dims 2 and 3
+    rng = np.random.Generator(np.random.Philox(606))
+    nontrivial = 0
+    for i in range(40):
+        F = generate_random(random_genspec(rng, seed=60_000 + i, n_hi=9, m_hi=14, d_hi=3))
+        for t in SLICE_TYPES:
+            M = restrict(F, Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 500)), t))
+            for dim in (1, 2, 3):
+                D = persistence_general(M, dim)
+                assert D == persistence_boundary_oracle(M, dim)
+                nontrivial += dim >= 2 and len(D) > 0
+    assert nontrivial >= 20
