@@ -167,8 +167,7 @@ class _RunState:
         self.retired: list[tuple[ParamBox, float]] = []
         self.unresolved: list[tuple[ParamBox, float]] = []
         self.t0 = time.perf_counter()
-        # only trace rows read the largest queued bound
-        self.cover: Optional[_MaxTracker] = _MaxTracker() if cfg.trace else None
+        self.cover = _MaxTracker()
 
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
@@ -264,8 +263,7 @@ def approximate(
         eff = min(own, parent_eff)
         # each push makes exactly one evaluation, so calls is a rising seq
         heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff))
-        if st.cover is not None:
-            st.cover.add(eff)
+        st.cover.add(eff)
 
     for b in initial_boxes(F1, F2):
         push(b, INF)
@@ -274,8 +272,7 @@ def approximate(
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
             break
         _, _, box, eff = heapq.heappop(heap)
-        if st.cover is not None:
-            st.cover.remove(eff)
+        st.cover.remove(eff)
         if eff <= st.threshold():
             st.retired.append((box, eff))
         elif st.stalled(box):

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from matchdist.bounds import _point_variations
 from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
-from matchdist.slices import SLICE_TYPES, ParamBox, Slice, SliceType, center, pair_extents
+from matchdist.slices import SLICE_TYPES, ParamBox, Slice, SliceType, pair_extents
 from matchdist.solver import eval_slice
 
 
@@ -56,36 +57,9 @@ def weighted_push_grid(
 
 
 def variation_point(px: float, py: float, B: ParamBox) -> float:
-    """Largest change of the weighted push of (px, py) between the center
-    slice of B and its four corners.
-
-    The difference has no isolated interior maxima along axis directions,
-    so this is the maximal change over the whole box.
-    """
-    lams = np.array([B.lam_min, B.lam_max])
-    mus = np.array([B.mu_min, B.mu_max])
-    corners = weighted_push_grid(px, py, lams[:, None], mus[None, :], B.stype)
-    L = center(B)
-    c = weighted_push_grid(px, py, np.array(L.lam), np.array(L.mu), B.stype)
-    return float(np.abs(corners - c).max())
-
-
-def normalize_to_positive_quadrant(F: BiFiltration) -> tuple[BiFiltration, tuple[float, float]]:
-    """Translate one filtration so its minimal x and y are both zero.
-
-    Returns the applied shift; a second call returns a zero shift. A pair
-    must be normalized together (``normalize_pair``); this single-input
-    form only serves the translation tests.
-    """
-    if F.n == 0:
-        return F, (0.0, 0.0)
-    vx = -float(F.px.min())
-    vy = -float(F.py.min())
-    vx = vx if vx != 0.0 else 0.0
-    vy = vy if vy != 0.0 else 0.0
-    if vx == 0.0 and vy == 0.0:
-        return F, (0.0, 0.0)
-    return F.translated(vx, vy), (vx, vy)
+    """The package's per-point variation rule (corners against the center
+    slice of B) for one point, as the L bound applies it."""
+    return float(_point_variations(np.array([px]), np.array([py]), B)[0])
 
 
 def diagram_shifted(D: Diagram, r: float) -> Diagram:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import normalize_to_positive_quadrant
 from matchdist.complexes import (
     lower_star,
     mono_filtration,
@@ -87,21 +86,21 @@ def test_validation_accepts_equal_critical_values():
 
 def test_normalize_identity():
     F = validate_bifiltration([[0], [1]], [[(0.0, 2.0)], [(3.0, 0.0)]])
-    G, shift = normalize_to_positive_quadrant(F)
+    G, _, shift = normalize_pair(F, F)
     assert shift == (0.0, 0.0)
     assert G is F
 
 
 def test_normalize_single_point():
     F = validate_bifiltration([[0]], [[(-1.0, 5.0)]])
-    G, shift = normalize_to_positive_quadrant(F)
+    G, _, shift = normalize_pair(F, F)
     assert shift == (1.0, -5.0)
     assert G.critical[0][0] == (0.0, 0.0)
 
 
 def test_normalize_two_points():
     F = validate_bifiltration([[0], [1]], [[(-2.0, 1.0)], [(0.0, 3.0)]])
-    G, shift = normalize_to_positive_quadrant(F)
+    G, _, shift = normalize_pair(F, F)
     assert shift == (2.0, -1.0)
     assert G.critical[G.index[(0,)]][0] == (0.0, 0.0)
     assert G.critical[G.index[(1,)]][0] == (2.0, 2.0)
@@ -113,9 +112,9 @@ def test_normalize_idempotent_and_difference_preserving():
         # integer grid inputs: differences are exact in doubles
         pts = [(float(rng.integers(-50, 50)), float(rng.integers(-50, 50))) for _ in range(6)]
         F = validate_bifiltration([[i] for i in range(6)], [[p] for p in pts])
-        G, _ = normalize_to_positive_quadrant(F)
+        G, _, _ = normalize_pair(F, F)
         assert float(G.px.min()) == 0.0 and float(G.py.min()) == 0.0
-        H, shift2 = normalize_to_positive_quadrant(G)
+        H, _, shift2 = normalize_pair(G, G)
         assert shift2 == (0.0, 0.0)
         for i in range(6):
             for j in range(6):

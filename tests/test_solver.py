@@ -88,19 +88,6 @@ def test_rho_monotone_along_trace():
     assert rhos == sorted(rhos)
 
 
-def test_queue_maximum_is_tracked_only_for_traces(monkeypatch):
-    F1, F2 = small_pair(41, 42)
-    traced = approximate(F1, F2, SolverConfig(epsilon=0.1, trace=True))
-
-    def refuse():
-        raise AssertionError("untraced run built a _MaxTracker")
-
-    monkeypatch.setattr(solver, "_MaxTracker", refuse)
-    plain = approximate(F1, F2, SolverConfig(epsilon=0.1))
-    assert (plain.delta, plain.calls) == (traced.delta, traced.calls)
-    assert plain.best_slice == traced.best_slice
-
-
 def test_level_cap_absolute():
     F1, F2 = small_pair(51, 52)
     for eps in (0.5, 0.1):
