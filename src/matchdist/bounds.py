@@ -3,9 +3,11 @@
 Three interchangeable rules, ordered by tightness on subdivision boxes
 (linear <= constant <= global):
 
-* local linear: exact per-point variation, evaluated at the four box
-  corners against the center, maximized over all critical values in one
-  vectorized scan; linear time in the number of critical values.
+* local linear: exact per-point variation against the center, maximized
+  over all critical values in one vectorized scan; linear time in the
+  number of critical values. On non-negative points a push is
+  nondecreasing in lam and nonincreasing in mu, so the variation over a
+  box is attained at two corners, (lam_max, mu_min) and (lam_min, mu_max).
 * local constant: a closed-form per-type bound on the variation that only
   depends on the box and the coordinate maxima; constant time.
 * global: the constant bound relaxed using only the subdivision level.
@@ -13,6 +15,11 @@ Three interchangeable rules, ordered by tightness on subdivision boxes
 All three return d_center + (variation bound for F1) + (variation bound
 for F2), so a bound is always at least the bottleneck distance at the
 center slice.
+
+The two-corner rule holds against any reference slice in the box, not
+only its center. child_prebounds uses this to bound the four children of
+an evaluated box from the box's own center, which is a corner of each
+child, before any child is evaluated.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .complexes import BiFiltration
 from .errors import InvalidLevel
-from .slices import ParamBox, SliceType, center, pair_extents, weighted_push
+from .slices import ParamBox, SliceType, pair_extents, push_at
 
 _LEVEL_TOL = 1e-12
 
@@ -38,11 +45,45 @@ class BoundKind(enum.Enum):
 
 
 def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray:
-    """Per-point maximal push change over the four corners of B, relative
-    to the center slice."""
-    c = weighted_push(xs, ys, center(B))
-    corners = np.stack([weighted_push(xs, ys, L) for L in B.corners()])
-    return np.abs(corners - c[None, :]).max(axis=0)
+    """Per-point maximal push change over B, relative to the center slice.
+
+    Requires xs, ys >= 0 (approximate enforces it): the push is then
+    largest at (lam_max, mu_min) and smallest at (lam_min, mu_max), and
+    max(hi - c, c - lo) equals the largest |corner - c| over all four
+    corners bit for bit.
+    """
+    t = B.stype
+    c = push_at(xs, ys, (B.lam_min + B.lam_max) / 2.0, (B.mu_min + B.mu_max) / 2.0, t)
+    hi = push_at(xs, ys, B.lam_max, B.mu_min, t)
+    lo = push_at(xs, ys, B.lam_min, B.mu_max, t)
+    return np.maximum(hi - c, c - lo)
+
+
+def _child_variations(F: BiFiltration, B: ParamBox) -> tuple[float, ...]:
+    """Variation of F over each child of B (subdivide order) against the
+    center of B, from six corner pushes and the center push."""
+    if F.n == 0:
+        return (0.0, 0.0, 0.0, 0.0)
+    xs, ys, t = F.px, F.py, B.stype
+    lc = (B.lam_min + B.lam_max) / 2.0
+    mc = (B.mu_min + B.mu_max) / 2.0
+    c = push_at(xs, ys, lc, mc, t)
+    # the center is the low corner of child 1 and the high corner of child 2
+    v0 = np.maximum(push_at(xs, ys, lc, B.mu_min, t) - c, c - push_at(xs, ys, B.lam_min, mc, t))
+    v1 = push_at(xs, ys, B.lam_max, B.mu_min, t) - c
+    v2 = c - push_at(xs, ys, B.lam_min, B.mu_max, t)
+    v3 = np.maximum(push_at(xs, ys, B.lam_max, mc, t) - c, c - push_at(xs, ys, lc, B.mu_max, t))
+    return float(v0.max()), float(v1.max()), float(v2.max()), float(v3.max())
+
+
+def child_prebounds(
+    F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float
+) -> list[float]:
+    """L bounds for the four children of B (subdivide order), taken against
+    the center of B, where the distance d_center is already known:
+    d_center + v(F1, child; center of B) + v(F2, child; center of B)."""
+    v1, v2 = _child_variations(F1, B), _child_variations(F2, B)
+    return [d_center + a + b for a, b in zip(v1, v2)]
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:

@@ -98,15 +98,6 @@ class ParamBox:
     def dmu(self) -> float:
         return self.mu_max - self.mu_min
 
-    def corners(self) -> tuple[Slice, Slice, Slice, Slice]:
-        t = self.stype
-        return (
-            Slice(self.lam_min, self.mu_min, t),
-            Slice(self.lam_max, self.mu_min, t),
-            Slice(self.lam_min, self.mu_max, t),
-            Slice(self.lam_max, self.mu_max, t),
-        )
-
 
 def weighted_push(xs: np.ndarray | float, ys: np.ndarray | float, L: Slice) -> np.ndarray:
     """Weighted push of the points (xs, ys) onto L, elementwise.
@@ -115,12 +106,23 @@ def weighted_push(xs: np.ndarray | float, ys: np.ndarray | float, L: Slice) -> n
     a point lies above or below the line; the selected branch is always the
     larger one, so the value is their maximum. Scalars give a numpy scalar.
     """
-    lam, mu = L.lam, L.mu
-    if L.stype is SliceType.FLAT_Y:
+    return push_at(xs, ys, L.lam, L.mu, L.stype)
+
+
+def push_at(xs, ys, lam: float, mu: float, stype: SliceType) -> np.ndarray:
+    """weighted_push onto the slice (lam, mu) of type stype, for callers
+    that scan box corners and would otherwise build a Slice per corner.
+
+    On points with x, y >= 0 the push is nondecreasing in lam and
+    nonincreasing in mu for every type: a branch that falls with lam
+    (lam * (y - mu) with y < mu) is negative and loses to the other,
+    non-negative branch.
+    """
+    if stype is SliceType.FLAT_Y:
         return np.maximum(ys - mu, lam * xs)
-    if L.stype is SliceType.STEEP_Y:
+    if stype is SliceType.STEEP_Y:
         return np.maximum(lam * (ys - mu), xs)
-    if L.stype is SliceType.FLAT_X:
+    if stype is SliceType.FLAT_X:
         return np.maximum(ys, lam * (xs - mu))
     return np.maximum(lam * ys, xs - mu)  # steep x
 

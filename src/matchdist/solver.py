@@ -9,8 +9,11 @@ rho + eps in absolute mode, (1 + eps) * rho in relative mode, where rho is
 the largest evaluated distance so far.
 
 A box is evaluated and bounded when it is queued, so the four level-0
-boxes are evaluated even under a zero budget. One heap holds the queue:
-bfs pops it in queue order, priority pops the largest bound first.
+boxes are evaluated even under a zero budget. Under the local linear
+bound a split first bounds each child from the parent's center distance
+(bounds.child_prebounds); a child whose pre-bound already meets the
+threshold retires without an evaluation. One heap holds the queue: bfs
+pops it in queue order, priority pops the largest bound first.
 
 Every queue entry carries the tightest bound certified for its region by
 any ancestor ("inherited"); a box's certified bound is the minimum of its
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, box_bound
+from .bounds import BoundKind, box_bound, child_prebounds
 from .complexes import BiFiltration
 from .errors import InvalidConfig
 from .persistence import diagram
@@ -253,25 +256,28 @@ def approximate(
     _require_quadrant(F2)
     st = _RunState(F1, F2, cfg)
     by_bound = cfg.traversal == "priority"
-    # entries are (key, seq, box, eff); bfs keys every entry 0.0, so the
-    # rising seq alone orders the heap and it pops first in, first out
-    heap: list[tuple[float, int, ParamBox, float]] = []
+    prebound = cfg.bound_kind is BoundKind.LOCAL_LINEAR
+    # entries are (key, seq, box, eff, d) with d the distance at the box
+    # center; bfs keys every entry 0.0, so the rising seq alone orders the
+    # heap and it pops first in, first out
+    heap: list[tuple[float, int, ParamBox, float, float]] = []
 
-    def push(box: ParamBox, parent_eff: float) -> None:
-        d = st.do_eval(box, parent_eff)
+    def push(box: ParamBox, inherited: float, in_flight: float) -> None:
+        # in_flight covers this box and its unqueued siblings in the trace
+        d = st.do_eval(box, in_flight)
         own = box_bound(cfg.bound_kind, F1, F2, box, d)
-        eff = min(own, parent_eff)
+        eff = min(own, inherited)
         # each push makes exactly one evaluation, so calls is a rising seq
-        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff))
+        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, d))
         st.cover.add(eff)
 
     for b in initial_boxes(F1, F2):
-        push(b, INF)
+        push(b, INF, INF)
 
     while heap:
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
             break
-        _, _, box, eff = heapq.heappop(heap)
+        _, _, box, eff, d = heapq.heappop(heap)
         st.cover.remove(eff)
         if eff <= st.threshold():
             st.retired.append((box, eff))
@@ -283,13 +289,21 @@ def approximate(
             st.not_converged = True
             st.unresolved.append((box, eff))
         else:
-            for child in subdivide(box):
-                st.deepest_level = max(st.deepest_level, child.level)
-                push(child, eff)
+            children = subdivide(box)
+            st.deepest_level = max(st.deepest_level, box.level + 1)
+            if prebound:
+                bounds = [min(pre, eff) for pre in child_prebounds(F1, F2, box, d)]
+            else:
+                bounds = [eff] * len(children)
+            for i, child in enumerate(children):
+                if prebound and bounds[i] <= st.threshold():
+                    st.retired.append((child, bounds[i]))
+                else:
+                    push(child, bounds[i], max(bounds[i:]))
     if heap:
         # stopped by the budget or a stall: every queued box stays open
         st.not_converged = True
-        st.unresolved.extend((b, e) for _, _, b, e in heap)
+        st.unresolved.extend((b, e) for _, _, b, e, _ in heap)
     return st.finish()
 
 

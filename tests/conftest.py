@@ -17,7 +17,14 @@ from scipy.optimize import linear_sum_assignment
 from matchdist.bounds import _point_variations
 from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
-from matchdist.slices import SLICE_TYPES, ParamBox, Slice, SliceType, pair_extents
+from matchdist.slices import (
+    SLICE_TYPES,
+    ParamBox,
+    Slice,
+    SliceType,
+    pair_extents,
+    weighted_push,
+)
 from matchdist.solver import eval_slice
 
 
@@ -60,6 +67,16 @@ def variation_point(px: float, py: float, B: ParamBox) -> float:
     """The package's per-point variation rule (corners against the center
     slice of B) for one point, as the L bound applies it."""
     return float(_point_variations(np.array([px]), np.array([py]), B)[0])
+
+
+def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:
+    """Per-point largest |push(corner) - push(ref)| over the four corners
+    of B, one weighted_push per corner: the rule the L bound uses, written
+    without its monotonicity shortcut."""
+    c = weighted_push(xs, ys, ref)
+    corners = [Slice(lam, mu, B.stype)
+               for lam in (B.lam_min, B.lam_max) for mu in (B.mu_min, B.mu_max)]
+    return np.max([np.abs(weighted_push(xs, ys, L) - c) for L in corners], axis=0)
 
 
 def diagram_shifted(D: Diagram, r: float) -> Diagram:

@@ -3,13 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_slices, random_box, variation_point, weighted_push_grid
-from matchdist.bounds import bound_C, bound_G, bound_L, variation_filtration
+from conftest import (
+    four_corner_variation,
+    grid_slices,
+    random_box,
+    variation_point,
+    weighted_push_grid,
+)
+from matchdist.bounds import (
+    _point_variations,
+    bound_C,
+    bound_G,
+    bound_L,
+    child_prebounds,
+    variation_filtration,
+)
 from matchdist.complexes import validate_bifiltration
 from matchdist.errors import InvalidLevel
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.slices import (
+    SLICE_TYPES,
     ParamBox,
+    Slice,
     SliceType,
     center,
     initial_boxes,
@@ -51,6 +66,60 @@ def test_variation_point_matches_grid(seed):
     g = grid_variation(px, py, B)
     assert g <= v + 1e-9          # corners dominate the whole box
     assert v <= g + 1e-3          # and the grid contains the corners
+
+
+def _points_on_line(L: Slice, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative points where both push branches of L agree."""
+    lam, mu = L.lam, L.mu
+    if L.stype is SliceType.FLAT_Y:
+        return t, mu + lam * t
+    if L.stype is SliceType.STEEP_Y:
+        return lam * t, mu + t
+    if L.stype is SliceType.FLAT_X:
+        return mu + t, lam * t
+    return mu + lam * t, t
+
+
+def test_two_corner_rule_equals_four_corner_max():
+    rng = np.random.Generator(np.random.Philox(4242))
+    for stype in SLICE_TYPES:
+        for k in range(60):
+            B = random_box(rng, mu_hi=6.0)
+            B = ParamBox(B.lam_min, B.lam_max, B.mu_min, B.mu_max, stype)
+            if k % 4 == 1:  # zero lam width
+                B = ParamBox(B.lam_min, B.lam_min, B.mu_min, B.mu_max, stype)
+            elif k % 4 == 2:  # zero mu height
+                B = ParamBox(B.lam_min, B.lam_max, B.mu_max, B.mu_max, stype)
+            elif k % 4 == 3:  # a single slice
+                B = ParamBox(B.lam_max, B.lam_max, B.mu_min, B.mu_min, stype)
+            t = rng.uniform(0.0, 6.0, size=8)
+            on_lines = [_points_on_line(L, t) for L in (
+                center(B), Slice(B.lam_min, B.mu_max, stype), Slice(B.lam_max, B.mu_min, stype))]
+            below = rng.uniform(0.0, B.mu_min, size=8)  # y < mu (steep-y), x < mu (flat-x)
+            xs = np.concatenate([rng.uniform(0, 8, 32), *(x for x, _ in on_lines), below,
+                                 rng.uniform(0, 8, 8), [0.0, 0.0, 3.0]])
+            ys = np.concatenate([rng.uniform(0, 8, 32), *(y for _, y in on_lines),
+                                 rng.uniform(0, 8, 8), below, [0.0, 3.0, 0.0]])
+            want = four_corner_variation(xs, ys, B, center(B))
+            assert np.array_equal(_point_variations(xs, ys, B), want)
+
+
+def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
+    F1, F2 = _pair(13, 14)
+    for stype in SLICE_TYPES:
+        B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
+        ref = center(B)
+        d = eval_slice(F1, F2, ref, 0)
+        pre = child_prebounds(F1, F2, B, d)
+        want = [d + float(four_corner_variation(F1.px, F1.py, child, ref).max())
+                + float(four_corner_variation(F2.px, F2.py, child, ref).max())
+                for child in subdivide(B)]
+        assert pre == want
+        for child, b in zip(subdivide(B), pre):
+            for L in grid_slices(child, 4):
+                assert eval_slice(F1, F2, L, 0) <= b + 1e-9
+    flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
+    assert child_prebounds(F1, F2, flat, 0.25) == [0.25] * 4
 
 
 def _pair(seed_a=11, seed_b=12, n=6, m=6):

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dmatch_sampled, grid_slices, scaled_copy
+from conftest import dmatch_sampled, four_corner_variation, grid_slices, scaled_copy
 from matchdist import solver
 from matchdist.bounds import BoundKind, bound_L
 from matchdist.errors import InvalidConfig
 from matchdist.generators import GenSpec, generate_random
-from matchdist.slices import SLICE_TYPES, center, pair_extents
+from matchdist.slices import SLICE_TYPES, center, pair_extents, subdivide
 from matchdist.solver import (
     ApproxResult,
     SolverConfig,
@@ -107,29 +107,58 @@ def test_terminal_boxes_cover_initial_boxes(traversal):
     assert all(v == 1 for v in per_type.values())
 
 
+def _final_threshold(res: ApproxResult) -> float:
+    if res.mode == "absolute":
+        return res.rho + res.epsilon
+    return (1.0 + res.epsilon) * res.rho
+
+
 def test_pruned_boxes_are_sound():
-    F1, F2 = small_pair(71, 72)
-    eps = 0.3
-    res = approximate(F1, F2, SolverConfig(epsilon=eps))
-    final_thr = res.rho + eps
-    boxes = res.retired_boxes[:: max(1, len(res.retired_boxes) // 12)]
-    for box, eff in boxes:
-        assert eff <= final_thr
-        for L in grid_slices(box, 5):
-            assert eval_slice(F1, F2, L, 0) <= eff + 1e-9
+    # every retired box, evaluated or retired by its parent's pre-bound,
+    # stores a bound above every distance in it and at most the threshold
+    unevaluated = 0
+    for a in (71, 73, 75):
+        F1, F2 = small_pair(a, a + 100)
+        for cfg in (SolverConfig(epsilon=0.3, trace=True),
+                    SolverConfig(epsilon=0.3, mode="relative", trace=True),
+                    SolverConfig(epsilon=0.3, mode="relative", traversal="priority",
+                                 trace=True)):
+            res = approximate(F1, F2, cfg)
+            assert not res.not_converged
+            evaluated = {r.box for r in res.trace}
+            final_thr = _final_threshold(res)
+            for box, eff in res.retired_boxes:
+                assert eff <= final_thr
+                d_max = max(eval_slice(F1, F2, L, 0) for L in grid_slices(box, 5))
+                assert d_max <= eff + 1e-9
+                unevaluated += box not in evaluated
+    assert unevaluated > 0
 
 
 def test_retired_bounds_never_exceed_the_linear_bound():
-    # a stored bound is the box's own L bound or a tighter inherited one,
-    # never the looser C bound in place of an L bound it could have had
+    # an evaluated box stores its own L bound or a tighter inherited one,
+    # never the looser C bound in place of an L bound it could have had; a
+    # child retired unevaluated stores at most its pre-bound, the L bound
+    # taken against its parent's center
     for i in range(6):
         F1, F2 = small_pair(21 + i, 121 + i)
-        for cfg in (SolverConfig(epsilon=0.2),
-                    SolverConfig(epsilon=0.3, mode="relative")):
+        for cfg in (SolverConfig(epsilon=0.2, trace=True),
+                    SolverConfig(epsilon=0.3, mode="relative", trace=True)):
             res = approximate(F1, F2, cfg)
             assert res.retired_boxes
+            parent_of = {c: r.box for r in res.trace for c in subdivide(r.box)}
+            evaluated = {r.box for r in res.trace}
+            final_thr = _final_threshold(res)
             for box, eff in res.retired_boxes:
-                assert eff <= bound_L(F1, F2, box, eval_slice(F1, F2, center(box)))
+                if box in evaluated:
+                    assert eff <= bound_L(F1, F2, box, eval_slice(F1, F2, center(box)))
+                    continue
+                ref = center(parent_of[box])
+                pre = (eval_slice(F1, F2, ref)
+                       + float(four_corner_variation(F1.px, F1.py, box, ref).max())
+                       + float(four_corner_variation(F2.px, F2.py, box, ref).max()))
+                assert eff <= final_thr
+                assert eff <= pre
 
 
 def test_traversals_agree_on_guarantee():
