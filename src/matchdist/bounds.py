@@ -59,31 +59,34 @@ def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray
     return np.maximum(hi - c, c - lo)
 
 
-def _child_variations(F: BiFiltration, B: ParamBox) -> tuple[float, ...]:
-    """Variation of F over each child of B (subdivide order) against the
-    center of B, from six corner pushes and the center push."""
-    if F.n == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    xs, ys, t = F.px, F.py, B.stype
-    lc = (B.lam_min + B.lam_max) / 2.0
-    mc = (B.mu_min + B.mu_max) / 2.0
-    c = push_at(xs, ys, lc, mc, t)
-    # the center is the low corner of child 1 and the high corner of child 2
-    v0 = np.maximum(push_at(xs, ys, lc, B.mu_min, t) - c, c - push_at(xs, ys, B.lam_min, mc, t))
-    v1 = push_at(xs, ys, B.lam_max, B.mu_min, t) - c
-    v2 = c - push_at(xs, ys, B.lam_min, B.mu_max, t)
-    v3 = np.maximum(push_at(xs, ys, B.lam_max, mc, t) - c, c - push_at(xs, ys, lc, B.mu_max, t))
-    return float(v0.max()), float(v1.max()), float(v2.max()), float(v3.max())
-
-
 def child_prebounds(
     F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float
 ) -> list[float]:
     """L bounds for the four children of B (subdivide order), taken against
     the center of B, where the distance d_center is already known:
-    d_center + v(F1, child; center of B) + v(F2, child; center of B)."""
-    v1, v2 = _child_variations(F1, B), _child_variations(F2, B)
-    return [d_center + a + b for a, b in zip(v1, v2)]
+    d_center + v(F1, child; center of B) + v(F2, child; center of B).
+
+    Uses the two-corner rule of _point_variations, so it needs six corner
+    pushes of the 3 x 3 grid plus the center push per filtration.
+    """
+    t = B.stype
+    lc = (B.lam_min + B.lam_max) / 2.0
+    mc = (B.mu_min + B.mu_max) / 2.0
+    pre = [d_center] * 4
+    for F in (F1, F2):
+        if F.n == 0:
+            continue
+        xs, ys = F.px, F.py
+        c = push_at(xs, ys, lc, mc, t)
+        # the center is the low corner of child 1 and the high corner of child 2
+        v = (
+            np.maximum(push_at(xs, ys, lc, B.mu_min, t) - c, c - push_at(xs, ys, B.lam_min, mc, t)),
+            push_at(xs, ys, B.lam_max, B.mu_min, t) - c,
+            c - push_at(xs, ys, B.lam_min, B.mu_max, t),
+            np.maximum(push_at(xs, ys, B.lam_max, mc, t) - c, c - push_at(xs, ys, lc, B.mu_max, t)),
+        )
+        pre = [p + float(vk.max()) for p, vk in zip(pre, v)]
+    return pre
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
