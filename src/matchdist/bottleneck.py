@@ -18,19 +18,38 @@ maximum_bipartite_matching (Hopcroft-Karp) at every graph size.
 
 Every point pays at least the smaller of its nearest-partner distance and
 its diagonal cost, so the largest such value, lb, bounds the answer from
-below, and it is itself a candidate. The answer exceeds lb only when
-points competing for the same partners push one of them above its own
-cheapest option at the top cost. On slice diagrams that is rare: lb was
-the answer in all but 25 of the 4,040 calls the four workloads of bench/
-make. So the search probes lb first, and one feasibility check usually
-settles it. Only otherwise does it sort the candidates above lb, gallop
-upward through indices 0, 1, 3, 7, ... until a probe is feasible, and
-bisect the last gap. Feasibility is monotone in t, so this finds the same
-smallest feasible candidate as a bisection of the whole set, with at most
-about twice its probes in the worst case.
+below, and it is itself a candidate. On slice diagrams lb is almost always
+the answer: it was in all but 24 of the 3,318 calls the four workloads of
+bench/ make. So lb, and the feasibility check at lb, are computed from as
+few rows of the n1 x n2 distance matrix as possible:
+
+- Each side is sorted by falling diagonal cost. A point whose diagonal
+  cost is at most the running lb cannot raise lb, and the check at lb
+  must cover only the points that cost more than lb. Both are a prefix
+  of the sorted side, so the rows the check needs are rows already
+  computed for lb.
+- Both sides are seeded before either continues: the rows of the first
+  _SEED points of each side give a first lb, and only then does each side
+  add the rows of its remaining points that cost more than the running
+  lb. A high lb from one side spares rows of the other. A side of at most
+  _SEED points is covered by its seed.
+- Every point above lb has its nearest partner within lb, because
+  min(nearest, diagonal) <= lb < diagonal. If the nearest partners of a
+  side's points above lb are pairwise distinct, they are a matching that
+  saturates the side, and no matching is run. Only when they collide does
+  scipy match that side.
+
+When lb is infeasible the search falls back to the dense matrix: it sorts
+the candidates above lb, gallops upward through indices 0, 1, 3, 7, ...
+until a probe is feasible, and bisects the last gap. Feasibility is
+monotone in t, so this finds the same smallest feasible candidate as a
+bisection of the whole set, with at most about twice its probes in the
+worst case.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,30 +83,52 @@ def _saturates(adj: np.ndarray) -> bool:
     return int((m >= 0).sum()) == nrows
 
 
-def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact bottleneck distance of the finite parts (n x 2 arrays)."""
-    n1, n2 = len(a), len(b)
-    diag1 = (a[:, 1] - a[:, 0]) / 2.0 if n1 else np.empty(0)
-    diag2 = (b[:, 1] - b[:, 0]) / 2.0 if n2 else np.empty(0)
-    if n1 == 0 and n2 == 0:
-        return 0.0
-    if n1 == 0:
-        return float(diag2.max())
-    if n2 == 0:
-        return float(diag1.max())
+_SEED = 32  # rows per side in the first block, computed before lb is known
 
-    dist = np.maximum(
-        np.abs(a[:, 0, None] - b[None, :, 0]),
-        np.abs(a[:, 1, None] - b[None, :, 1]),
-    )
-    # every point either matches (>= its best pairwise distance) or pays its
-    # diagonal cost, which gives a lower bound; matching nothing gives an
-    # upper bound; only candidates in between matter
-    lb = max(
-        float(np.minimum(dist.min(axis=1), diag1).max()),
-        float(np.minimum(dist.min(axis=0), diag2).max()),
-    )
-    ub = max(float(diag1.max()), float(diag2.max()))
+
+def _sup_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sup-norm distances from the points of p (rows) to those of q."""
+    rows = np.subtract.outer(p[:, 0], q[:, 0])
+    other = np.subtract.outer(p[:, 1], q[:, 1])
+    np.abs(rows, out=rows)
+    np.abs(other, out=other)
+    return np.maximum(rows, other, out=rows)
+
+
+def _above(diag: np.ndarray, t: float) -> int:
+    """How many points pay more than t to go to the diagonal.
+
+    The sides are sorted by falling diagonal cost, so these points are a
+    prefix of their side.
+    """
+    return int(np.count_nonzero(diag > t))
+
+
+def _lb_of(rows: np.ndarray, diag: np.ndarray) -> float:
+    """The largest min(nearest-partner distance, diagonal cost) over the rows."""
+    return float(np.minimum(rows.min(axis=1), diag[: len(rows)]).max())
+
+
+def _certified(rows: np.ndarray, t: float) -> bool:
+    """True when some matching in the t-graph saturates every row.
+
+    Every row's nearest partner is within t, so nearest partners that are
+    pairwise distinct already form such a matching.
+    """
+    nearest = rows.argmin(axis=1).tolist()
+    if len(set(nearest)) == len(nearest):
+        return True
+    return _saturates(rows <= t)
+
+
+def _search_above(a: np.ndarray, b: np.ndarray, diag1: np.ndarray, diag2: np.ndarray,
+                  lb: float) -> float:
+    """The smallest feasible candidate above an infeasible lb, on the dense matrix."""
+    dist = _sup_rows(a, b)
+    # ub, the all-unmatched cost, is always feasible, so here ub > lb and
+    # the candidates above lb are not empty; gallop to the first feasible
+    # probe, then bisect the gap behind it
+    ub = max(float(diag1[0]), float(diag2[0]))
 
     def feasible(t: float) -> bool:
         high1 = diag1 > t
@@ -98,11 +139,6 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
             return False
         return True
 
-    if feasible(lb):
-        return lb
-    # ub, the all-unmatched cost, is always feasible, so here ub > lb and
-    # the candidates above lb are not empty; gallop to the first feasible
-    # probe, then bisect the gap behind it
     pool = np.concatenate([dist.ravel(), diag1, diag2])
     candidates = np.unique(pool[(pool > lb) & (pool <= ub)])
     lo, hi = 0, len(candidates) - 1
@@ -122,6 +158,44 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     return float(candidates[lo])
 
 
+def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact bottleneck distance of the finite parts (n x 2 arrays)."""
+    n1, n2 = len(a), len(b)
+    if n1 == 0 and n2 == 0:
+        return 0.0
+    diag1 = (a[:, 1] - a[:, 0]) / 2.0
+    diag2 = (b[:, 1] - b[:, 0]) / 2.0
+    if n1 == 0:
+        return float(diag2.max())
+    if n2 == 0:
+        return float(diag1.max())
+
+    order1 = np.argsort(diag1)[::-1]
+    order2 = np.argsort(diag2)[::-1]
+    pts = (a[order1], b[order2])
+    diags = (diag1[order1], diag2[order2])
+    # seed both sides before continuing either: a high lb from one side
+    # spares rows of the other
+    rows = [_sup_rows(pts[s][:_SEED], pts[1 - s]) for s in (0, 1)]
+    lb = max(_lb_of(rows[0], diags[0]), _lb_of(rows[1], diags[1]))
+    for s in (0, 1):
+        done, k = len(rows[s]), _above(diags[s], lb)
+        if k > done:
+            more = _sup_rows(pts[s][done:k], pts[1 - s])
+            rows[s] = np.concatenate([rows[s], more])
+            lb = max(lb, _lb_of(rows[s], diags[s]))
+    for s in (0, 1):
+        k = _above(diags[s], lb)
+        if k and not _certified(rows[s][:k], lb):
+            return _search_above(*pts, *diags, lb)
+    return lb
+
+
+def _as_array(points: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """The points as an (n, 2) float64 array, (0, 2) when there are none."""
+    return np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points)).reshape(-1, 2)
+
+
 def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:
     """Bottleneck distance; inf when the essential counts differ."""
     if D1.homology_dimension != D2.homology_dimension:
@@ -133,8 +207,5 @@ def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:
     ess = 0.0
     for x, y in zip(D1.essential, D2.essential):  # both sorted
         ess = max(ess, abs(x - y))
-    fin = _finite_bottleneck(
-        np.array(D1.finite, dtype=np.float64).reshape(-1, 2),
-        np.array(D2.finite, dtype=np.float64).reshape(-1, 2),
-    )
+    fin = _finite_bottleneck(_as_array(D1.finite), _as_array(D2.finite))
     return max(ess, fin)

@@ -13,6 +13,7 @@ from conftest import (
     diagram_shifted,
     random_diagram,
 )
+import matchdist.bottleneck as bottleneck_module
 from matchdist.bottleneck import _saturates, bottleneck_distance
 from matchdist.errors import DimensionMismatch
 from matchdist.generators import GenSpec, generate_random
@@ -295,3 +296,156 @@ def test_matches_assignment_oracle_on_c7_slice_diagrams():
         expected = bottleneck_assignment(d1, d2)
         assert bottleneck_distance(d1, d2) == expected, L
         assert bottleneck_distance(d2, d1) == expected, L
+
+
+def _perturbed(d: Diagram, m: int, rng: np.random.Generator) -> Diagram:
+    """The first m points of d, each coordinate moved by at most 1/4."""
+    pts = np.array(d.finite[:m], dtype=np.float64).reshape(-1, 2)
+    pts += rng.integers(-2, 3, size=pts.shape) / 8.0
+    pts[:, 1] = np.maximum(pts[:, 1], pts[:, 0] + 0.125)
+    return D([tuple(p) for p in pts])
+
+
+def _tied_diagram(rng: np.random.Generator, n: int, length: float) -> Diagram:
+    births = rng.integers(0, 257, size=n) / 4.0
+    return D(list(zip(births, births + length)))
+
+
+def _count_search_above(monkeypatch) -> list[float]:
+    calls = []
+    search = bottleneck_module._search_above
+
+    def counting(a, b, diag1, diag2, lb):
+        calls.append(lb)
+        return search(a, b, diag1, diag2, lb)
+
+    monkeypatch.setattr("matchdist.bottleneck._search_above", counting)
+    return calls
+
+
+def test_sweep_matches_assignment_oracle_around_the_seed_block(monkeypatch):
+    # side sizes on both sides of the 32-row seed block, independent pairs
+    # (lb often infeasible) and perturbed copies (lb usually the answer)
+    assert bottleneck_module._SEED == 32
+    fallbacks = _count_search_above(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(32))
+    sizes = (0, 1, 31, 32, 33, 64, 65, 500)
+    pairs = [(_grid_diagram(rng, 1), _grid_diagram(rng, 400))]
+    for i, n1 in enumerate(sizes):
+        for n2 in sizes[i:]:
+            d2 = _grid_diagram(rng, n2)
+            pairs += [(_grid_diagram(rng, n1), d2), (_perturbed(d2, n1, rng), d2)]
+    # ties in diagonal cost across the seed boundary: every point of a side,
+    # or the points around positions 31 and 32, cost the same
+    for n in (33, 40, 64):
+        pairs.append((_tied_diagram(rng, n, 8.0), _tied_diagram(rng, n, 8.0)))
+    long = _tied_diagram(rng, 28, 40.0).finite + _tied_diagram(rng, 8, 16.0).finite
+    pairs.append((D(long + _grid_diagram(rng, 30).finite), _tied_diagram(rng, 36, 16.0)))
+    at_lb = 0
+    for d1, d2 in pairs:
+        expected = bottleneck_assignment(d1, d2)
+        before = len(fallbacks)
+        assert bottleneck_distance(d1, d2) == expected, (len(d1.finite), len(d2.finite))
+        assert bottleneck_distance(d2, d1) == expected, (len(d1.finite), len(d2.finite))
+        at_lb += len(fallbacks) == before
+    assert 10 <= at_lb < len(pairs) - 10
+
+
+def _ladder(n: int, shift: float, outlier: float) -> tuple[Diagram, Diagram]:
+    """n points born at 0 and dying 10 apart, against copies shifted by shift.
+
+    The copy of the shortest point is shifted by outlier instead, so that
+    point sets lb = outlier, and it is the last of its side in falling
+    diagonal cost.
+    """
+    deaths = [1000.0 + 10 * i for i in range(n)]
+    moved = [outlier] + [shift] * (n - 1)
+    return D([(0.0, d) for d in deaths]), D([(0.0, d + s) for d, s in zip(deaths, moved)])
+
+
+def test_rows_past_the_seed_block_raise_lb():
+    # all 100 points of each side are far above lb, so the 32 seed rows per
+    # side see only the small shifts; lb is the outlier's
+    d1, d2 = _ladder(100, 0.25, 3.0)
+    assert bottleneck_assignment(d1, d2) == 3.0
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 3.0
+
+
+def test_both_sides_are_seeded_before_either_continues(monkeypatch):
+    # side 1: 200 points with diagonal costs 2..201, each with a twin on
+    # side 2 a quarter away; side 2's longest point is far from side 1 and
+    # costs 300 on the diagonal, which is lb. Seeded from side 2 too, lb is
+    # known before any continuation, and no side needs rows past its seed.
+    side1 = [(0.0, 4.0 + 2 * i) for i in range(200)]
+    side2 = [(0.0, d + 0.25) for _, d in side1] + [(500.0, 1100.0)]
+    d1, d2 = D(side1), D(side2)
+    rows = []
+    sup_rows = bottleneck_module._sup_rows
+
+    def counting(p, q):
+        rows.append((len(p), len(q)))
+        return sup_rows(p, q)
+
+    monkeypatch.setattr("matchdist.bottleneck._sup_rows", counting)
+    assert bottleneck_distance(d1, d2) == 300.0
+    assert sorted(rows) == [(32, 200), (32, 201)]
+    assert bottleneck_assignment(d1, d2) == 300.0
+
+
+def test_high_rows_exclude_points_costing_exactly_lb():
+    # both points cost lb = 1 on the diagonal and are 5 apart: lb is the
+    # answer only if a point costing exactly lb may stay unmatched
+    d1, d2 = D([(0.0, 2.0)]), D([(5.0, 7.0)])
+    assert bottleneck_brute(d1, d2) == 1.0
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 1.0
+    d1, d2 = _ladder(40, 0.25, 3.0)
+    d2 = D(d2.finite + ((0.0, 6.0), (100.0, 106.0)))
+    assert bottleneck_assignment(d1, d2) == 3.0
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 3.0
+
+
+def test_distinct_nearest_partners_certify_lb_without_matching(monkeypatch):
+    calls = _count_saturates(monkeypatch)
+    d1, d2 = D([(0.0, 4.0), (1.0, 6.0)]), D([(0.25, 4.0), (1.0, 6.5)])
+    assert _lb_and_candidates(d1, d2)[0] == 0.5
+    assert bottleneck_brute(d1, d2) == 0.5
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 0.5
+    assert calls == []
+
+
+def test_colliding_nearest_partners_with_a_matching_at_lb(monkeypatch):
+    # both points of d1 are nearest to (0, 10); (0.25, 10.5) can still take
+    # (1, 11) at lb = 0.75
+    calls = _count_saturates(monkeypatch)
+    d1, d2 = D([(0.0, 10.25), (0.25, 10.5)]), D([(0.0, 10.0), (1.0, 11.0)])
+    assert _lb_and_candidates(d1, d2)[0] == 0.75
+    assert bottleneck_brute(d1, d2) == 0.75
+    assert bottleneck_distance(d1, d2) == 0.75
+    assert calls == [(2, 2)]
+    calls.clear()
+    assert bottleneck_distance(d2, d1) == 0.75
+    assert calls == [(2, 2)]
+
+
+def test_colliding_nearest_partners_without_a_matching_at_lb(monkeypatch):
+    # both points of d2 are nearest to d1's only point; one of them goes to
+    # the diagonal, the cheaper at 3.75
+    calls = _count_saturates(monkeypatch)
+    fallbacks = _count_search_above(monkeypatch)
+    d1, d2 = D([(0.0, 8.0)]), D([(0.0, 8.5), (0.5, 8.0)])
+    assert _lb_and_candidates(d1, d2)[0] == 0.5
+    assert bottleneck_brute(d1, d2) == 3.75
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 3.75
+    assert (2, 1) in calls
+    assert fallbacks == [0.5, 0.5]
+
+
+def test_answer_at_lb_on_large_diagrams_skips_the_dense_search(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(500))
+    fallbacks = _count_search_above(monkeypatch)
+    d2 = _grid_diagram(rng, 500)
+    d1 = _perturbed(d2, 500, rng)
+    lb, _ = _lb_and_candidates(d1, d2)
+    assert bottleneck_assignment(d1, d2) == lb
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == lb
+    assert fallbacks == []
