@@ -39,17 +39,23 @@ few rows of the n1 x n2 distance matrix as possible:
   saturates the side, and no matching is run. Only when they collide does
   scipy match that side.
 
-When lb is infeasible the search falls back to the dense matrix: it sorts
-the candidates above lb, gallops upward through indices 0, 1, 3, 7, ...
-until a probe is feasible, and bisects the last gap. Feasibility is
-monotone in t, so this finds the same smallest feasible candidate as a
-bisection of the whole set, with at most about twice its probes in the
-worst case.
+When lb is infeasible, the search above it reads the same rows with the
+same check. For every t >= lb this is exact:
+
+- a point costing more than t costs more than lb, so its row was computed;
+- its nearest partner lies within lb <= t, so the certificate still holds;
+- feasibility above lb changes only at an entry of these rows or at a
+  diagonal cost, so those are the whole candidate set.
+
+Feasibility is monotone in t, and ub, the all-unmatched cost, is always
+feasible, so bisecting the candidates in (lb, ub) finds the answer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -121,41 +127,17 @@ def _certified(rows: np.ndarray, t: float) -> bool:
     return _saturates(rows <= t)
 
 
-def _search_above(a: np.ndarray, b: np.ndarray, diag1: np.ndarray, diag2: np.ndarray,
-                  lb: float) -> float:
-    """The smallest feasible candidate above an infeasible lb, on the dense matrix."""
-    dist = _sup_rows(a, b)
-    # ub, the all-unmatched cost, is always feasible, so here ub > lb and
-    # the candidates above lb are not empty; gallop to the first feasible
-    # probe, then bisect the gap behind it
-    ub = max(float(diag1[0]), float(diag2[0]))
+def _search_above(rows: list[np.ndarray], diags: tuple[np.ndarray, np.ndarray],
+                  feasible: Callable[[float], bool], lb: float) -> float:
+    """The smallest feasible candidate above an infeasible lb.
 
-    def feasible(t: float) -> bool:
-        high1 = diag1 > t
-        high2 = diag2 > t
-        if high1.any() and not _saturates(dist[high1, :] <= t):
-            return False
-        if high2.any() and not _saturates(dist[:, high2].T <= t):
-            return False
-        return True
-
-    pool = np.concatenate([dist.ravel(), diag1, diag2])
-    candidates = np.unique(pool[(pool > lb) & (pool <= ub)])
-    lo, hi = 0, len(candidates) - 1
-    probe = 0
-    while probe < hi:
-        if feasible(float(candidates[probe])):
-            hi = probe
-            break
-        lo = probe + 1
-        probe = 2 * probe + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(float(candidates[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    No point costs more than ub, so ub is feasible; lb is not, so ub > lb
+    is the last candidate, and only the ones before it are bisected.
+    """
+    ub = max(float(diags[0][0]), float(diags[1][0]))
+    pool = np.concatenate([rows[0].ravel(), rows[1].ravel(), *diags])
+    candidates = np.unique(pool[(pool > lb) & (pool <= ub)]).tolist()
+    return candidates[bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)]
 
 
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
@@ -184,11 +166,12 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
             more = _sup_rows(pts[s][done:k], pts[1 - s])
             rows[s] = np.concatenate([rows[s], more])
             lb = max(lb, _lb_of(rows[s], diags[s]))
-    for s in (0, 1):
-        k = _above(diags[s], lb)
-        if k and not _certified(rows[s][:k], lb):
-            return _search_above(*pts, *diags, lb)
-    return lb
+
+    def feasible(t: float) -> bool:
+        # exact for t >= lb: the rows of the points above t are computed
+        return all(_certified(rows[s][: _above(diags[s], t)], t) for s in (0, 1))
+
+    return lb if feasible(lb) else _search_above(rows, diags, feasible, lb)
 
 
 def _as_array(points: tuple[tuple[float, float], ...]) -> np.ndarray:

@@ -147,12 +147,21 @@ def pair_extents(F1: BiFiltration, F2: BiFiltration) -> tuple[float, float, floa
     return X, Y, max(X, Y)
 
 
+def _require_quadrant(F: BiFiltration) -> None:
+    if F.n and (float(F.px.min()) < 0.0 or float(F.py.min()) < 0.0):
+        raise ValueError("filtration has negative coordinates; normalize first")
+
+
 def initial_boxes(F1: BiFiltration, F2: BiFiltration) -> list[ParamBox]:
     """The four level-0 parameter boxes covering every relevant slice.
 
-    mu beyond the coordinate maximum never changes a weighted push, so the
-    mu range is clamped to [0, X] for x-slices and [0, Y] for y-slices.
+    Slices enter the positive quadrant, so both filtrations must lie in it
+    (ValueError otherwise). mu beyond the coordinate maximum never changes
+    a weighted push, so the mu range is clamped to [0, X] for x-slices and
+    [0, Y] for y-slices.
     """
+    _require_quadrant(F1)
+    _require_quadrant(F2)
     X, Y, _ = pair_extents(F1, F2)
     return [
         ParamBox(0.0, 1.0, 0.0, X, SliceType.FLAT_X, 0),

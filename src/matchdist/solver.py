@@ -71,8 +71,8 @@ class SolverConfig:
     trace: bool = False
 
     def validate(self) -> None:
-        if not (self.epsilon > 0.0):
-            raise InvalidConfig("epsilon must be positive")
+        if not (0.0 < self.epsilon < INF):
+            raise InvalidConfig("epsilon must be positive and finite")
         if self.mode not in ("absolute", "relative"):
             raise InvalidConfig(f"unknown mode {self.mode!r}")
         if self.traversal not in ("bfs", "priority"):
@@ -80,7 +80,8 @@ class SolverConfig:
         if self.budget_ms is not None:
             if self.traversal != "priority":
                 raise InvalidConfig("a budget requires priority traversal")
-            if self.budget_ms < 0:
+            # inf means no budget; nan is not a budget
+            if not (self.budget_ms >= 0):
                 raise InvalidConfig("budget must be non-negative")
         if self.homology_dim < 0:
             raise InvalidConfig("homology dimension must be non-negative")
@@ -234,11 +235,6 @@ class _RunState:
         )
 
 
-def _require_quadrant(F: BiFiltration) -> None:
-    if F.n and (float(F.px.min()) < 0.0 or float(F.py.min()) < 0.0):
-        raise ValueError("filtration has negative coordinates; normalize first")
-
-
 def approximate(
     F1: BiFiltration, F2: BiFiltration, cfg: SolverConfig | None = None
 ) -> ApproxResult:
@@ -252,8 +248,6 @@ def approximate(
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    _require_quadrant(F1)
-    _require_quadrant(F2)
     st = _RunState(F1, F2, cfg)
     by_bound = cfg.traversal == "priority"
     prebound = cfg.bound_kind is BoundKind.LOCAL_LINEAR

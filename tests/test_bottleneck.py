@@ -214,8 +214,7 @@ def _shift_pair(k: int) -> tuple[Diagram, Diagram]:
     One of the k + 1 must go to the diagonal, cheapest the one born at k
     (cost 1.5k), and the rest shift by at most lb = 1. The candidates above
     lb are the distances 2, ..., k and then the diagonal costs from 1.5k
-    up, so the answer is the k-th candidate: the gallop doubles past the
-    distances before it bisects.
+    up, so the answer is the k-th candidate, past all the distances.
     """
     births1 = [0] + list(range(2, k + 1))
     return D([(b, 4 * k) for b in births1]), D([(b, 4 * k) for b in range(k + 1)])
@@ -263,9 +262,9 @@ def test_answer_at_lb_takes_one_probe_per_side(monkeypatch):
 
 
 def test_search_above_lb_probe_count(monkeypatch):
-    # the lb check plus gallop and bisection over the n candidates above lb
-    # make at most 2 * ceil(log2(n)) + 1 feasibility checks, and each check
-    # matches each side at most once
+    # the lb check plus a bisection of the n candidates above lb make at
+    # most 2 * ceil(log2(n)) + 1 feasibility checks, and each check matches
+    # each side at most once
     calls = _count_saturates(monkeypatch)
     pairs = [TWIN_PAIR, _shift_pair(5), _shift_pair(40)]
     pairs += [(d1, d2) for d1, d2 in _tiny_pairs()
@@ -315,9 +314,9 @@ def _count_search_above(monkeypatch) -> list[float]:
     calls = []
     search = bottleneck_module._search_above
 
-    def counting(a, b, diag1, diag2, lb):
+    def counting(rows, diags, feasible, lb):
         calls.append(lb)
-        return search(a, b, diag1, diag2, lb)
+        return search(rows, diags, feasible, lb)
 
     monkeypatch.setattr("matchdist.bottleneck._search_above", counting)
     return calls
@@ -440,7 +439,7 @@ def test_colliding_nearest_partners_without_a_matching_at_lb(monkeypatch):
     assert fallbacks == [0.5, 0.5]
 
 
-def test_answer_at_lb_on_large_diagrams_skips_the_dense_search(monkeypatch):
+def test_answer_at_lb_on_large_diagrams_skips_the_search(monkeypatch):
     rng = np.random.Generator(np.random.Philox(500))
     fallbacks = _count_search_above(monkeypatch)
     d2 = _grid_diagram(rng, 500)
@@ -449,3 +448,25 @@ def test_answer_at_lb_on_large_diagrams_skips_the_dense_search(monkeypatch):
     assert bottleneck_assignment(d1, d2) == lb
     assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == lb
     assert fallbacks == []
+
+
+def test_search_above_lb_computes_no_rows_beyond_the_sweep(monkeypatch):
+    # the search reads the rows the sweep computed for lb: sides of at most
+    # 32 points are covered by their seed blocks, and an independent pair
+    # of 40 and 48 points has an infeasible lb past both seeds
+    rng = np.random.Generator(np.random.Philox(0))
+    independent = (_grid_diagram(rng, 40), _grid_diagram(rng, 48))
+    rows = []
+    sup_rows = bottleneck_module._sup_rows
+
+    def counting(p, q):
+        rows.append(len(p))
+        return sup_rows(p, q)
+
+    monkeypatch.setattr("matchdist.bottleneck._sup_rows", counting)
+    for d1, d2 in (TWIN_PAIR, _shift_pair(40), independent):
+        assert bottleneck_assignment(d1, d2) > _lb_and_candidates(d1, d2)[0]
+        for x, y in ((d1, d2), (d2, d1)):
+            rows.clear()
+            bottleneck_distance(x, y)
+            assert sum(rows) <= len(x.finite) + len(y.finite), (len(x.finite), len(y.finite))

@@ -142,6 +142,12 @@ def test_dist_usage_error_exit_one(dataset):
     code, _, err = run_cli(["dist", str(dataset / "a.txt"), str(dataset / "b.txt"),
                             "--epsilon", "0.1", "--budget-ms", "5"])
     assert code == 1
+    # so are an infinite epsilon and a nan budget
+    for word, extra in (("epsilon", ["--epsilon", "inf", "--relative"]),
+                        ("budget", ["--epsilon", "0.1", "--traversal", "priority",
+                                    "--budget-ms", "nan"])):
+        code, out, err = run_cli(["dist", str(dataset / "a.txt"), str(dataset / "b.txt")] + extra)
+        assert code == 1 and out == "" and word in err
 
 
 def test_heatmap_depth_zero_equals_initial_evals(dataset, tmp_path):

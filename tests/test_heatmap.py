@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ def test_depth_zero_is_initial_centers(pair):
     hm = compute_heatmap(F1, F2, 0)
     for box in initial_boxes(F1, F2):
         assert hm.grids[box.stype][0, 0] == eval_slice(F1, F2, center(box), 0)
+
+
+def test_negative_coordinates_are_refused_as_by_approximate(pair):
+    # one side partly below the x-axis, and one side wholly in the negative
+    # quadrant: the grid would miss slices or have no valid mu range
+    F1, F2 = pair
+    for G1, G2 in ((F1.translated(0.0, -1.0), F2), (F1, F2.translated(-50.0, -50.0))):
+        with pytest.raises(ValueError) as refused:
+            approximate(G1, G2)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            compute_heatmap(G1, G2, 0)
 
 
 def test_depth_cap():

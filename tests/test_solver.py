@@ -34,6 +34,15 @@ def test_config_validation():
         SolverConfig(epsilon=0.1, traversal="dfs").validate()
     with pytest.raises(InvalidConfig):
         SolverConfig(epsilon=0.1, mode="nearest").validate()
+    # a non-finite epsilon, and a budget that is not >= 0, are refused;
+    # an infinite budget means no budget
+    for eps in (math.inf, math.nan, -math.inf):
+        with pytest.raises(InvalidConfig):
+            SolverConfig(epsilon=eps).validate()
+    for budget in (math.nan, -1.0, -math.inf):
+        with pytest.raises(InvalidConfig):
+            SolverConfig(traversal="priority", budget_ms=budget).validate()
+    SolverConfig(traversal="priority", budget_ms=math.inf).validate()
 
 
 def test_identical_absolute_is_zero():
