@@ -19,7 +19,7 @@ from .complexes import (
 )
 from .generators import GenSpec, generate_random, generate_random_kcritical
 from .heatmap import HeatmapGrid, compute_heatmap
-from .persistence import Diagram, diagram, persistence_dim0, persistence_general
+from .persistence import Diagram, diagram
 from .slices import (
     ParamBox,
     Slice,
@@ -67,8 +67,6 @@ __all__ = [
     "lower_star",
     "mono_filtration",
     "normalize_pair",
-    "persistence_dim0",
-    "persistence_general",
     "reduction_rate",
     "restrict",
     "subdivide",

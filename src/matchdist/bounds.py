@@ -3,9 +3,9 @@
 Three interchangeable rules, ordered by tightness on subdivision boxes
 (linear <= constant <= global):
 
-* local linear: exact per-point variation against the center, maximized
-  over all critical values in one vectorized scan; linear time in the
-  number of critical values. On non-negative points a push is
+* local linear: exact per-point variation against a reference slice,
+  maximized over all critical values in one vectorized scan; linear time
+  in the number of critical values. On non-negative points a push is
   nondecreasing in lam and nonincreasing in mu, so the variation over a
   box is attained at two corners, (lam_max, mu_min) and (lam_min, mu_max).
 * local constant: a closed-form per-type bound on the variation that only
@@ -16,10 +16,9 @@ All three return d_center + (variation bound for F1) + (variation bound
 for F2), so a bound is always at least the bottleneck distance at the
 center slice.
 
-The two-corner rule holds against any reference slice in the box, not
-only its center. child_prebounds uses this to bound the four children of
-an evaluated box from the box's own center, which is a corner of each
-child, before any child is evaluated.
+The two-corner rule holds against any reference slice, in the box or
+not. bound_L takes the box's center; bounds_from_reference bounds any
+boxes, such as the children of an evaluated box, against a given slice.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .complexes import BiFiltration
 from .errors import InvalidLevel
-from .slices import ParamBox, SliceType, pair_extents, push_at
+from .slices import ParamBox, Slice, SliceType, center, pair_extents, push_at, weighted_push
 
 _LEVEL_TOL = 1e-12
 
@@ -44,65 +43,44 @@ class BoundKind(enum.Enum):
         return self.value
 
 
-def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox) -> np.ndarray:
-    """Per-point maximal push change over B, relative to the center slice.
+def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox, c: np.ndarray) -> np.ndarray:
+    """Per-point maximal push change over B against the reference pushes c.
 
     Requires xs, ys >= 0 (approximate enforces it): the push is then
     largest at (lam_max, mu_min) and smallest at (lam_min, mu_max), and
     max(hi - c, c - lo) equals the largest |corner - c| over all four
     corners bit for bit.
     """
-    t = B.stype
-    c = push_at(xs, ys, (B.lam_min + B.lam_max) / 2.0, (B.mu_min + B.mu_max) / 2.0, t)
-    hi = push_at(xs, ys, B.lam_max, B.mu_min, t)
-    lo = push_at(xs, ys, B.lam_min, B.mu_max, t)
+    hi = push_at(xs, ys, B.lam_max, B.mu_min, B.stype)
+    lo = push_at(xs, ys, B.lam_min, B.mu_max, B.stype)
     return np.maximum(hi - c, c - lo)
 
 
-def child_prebounds(
-    F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float
-) -> list[float]:
-    """L bounds for the four children of B (subdivide order), taken against
-    the center of B, where the distance d_center is already known:
-    d_center + v(F1, child; center of B) + v(F2, child; center of B).
+def _variations(F: BiFiltration, boxes: list[ParamBox], ref: Slice) -> list[float]:
+    """v(F, B; ref), the maximal point variation against ref, per box."""
+    c = weighted_push(F.px, F.py, ref)
+    return [float(_point_variations(F.px, F.py, B, c).max(initial=0.0)) for B in boxes]
 
-    Uses the two-corner rule of _point_variations, so it needs six corner
-    pushes of the 3 x 3 grid plus the center push per filtration.
-    """
-    t = B.stype
-    lc = (B.lam_min + B.lam_max) / 2.0
-    mc = (B.mu_min + B.mu_max) / 2.0
-    pre = [d_center] * 4
-    for F in (F1, F2):
-        if F.n == 0:
-            continue
-        xs, ys = F.px, F.py
-        c = push_at(xs, ys, lc, mc, t)
-        # the center is the low corner of child 1 and the high corner of child 2
-        v = (
-            np.maximum(push_at(xs, ys, lc, B.mu_min, t) - c, c - push_at(xs, ys, B.lam_min, mc, t)),
-            push_at(xs, ys, B.lam_max, B.mu_min, t) - c,
-            c - push_at(xs, ys, B.lam_min, B.mu_max, t),
-            np.maximum(push_at(xs, ys, B.lam_max, mc, t) - c, c - push_at(xs, ys, lc, B.mu_max, t)),
-        )
-        pre = [p + float(vk.max()) for p, vk in zip(pre, v)]
-    return pre
+
+def bounds_from_reference(
+    F1: BiFiltration, F2: BiFiltration, boxes: list[ParamBox], ref: Slice, d_ref: float
+) -> list[float]:
+    """L bound of each box against the slice ref, where the distance d_ref
+    is known: d_ref + v(F1, B; ref) + v(F2, B; ref). The reference need
+    not lie in the box."""
+    v1, v2 = _variations(F1, boxes, ref), _variations(F2, boxes, ref)
+    return [d_ref + a + b for a, b in zip(v1, v2)]
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
-    """Maximal variation over all critical values of all simplices.
-
-    For multi-critical simplices this bounds the variation of the min-push
-    from above, which is all the bound rule needs.
-    """
-    if F.n == 0:
-        return 0.0
-    return float(_point_variations(F.px, F.py, B).max())
+    """Maximal variation over B of all critical values against its center;
+    for multi-critical simplices it bounds the min-push variation above."""
+    return _variations(F, [B], center(B))[0]
 
 
 def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
     """Local linear bound: v(F1, B) + d_center + v(F2, B)."""
-    return d_center + variation_filtration(F1, B) + variation_filtration(F2, B)
+    return bounds_from_reference(F1, F2, [B], center(B), d_center)[0]
 
 
 def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:

@@ -43,7 +43,11 @@ def _load_pair(path_a: str, path_b: str):
     if shift != (0.0, 0.0):
         print(f"inputs shifted by ({shift[0]}, {shift[1]}) into the quadrant",
               file=sys.stderr)
-    return F1, F2
+    return F1, F2, shift
+
+
+def _shift_note(shift) -> str:
+    return f"shift={shift[0]!r},{shift[1]!r}"
 
 
 def _print_report(res: ApproxResult) -> None:
@@ -59,7 +63,7 @@ def _print_report(res: ApproxResult) -> None:
 
 
 def cmd_dist(args) -> int:
-    F1, F2 = _load_pair(args.fileA, args.fileB)
+    F1, F2, shift = _load_pair(args.fileA, args.fileB)
     cfg = SolverConfig(
         epsilon=args.epsilon,
         mode="relative" if args.relative else "absolute",
@@ -76,24 +80,24 @@ def cmd_dist(args) -> int:
         with open(args.trace, "w", encoding="utf-8", newline="") as f:
             write_trace_csv(f, res.trace or [])
     if args.dump_diagrams is not None:
-        _dump_best_diagrams(F1, F2, res, args.dim, Path(args.dump_diagrams))
+        _dump_best_diagrams(F1, F2, res, args.dim, shift, Path(args.dump_diagrams))
     return 2 if res.not_converged else 0
 
 
-def _dump_best_diagrams(F1, F2, res: ApproxResult, dim: int, out_dir: Path) -> None:
-    """Diagrams of both inputs at the slice realizing the lower bound."""
+def _dump_best_diagrams(F1, F2, res: ApproxResult, dim: int, shift, out_dir: Path) -> None:
+    """Diagrams of both inputs, in the shifted frame, at the slice realizing rho."""
     best = res.best_slice
     out_dir.mkdir(parents=True, exist_ok=True)
-    comment = f"slice type={best.stype.value} lam={repr(best.lam)} mu={repr(best.mu)}"
+    comment = f"slice type={best.stype.value} lam={best.lam!r} mu={best.mu!r} {_shift_note(shift)}"
     for name, F in (("f1_diagram.txt", F1), ("f2_diagram.txt", F2)):
         D = diagram(restrict(F, best), dim)
         (out_dir / name).write_text(format_diagram(D, comment), encoding="utf-8")
 
 
 def cmd_heatmap(args) -> int:
-    F1, F2 = _load_pair(args.fileA, args.fileB)
+    F1, F2, shift = _load_pair(args.fileA, args.fileB)
     hm = compute_heatmap(F1, F2, args.depth, args.dim)
-    paths = write_heatmap_csvs(hm, args.out)
+    paths = write_heatmap_csvs(hm, args.out, _shift_note(shift))
     for p in paths:
         print(p)
     return 0

@@ -97,21 +97,25 @@ def _format_grid(grid: np.ndarray, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_heatmap_csvs(hm: HeatmapGrid, out_dir: str | Path) -> list[Path]:
-    """One CSV per slice type plus the glued composite; returns the paths."""
+def write_heatmap_csvs(
+    hm: HeatmapGrid, out_dir: str | Path, comment: str | None = None
+) -> list[Path]:
+    """One CSV per slice type plus the glued composite; returns the paths.
+    A comment is appended to each file's first header line."""
+    note = f" {comment}" if comment else ""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for t in SLICE_TYPES:
         p = out / f"heatmap_{t.value}.csv"
         p.write_text(
-            _format_grid(hm.grids[t], f"# type={t.value} depth={hm.depth}"),
+            _format_grid(hm.grids[t], f"# type={t.value} depth={hm.depth}{note}"),
             encoding="utf-8",
         )
         paths.append(p)
     comp = out / "heatmap_composite.csv"
     header = (
-        f"# type=composite depth={hm.depth}\n"
+        f"# type=composite depth={hm.depth}{note}\n"
         "# rows: slope 0 -> 1 (flat) then 1 -> inf (steep); "
         "columns: origin (X,0) -> (0,0) -> (0,Y)"
     )

@@ -89,21 +89,17 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[tuple[float, float]], list[flo
     return finite, essential, negative
 
 
-def persistence_dim0(M: MonoFiltration) -> Diagram:
-    """Dimension-0 diagram via union-find and the elder rule.
+def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
+    """Persistence diagram of M in homology dimension dim.
 
-    Each connected component of the full complex contributes one essential
-    point at its minimal vertex value.
+    Dimension 0 is the union-find diagram: each connected component of the
+    full complex contributes one essential point at its minimal vertex
+    value. Higher dimensions reduce coboundary columns with clearing,
+    starting from the negative edges.
     """
-    finite, essential, _ = _merge_edges(M)
-    return Diagram.make(finite, essential, 0)
-
-
-def persistence_general(M: MonoFiltration, dim: int) -> Diagram:
-    """Diagram in the given homology dimension by coboundary reduction
-    with clearing; dimension 0 is the union-find diagram."""
+    finite, essential, cleared = _merge_edges(M)
     if dim == 0:
-        return persistence_dim0(M)
+        return Diagram.make(finite, essential, 0)
     K = M.complex
     vals = M.values.tolist()
     cofacets = K.cofacet_indices
@@ -115,9 +111,7 @@ def persistence_general(M: MonoFiltration, dim: int) -> Diagram:
     by_bit = rev.tolist()
     rev_dims = K.dims[rev]
 
-    _, _, cleared = _merge_edges(M)
-    finite: list[tuple[float, float]] = []
-    essential: list[float] = []
+    finite, essential = [], []
     for k in range(1, dim + 1):
         reduced: dict[int, int] = {}  # pivot bit -> reduced column
         for s in rev[rev_dims == k].tolist():
@@ -141,8 +135,3 @@ def persistence_general(M: MonoFiltration, dim: int) -> Diagram:
                     essential.append(vals[s])
         cleared = {by_bit[p] for p in reduced}
     return Diagram.make(finite, essential, dim)
-
-
-def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
-    """Persistence diagram of M in homology dimension dim."""
-    return persistence_general(M, dim)

@@ -10,10 +10,11 @@ the largest evaluated distance so far.
 
 A box is evaluated and bounded when it is queued, so the four level-0
 boxes are evaluated even under a zero budget. Under the local linear
-bound a split first bounds each child from the parent's center distance
-(bounds.child_prebounds); a child whose pre-bound already meets the
-threshold retires without an evaluation. One heap holds the queue: bfs
-pops it in queue order, priority pops the largest bound first.
+bound a split first bounds each child against the parent's center slice
+and its known distance (bounds.bounds_from_reference); a child whose
+pre-bound already meets the threshold retires without an evaluation.
+One heap holds the queue: bfs pops it in queue order, priority pops the
+largest bound first.
 
 Every queue entry carries the tightest bound certified for its region by
 any ancestor ("inherited"); a box's certified bound is the minimum of its
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, box_bound, child_prebounds
+from .bounds import BoundKind, bounds_from_reference, box_bound
 from .complexes import BiFiltration
 from .errors import InvalidConfig
 from .persistence import diagram
@@ -166,7 +167,6 @@ class _RunState:
         self.calls = 0
         self.deepest_level = 0
         self.deepest_evaluated_level = 0
-        self.not_converged = False
         self.trace: Optional[list[TraceRow]] = [] if cfg.trace else None
         self.retired: list[tuple[ParamBox, float]] = []
         self.unresolved: list[tuple[ParamBox, float]] = []
@@ -200,10 +200,8 @@ class _RunState:
     def finish(self) -> ApproxResult:
         cfg = self.cfg
         thr_final = self.threshold()
-        if self.not_converged:
-            worst_open = max((e for _, e in self.unresolved), default=-INF)
-            residual = max(thr_final, worst_open)
-            delta = residual
+        if self.unresolved:
+            residual = delta = max(thr_final, *(e for _, e in self.unresolved))
         else:
             residual = thr_final
             delta = self.rho if cfg.mode == "absolute" else (1.0 + cfg.epsilon) * self.rho
@@ -214,7 +212,7 @@ class _RunState:
             calls=self.calls,
             deepest_level=self.deepest_level,
             deepest_evaluated_level=self.deepest_evaluated_level,
-            not_converged=self.not_converged,
+            not_converged=bool(self.unresolved),
             epsilon=cfg.epsilon,
             mode=cfg.mode,
             bound_kind=cfg.bound_kind,
@@ -276,17 +274,16 @@ def approximate(
         if eff <= st.threshold():
             st.retired.append((box, eff))
         elif st.stalled(box):
-            st.not_converged = True
             st.unresolved.append((box, eff))
             break
         elif box.level >= MAX_LEVEL:
-            st.not_converged = True
             st.unresolved.append((box, eff))
         else:
             children = subdivide(box)
             st.deepest_level = max(st.deepest_level, box.level + 1)
             if prebound:
-                bounds = [min(pre, eff) for pre in child_prebounds(F1, F2, box, d)]
+                pre = bounds_from_reference(F1, F2, children, center(box), d)
+                bounds = [min(p, eff) for p in pre]
             else:
                 bounds = [eff] * len(children)
             for i, child in enumerate(children):
@@ -296,7 +293,6 @@ def approximate(
                     push(child, bounds[i], max(bounds[i:]))
     if heap:
         # stopped by the budget or a stall: every queued box stays open
-        st.not_converged = True
         st.unresolved.extend((b, e) for _, _, b, e, _ in heap)
     return st.finish()
 

@@ -22,6 +22,7 @@ from matchdist.slices import (
     ParamBox,
     Slice,
     SliceType,
+    center,
     pair_extents,
     weighted_push,
 )
@@ -66,7 +67,8 @@ def weighted_push_grid(
 def variation_point(px: float, py: float, B: ParamBox) -> float:
     """The package's per-point variation rule (corners against the center
     slice of B) for one point, as the L bound applies it."""
-    return float(_point_variations(np.array([px]), np.array([py]), B)[0])
+    xs, ys = np.array([px]), np.array([py])
+    return float(_point_variations(xs, ys, B, weighted_push(xs, ys, center(B)))[0])
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:

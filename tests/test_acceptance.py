@@ -29,7 +29,7 @@ from matchdist.bottleneck import bottleneck_distance
 from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
 from matchdist.complexes import mono_filtration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
-from matchdist.persistence import persistence_dim0
+from matchdist.persistence import diagram
 from matchdist.slices import (
     SLICE_TYPES,
     ParamBox,
@@ -149,11 +149,12 @@ def test_c4_bottleneck_oracle():
 
 @criterion(5, "union-find and matrix-reduction diagrams agree; path example exact")
 def test_c5_persistence_cross_check():
-    D = persistence_dim0(
+    D = diagram(
         mono_filtration(
             [[0], [1], [2], [3], [0, 1], [1, 2], [2, 3]],
             [0.0, 0.1, 0.4, 0.5, 0.2, 0.6, 0.8],
-        )
+        ),
+        0,
     )
     assert D.finite == ((0.1, 0.2), (0.4, 0.6), (0.5, 0.8))
     assert D.essential == (0.0,)
@@ -165,7 +166,7 @@ def test_c5_persistence_cross_check():
         t = SLICE_TYPES[int(rng.integers(0, 4))]
         L = Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 800)), t)
         M = restrict(F, L)
-        assert persistence_dim0(M) == persistence_boundary_oracle(M, 0)
+        assert diagram(M, 0) == persistence_boundary_oracle(M, 0)
 
 
 @criterion(6, "absolute runs bracket the sampled distance; level cap holds")

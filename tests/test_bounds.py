@@ -15,7 +15,7 @@ from matchdist.bounds import (
     bound_C,
     bound_G,
     bound_L,
-    child_prebounds,
+    bounds_from_reference,
     variation_filtration,
 )
 from matchdist.complexes import validate_bifiltration
@@ -101,7 +101,8 @@ def test_two_corner_rule_equals_four_corner_max():
             ys = np.concatenate([rng.uniform(0, 8, 32), *(y for _, y in on_lines),
                                  rng.uniform(0, 8, 8), below, [0.0, 3.0, 0.0]])
             want = four_corner_variation(xs, ys, B, center(B))
-            assert np.array_equal(_point_variations(xs, ys, B), want)
+            c = weighted_push(xs, ys, center(B))
+            assert np.array_equal(_point_variations(xs, ys, B, c), want)
 
 
 def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
@@ -110,7 +111,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
         ref = center(B)
         d = eval_slice(F1, F2, ref, 0)
-        pre = child_prebounds(F1, F2, B, d)
+        pre = bounds_from_reference(F1, F2, subdivide(B), ref, d)
         want = [d + float(four_corner_variation(F1.px, F1.py, child, ref).max())
                 + float(four_corner_variation(F2.px, F2.py, child, ref).max())
                 for child in subdivide(B)]
@@ -119,7 +120,41 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
             for L in grid_slices(child, 4):
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
     flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
-    assert child_prebounds(F1, F2, flat, 0.25) == [0.25] * 4
+    assert bounds_from_reference(F1, F2, [flat] * 4, center(flat), 0.25) == [0.25] * 4
+
+
+@pytest.mark.parametrize("kcritical", [False, True])
+def test_any_reference_slice_gives_a_sound_bound(kcritical):
+    # the two-corner rule against a slice at the center, at a corner and
+    # outside the box, the last as a sibling's center would be; small boxes
+    # keep the variation below the distance differences across the space
+    rng = np.random.Generator(np.random.Philox(909 + kcritical))
+    spec_a = GenSpec(6, 7, 1, seed=31, coord_range=20)
+    F1 = generate_random_kcritical(spec_a, 3) if kcritical else generate_random(spec_a)
+    F2 = generate_random(GenSpec(6, 7, 1, seed=32, coord_range=20))
+    assert F1.one_critical is not kcritical
+    finite = 0
+    for stype in SLICE_TYPES:
+        for k in range(6):
+            B = random_box(rng, mu_hi=20.0)
+            shrink = 16.0 if k % 2 else 1.0
+            B = ParamBox(B.lam_min, B.lam_min + B.dlam / shrink,
+                         B.mu_min, B.mu_min + B.dmu / shrink, stype)
+            corner = Slice(float(rng.choice([B.lam_min, B.lam_max])),
+                           float(rng.choice([B.mu_min, B.mu_max])), stype)
+            lam, mu = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 25.0))
+            if B.lam_min <= lam <= B.lam_max and B.mu_min <= mu <= B.mu_max:
+                mu = B.mu_max + 1.0
+            for ref in (center(B), corner, Slice(lam, mu, stype)):
+                d_ref = eval_slice(F1, F2, ref, 0)
+                finite += np.isfinite(d_ref)
+                [bound] = bounds_from_reference(F1, F2, [B], ref, d_ref)
+                for L in grid_slices(B, 5):
+                    assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
+    assert finite > 0
+    point = ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)  # zero variation
+    d_ref = eval_slice(F1, F2, center(point), 0)
+    assert bounds_from_reference(F1, F2, [point], center(point), d_ref) == [d_ref]
 
 
 def _pair(seed_a=11, seed_b=12, n=6, m=6):

@@ -107,12 +107,13 @@ def test_dist_dump_diagrams_at_best_slice_without_trace(tmp_path):
     code, out, _ = run_cli(["dist", *paths, "--epsilon", "0.5", "--relative",
                             "--dump-diagrams", str(dd)])
     assert code == 0
-    F1, F2, _ = normalize_pair(*(load_bifiltration(p) for p in paths))
+    F1, F2, shift = normalize_pair(*(load_bifiltration(p) for p in paths))
     res = approximate(F1, F2, SolverConfig(epsilon=0.5, mode="relative"))
     L = res.best_slice
     assert eval_slice(F1, F2, L) == res.rho
     assert dict(line.split() for line in out.splitlines())["rho"] == repr(res.rho)
-    comment = f"# slice type={L.stype.value} lam={L.lam!r} mu={L.mu!r}"
+    comment = (f"# slice type={L.stype.value} lam={L.lam!r} mu={L.mu!r} "
+               f"shift={shift[0]!r},{shift[1]!r}")
     for name in ("f1_diagram.txt", "f2_diagram.txt"):
         assert (dd / name).read_text().splitlines()[1] == comment
 
@@ -160,15 +161,41 @@ def test_heatmap_depth_zero_equals_initial_evals(dataset, tmp_path):
     code, _, _ = run_cli(["heatmap", str(dataset / "a.txt"), str(dataset / "b.txt"),
                           "--depth", "0", "--out", str(out)])
     assert code == 0
-    F1, F2, _ = normalize_pair(load_bifiltration(dataset / "a.txt"),
-                               load_bifiltration(dataset / "b.txt"))
+    F1, F2, shift = normalize_pair(load_bifiltration(dataset / "a.txt"),
+                                   load_bifiltration(dataset / "b.txt"))
+    note = f"shift={shift[0]!r},{shift[1]!r}"
     for box in initial_boxes(F1, F2):
         text = (out / f"heatmap_{box.stype.value}.csv").read_text().splitlines()
-        assert text[0] == f"# type={box.stype.value} depth=0"
+        assert text[0] == f"# type={box.stype.value} depth=0 {note}"
         assert float(text[1]) == eval_slice(F1, F2, center(box), 0)
     comp = (out / "heatmap_composite.csv").read_text().splitlines()
-    assert comp[0] == "# type=composite depth=0"
+    assert comp[0] == f"# type=composite depth=0 {note}"
     assert len(comp[-1].split(",")) == 2
+
+
+def test_shift_is_recorded_in_dumps_and_heatmap_headers(tmp_path):
+    # a negative coordinate on each axis moves both inputs by (2.5, 1.0)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("bifiltration\n3\n0 ; -2.5 1\n1 ; 1 0\n0 1 ; 1 1\n")
+    b.write_text("bifiltration\n3\n0 ; 0 0\n1 ; 2 -1\n0 1 ; 2 0\n")
+
+    def shift_of(header: str) -> tuple[float, float]:
+        [token] = [t for t in header.split() if t.startswith("shift=")]
+        vx, vy = token.removeprefix("shift=").split(",")
+        return float(vx), float(vy)
+
+    dd = tmp_path / "dd"
+    code, _, err = run_cli(["dist", str(a), str(b), "--epsilon", "0.5",
+                            "--dump-diagrams", str(dd)])
+    assert code == 0
+    assert "shifted by (2.5, 1.0)" in err
+    for name in ("f1_diagram.txt", "f2_diagram.txt"):
+        assert shift_of((dd / name).read_text().splitlines()[1]) == (2.5, 1.0)
+    hm = tmp_path / "hm"
+    code, _, _ = run_cli(["heatmap", str(a), str(b), "--depth", "1", "--out", str(hm)])
+    assert code == 0
+    for p in sorted(hm.glob("*.csv")):
+        assert shift_of(p.read_text().splitlines()[0]) == (2.5, 1.0)
 
 
 def test_heatmap_identical_inputs_all_zero(dataset, tmp_path):

@@ -6,7 +6,7 @@ from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import mono_filtration, validate_bifiltration
 from matchdist.generators import generate_random, generate_random_kcritical
-from matchdist.persistence import Diagram, persistence_dim0, persistence_general
+from matchdist.persistence import Diagram, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
 
 
@@ -19,19 +19,19 @@ def path_complex():
 
 
 def test_path_complex_diagram():
-    D = persistence_dim0(path_complex())
+    D = diagram(path_complex(), 0)
     assert D.finite == ((0.1, 0.2), (0.4, 0.6), (0.5, 0.8))
     assert D.essential == (0.0,)
 
 
 def test_single_vertex():
-    D = persistence_dim0(mono_filtration([[0]], [2.5]))
+    D = diagram(mono_filtration([[0]], [2.5]), 0)
     assert D.finite == () and D.essential == (2.5,)
 
 
 def test_zero_persistence_pair_discarded():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 1.0, 1.0])
-    D = persistence_dim0(M)
+    D = diagram(M, 0)
     assert D.finite == ()
     assert D.essential == (0.0,)
 
@@ -39,7 +39,7 @@ def test_zero_persistence_pair_discarded():
 def test_elder_rule_tie_breaking():
     # equal births: the component created by the smaller vertex id dies
     M = mono_filtration([[0], [1], [0, 1]], [0.5, 0.5, 1.0])
-    D = persistence_dim0(M)
+    D = diagram(M, 0)
     assert D.finite == ((0.5, 1.0),)
     assert D.essential == (0.5,)
 
@@ -47,7 +47,7 @@ def test_elder_rule_tie_breaking():
 def test_hollow_triangle_dim1():
     simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
     M = mono_filtration(simplices, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    D = persistence_general(M, 1)
+    D = diagram(M, 1)
     assert D.finite == ()
     assert D.essential == (1.0,)
 
@@ -55,7 +55,7 @@ def test_hollow_triangle_dim1():
 def test_filled_triangle_dim1():
     simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
     M = mono_filtration(simplices, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
-    D = persistence_general(M, 1)
+    D = diagram(M, 1)
     assert D.finite == ((1.0, 2.0),)
     assert D.essential == ()
 
@@ -72,14 +72,14 @@ def _random_mono(seed: int):
 @given(st.integers(0, 2**32 - 1))
 def test_dim0_matches_general_reduction(seed):
     M = _random_mono(seed)
-    assert persistence_dim0(M) == persistence_boundary_oracle(M, 0)
+    assert diagram(M, 0) == persistence_boundary_oracle(M, 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_point_count_bound(seed):
     M = _random_mono(seed)
-    D = persistence_dim0(M)
+    D = diagram(M, 0)
     assert len(D.finite) + len(D.essential) <= M.complex.vertex_count
 
 
@@ -100,7 +100,7 @@ def test_stability_under_perturbation(seed, eps):
     M2 = MonoFiltration(M.complex, vals)
     M2.check_monotone()
     assert np.all(np.abs(vals - M.values) <= eps + 1e-12)
-    d = bottleneck_distance(persistence_dim0(M), persistence_dim0(M2))
+    d = bottleneck_distance(diagram(M, 0), diagram(M2, 0))
     assert d <= eps + 1e-12
 
 
@@ -110,8 +110,8 @@ def test_shift_equivariance(seed, r):
     from matchdist.complexes import MonoFiltration
 
     M = _random_mono(seed)
-    D = persistence_dim0(M)
-    D2 = persistence_dim0(MonoFiltration(M.complex, M.values + r))
+    D = diagram(M, 0)
+    D2 = diagram(MonoFiltration(M.complex, M.values + r), 0)
     # shifting every value shifts every diagram coordinate
     expect = Diagram.make(
         [(b + r, d + r) for b, d in D.finite], [b + r for b in D.essential], 0
@@ -121,13 +121,13 @@ def test_shift_equivariance(seed, r):
 
 def test_dimension_beyond_complex_is_empty():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 0.0, 1.0])
-    D = persistence_general(M, 2)
+    D = diagram(M, 2)
     assert D.finite == () and D.essential == ()
     triangle = mono_filtration(
         [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]], [0, 0, 0, 1, 1, 1, 2]
     )
     for dim in (3, 4):
-        assert persistence_general(triangle, dim) == Diagram((), (), dim)
+        assert diagram(triangle, dim) == Diagram((), (), dim)
 
 
 def _tetrahedron(filled: bool):
@@ -145,19 +145,19 @@ def _tetrahedron(filled: bool):
 def test_hollow_tetrahedron_has_an_essential_void():
     M = _tetrahedron(filled=False)
     # three independent loops are born with the edges and filled in at 2
-    assert persistence_general(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
-    assert persistence_general(M, 2) == Diagram((), (2.0,), 2)
-    assert persistence_general(M, 3) == Diagram((), (), 3)
+    assert diagram(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
+    assert diagram(M, 2) == Diagram((), (2.0,), 2)
+    assert diagram(M, 3) == Diagram((), (), 3)
 
 
 def test_filled_tetrahedron_void_dies():
     # the void is a finite pair only if the dim-1 pass clears the three
     # triangles that kill loops, leaving the fourth to pair with the solid
     M = _tetrahedron(filled=True)
-    assert persistence_general(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
-    assert persistence_general(M, 2) == Diagram(((2.0, 3.0),), (), 2)
-    assert persistence_general(M, 3) == Diagram((), (), 3)
-    assert persistence_dim0(M) == Diagram(((0.0, 1.0),) * 3, (0.0,), 0)
+    assert diagram(M, 1) == Diagram(((1.0, 2.0),) * 3, (), 1)
+    assert diagram(M, 2) == Diagram(((2.0, 3.0),), (), 2)
+    assert diagram(M, 3) == Diagram((), (), 3)
+    assert diagram(M, 0) == Diagram(((0.0, 1.0),) * 3, (0.0,), 0)
 
 
 def _multicritical_square():
@@ -187,7 +187,7 @@ def test_general_matches_boundary_oracle(seed):
             L = Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 6)), t)
             M = restrict(F, L)
             for dim in range(4):
-                assert persistence_general(M, dim) == persistence_boundary_oracle(M, dim)
+                assert diagram(M, dim) == persistence_boundary_oracle(M, dim)
 
 
 def test_general_matches_oracle_on_random_three_complexes():
@@ -199,7 +199,7 @@ def test_general_matches_oracle_on_random_three_complexes():
         for t in SLICE_TYPES:
             M = restrict(F, Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 500)), t))
             for dim in (1, 2, 3):
-                D = persistence_general(M, dim)
+                D = diagram(M, dim)
                 assert D == persistence_boundary_oracle(M, dim)
                 nontrivial += dim >= 2 and len(D) > 0
     assert nontrivial >= 20
