@@ -54,7 +54,6 @@ feasible, so bisecting the candidates in (lb, ub) finds the answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -142,15 +141,10 @@ def _search_above(rows: list[np.ndarray], diags: tuple[np.ndarray, np.ndarray],
 
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     """Exact bottleneck distance of the finite parts (n x 2 arrays)."""
-    n1, n2 = len(a), len(b)
-    if n1 == 0 and n2 == 0:
-        return 0.0
     diag1 = (a[:, 1] - a[:, 0]) / 2.0
     diag2 = (b[:, 1] - b[:, 0]) / 2.0
-    if n1 == 0:
-        return float(diag2.max())
-    if n2 == 0:
-        return float(diag1.max())
+    if len(a) == 0 or len(b) == 0:  # every point goes to the diagonal
+        return float(np.concatenate((diag1, diag2)).max(initial=0.0))
 
     order1 = np.argsort(diag1)[::-1]
     order2 = np.argsort(diag2)[::-1]
@@ -174,11 +168,6 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     return lb if feasible(lb) else _search_above(rows, diags, feasible, lb)
 
 
-def _as_array(points: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """The points as an (n, 2) float64 array, (0, 2) when there are none."""
-    return np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points)).reshape(-1, 2)
-
-
 def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:
     """Bottleneck distance; inf when the essential counts differ."""
     if D1.homology_dimension != D2.homology_dimension:
@@ -187,8 +176,5 @@ def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:
         )
     if len(D1.essential) != len(D2.essential):
         return float("inf")
-    ess = 0.0
-    for x, y in zip(D1.essential, D2.essential):  # both sorted
-        ess = max(ess, abs(x - y))
-    fin = _finite_bottleneck(_as_array(D1.finite), _as_array(D2.finite))
-    return max(ess, fin)
+    ess = float(np.abs(D1.essential - D2.essential).max(initial=0.0))  # both sorted
+    return max(ess, _finite_bottleneck(D1.finite, D2.finite))

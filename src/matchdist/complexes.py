@@ -8,6 +8,7 @@ monotonicity along faces. Coordinates are plain doubles throughout.
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -73,7 +74,6 @@ class BiFiltration:
         # trusted inputs: validate_bifiltration is the checked entry point
         order = sorted(range(len(simplices)), key=lambda i: (len(simplices[i]), simplices[i]))
         self.simplices: list[Simplex] = [simplices[i] for i in order]
-        self.critical: list[tuple[Point, ...]] = [critical[i] for i in order]
         self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
         self.n = len(self.simplices)
 
@@ -88,7 +88,11 @@ class BiFiltration:
         # is its rank among the vertex ids; the edges follow as one block
         self.vertex_count = len(vertex_ids)
         self.edge_count = int(np.count_nonzero(self.dims == 1))
+        self._set_critical([critical[i] for i in order])
 
+    def _set_critical(self, critical: list[tuple[Point, ...]]) -> None:
+        """Store the critical sets, in storage order, and their flat form."""
+        self.critical = critical
         counts = [len(c) for c in self.critical]
         self.offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
@@ -123,11 +127,20 @@ class BiFiltration:
         )
 
     def translated(self, vx: float, vy: float) -> "BiFiltration":
-        """New filtration with every critical value shifted by (vx, vy)."""
-        critical = [
-            tuple((x + vx, y + vy) for x, y in c) for c in self.critical
-        ]
-        return validate_bifiltration(self.simplices, critical)
+        """New filtration with every critical value shifted by (vx, vy).
+
+        Float rounding is monotone, so the shift keeps face closure and
+        monotonicity: the complex structure is shared, not checked again,
+        unless rounding merges two coordinates of one critical set.
+        """
+        out = copy.copy(self)
+        out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
+        # a reduced critical set has x strictly rising and y strictly falling
+        strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)
+        strict[out.offsets[1:-1] - 1] = True  # pairs across two sets
+        if not strict.all():
+            return validate_bifiltration(self.simplices, out.critical)
+        return out
 
 
 class MonoFiltration:

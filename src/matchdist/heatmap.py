@@ -21,23 +21,10 @@ import numpy as np
 
 from .complexes import BiFiltration
 from .errors import DepthTooLarge
-from .slices import SLICE_TYPES, Slice, SliceType, initial_boxes
+from .slices import SLICE_TYPES, SliceType, center, initial_boxes, subdivide
 from .solver import eval_slice
 
 MAX_DEPTH = 10
-
-
-def _refined_endpoints(lo: float, hi: float, depth: int) -> list[float]:
-    """Endpoints of the level-`depth` dyadic refinement of [lo, hi],
-    computed by repeated midpoint splits exactly like box subdivision."""
-    pts = [lo, hi]
-    for _ in range(depth):
-        out = [pts[0]]
-        for a, b in zip(pts, pts[1:]):
-            out.append((a + b) / 2.0)
-            out.append(b)
-        pts = out
-    return pts
 
 
 @dataclass
@@ -78,15 +65,14 @@ def compute_heatmap(
     n = 2**depth
     grids: dict[SliceType, np.ndarray] = {}
     for box in initial_boxes(F1, F2):
-        lam_pts = _refined_endpoints(box.lam_min, box.lam_max, depth)
-        mu_pts = _refined_endpoints(box.mu_min, box.mu_max, depth)
-        grid = np.empty((n, n))
-        for i in range(n):
-            mu_c = (mu_pts[i] + mu_pts[i + 1]) / 2.0
-            for j in range(n):
-                lam_c = (lam_pts[j] + lam_pts[j + 1]) / 2.0
-                grid[i, j] = eval_slice(F1, F2, Slice(lam_c, mu_c, box.stype), dim)
-        grids[box.stype] = grid
+        cells = [box]
+        for _ in range(depth):
+            cells = [child for cell in cells for child in subdivide(cell)]
+        # a mu range collapses when X or Y is 0, a lam range never: sort
+        # lam-major, so tied mu bounds keep their lam bucket, then transpose
+        cells.sort(key=lambda cell: (cell.lam_min, cell.mu_min))
+        values = [eval_slice(F1, F2, center(cell), dim) for cell in cells]
+        grids[box.stype] = np.array(values).reshape(n, n).T
     return HeatmapGrid(depth, grids)
 
 

@@ -120,10 +120,8 @@ def format_diagram(D: Diagram, comment: str | None = None) -> str:
     out = [f"# dim={D.homology_dimension}"]
     if comment:
         out.append(f"# {comment}")
-    for b, d in D.finite:
-        out.append(f"{repr(b)} {repr(d)}")
-    for b in D.essential:
-        out.append(f"{repr(b)} inf")
+    out += [f"{b!r} {d!r}" for b, d in D.finite.tolist()]
+    out += [f"{b!r} inf" for b in D.essential.tolist()]
     return "\n".join(out) + "\n"
 
 

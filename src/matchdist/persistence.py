@@ -15,7 +15,10 @@ class the simplex creates; a column that reduces to zero is essential.
 The pairs equal those of boundary-matrix reduction on the same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
-bottleneck matching and bloat diagrams on degenerate slices.
+bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
+`finite` is an (n, 2) float64 array with rows in lexicographic (birth,
+death) order, `essential` a sorted float64 array, both read-only: the
+one form that the bottleneck and the dumps read.
 """
 
 from __future__ import annotations
@@ -27,35 +30,45 @@ import numpy as np
 from .complexes import MonoFiltration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    """Multiset of finite (birth, death) points plus essential births."""
+    """Finite (birth, death) points plus essential births, made canonical."""
 
-    finite: tuple[tuple[float, float], ...]
-    essential: tuple[float, ...]
+    finite: np.ndarray
+    essential: np.ndarray
     homology_dimension: int = 0
 
-    @staticmethod
-    def make(finite, essential, dim: int = 0) -> "Diagram":
-        return Diagram(
-            tuple(sorted((float(b), float(d)) for b, d in finite)),
-            tuple(sorted(float(b) for b in essential)),
-            dim,
+    def __post_init__(self):
+        pts = np.asarray(self.finite, dtype=np.float64)
+        pts = pts.reshape(len(pts), 2)  # (0, 2) when empty; other shapes raise
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        ess = np.sort(np.asarray(self.essential, dtype=np.float64))
+        pts.flags.writeable = ess.flags.writeable = False
+        object.__setattr__(self, "finite", pts)
+        object.__setattr__(self, "essential", ess)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (
+            self.homology_dimension == other.homology_dimension
+            and np.array_equal(self.finite, other.finite)
+            and np.array_equal(self.essential, other.essential)
         )
 
     def __len__(self) -> int:
         return len(self.finite) + len(self.essential)
 
 
-def _merge_edges(M: MonoFiltration) -> tuple[list[tuple[float, float]], list[float], set[int]]:
+def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
     """Union-find over the edges in simplex order, with the elder rule.
 
     When an edge merges two components the younger one dies: larger birth
     value, ties broken in favour of the smaller creator-vertex id. A root
     is always its component's creator vertex, and vertex storage indices
     rise with the ids, so births and creators are known before the loop.
-    Returns the finite dimension-0 pairs, the births of the components
-    left at the end, and the set of merging (negative) edges.
+    Returns the merges as flattened (dying root, merging edge) pairs, and
+    the roots of the components left at the end.
     """
     K = M.complex
     vals = M.values.tolist()
@@ -70,8 +83,7 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[tuple[float, float]], list[flo
             a = parent[a]
         return a
 
-    finite: list[tuple[float, float]] = []
-    negative: set[int] = set()
+    merges: list[int] = []  # dying root, merging edge, flattened
     for e in edges.tolist():
         v, u = facets[e]
         ra, rb = find(u), find(v)
@@ -79,27 +91,15 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[tuple[float, float]], list[flo
             continue
         ba, bb = vals[ra], vals[rb]
         if ba > bb or (ba == bb and ra < rb):
-            ra, rb, bb = rb, ra, ba
-        # rb is the younger root, born at bb
-        if vals[e] > bb:
-            finite.append((bb, vals[e]))
-        parent[rb] = ra
-        negative.add(e)
-    essential = [vals[v] for v in range(lo) if parent[v] == v]
-    return finite, essential, negative
+            ra, rb = rb, ra
+        parent[rb] = ra  # rb is the younger root
+        merges += (rb, e)
+    return merges, [v for v in range(lo) if parent[v] == v]
 
 
-def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
-    """Persistence diagram of M in homology dimension dim.
-
-    Dimension 0 is the union-find diagram: each connected component of the
-    full complex contributes one essential point at its minimal vertex
-    value. Higher dimensions reduce coboundary columns with clearing,
-    starting from the negative edges.
-    """
-    finite, essential, cleared = _merge_edges(M)
-    if dim == 0:
-        return Diagram.make(finite, essential, 0)
+def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[list, list]:
+    """Flattened (simplex, pivot simplex) pairs and essential simplices of
+    dimension dim, by reduction with clearing from the negative edges."""
     K = M.complex
     vals = M.values.tolist()
     cofacets = K.cofacet_indices
@@ -111,7 +111,8 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     by_bit = rev.tolist()
     rev_dims = K.dims[rev]
 
-    finite, essential = [], []
+    pairs: list[int] = []
+    essential: list[int] = []
     for k in range(1, dim + 1):
         reduced: dict[int, int] = {}  # pivot bit -> reduced column
         for s in rev[rev_dims == k].tolist():
@@ -125,13 +126,28 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
                 other = reduced.get(p)
                 if other is None:
                     reduced[p] = col
-                    t = by_bit[p]
-                    if k == dim and vals[t] > vals[s]:
-                        finite.append((vals[s], vals[t]))
+                    # on lower-star slices most pairs die at birth: skip them
+                    if k == dim and vals[by_bit[p]] > vals[s]:
+                        pairs += (s, by_bit[p])
                     break
                 col ^= other
             else:
                 if k == dim:
-                    essential.append(vals[s])
+                    essential.append(s)
         cleared = {by_bit[p] for p in reduced}
-    return Diagram.make(finite, essential, dim)
+    return pairs, essential
+
+
+def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
+    """Persistence diagram of M in homology dimension dim.
+
+    Dimension 0 is the union-find diagram: each connected component of the
+    full complex contributes one essential point at its minimal vertex
+    value. Higher dimensions reduce coboundary columns with clearing,
+    starting from the negative edges.
+    """
+    pairs, essential = _merge_edges(M)
+    if dim > 0:
+        pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)
+    ends = M.values[pairs].reshape(-1, 2)  # (birth, death) rows
+    return Diagram(ends[ends[:, 1] > ends[:, 0]], M.values[essential], dim)

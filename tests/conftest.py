@@ -83,20 +83,12 @@ def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:
 
 def diagram_shifted(D: Diagram, r: float) -> Diagram:
     """Every coordinate of D plus r."""
-    return Diagram.make(
-        [(b + r, d + r) for b, d in D.finite],
-        [b + r for b in D.essential],
-        D.homology_dimension,
-    )
+    return Diagram(D.finite + r, D.essential + r, D.homology_dimension)
 
 
 def diagram_scaled(D: Diagram, s: float) -> Diagram:
     """Every coordinate of D times s."""
-    return Diagram.make(
-        [(b * s, d * s) for b, d in D.finite],
-        [b * s for b in D.essential],
-        D.homology_dimension,
-    )
+    return Diagram(D.finite * s, D.essential * s, D.homology_dimension)
 
 
 def persistence_boundary_oracle(M: MonoFiltration, dim: int) -> Diagram:
@@ -143,13 +135,13 @@ def persistence_boundary_oracle(M: MonoFiltration, dim: int) -> Diagram:
     for j in range(K.n):
         if not paired[j] and cols[j] == 0 and K.dims[order[j]] == dim:
             essential.append(float(vals[order[j]]))
-    return Diagram.make(finite, essential, dim)
+    return Diagram(finite, essential, dim)
 
 
 def bottleneck_brute(D1: Diagram, D2: Diagram) -> float:
     """Exhaustive minimum over all partial matchings (small diagrams only)."""
-    pts1 = list(D1.finite) + [(b, math.inf) for b in D1.essential]
-    pts2 = list(D2.finite) + [(b, math.inf) for b in D2.essential]
+    pts1 = D1.finite.tolist() + [(b, math.inf) for b in D1.essential.tolist()]
+    pts2 = D2.finite.tolist() + [(b, math.inf) for b in D2.essential.tolist()]
 
     def cost_match(p, q):
         if math.isinf(p[1]) and math.isinf(q[1]):
@@ -194,8 +186,7 @@ def bottleneck_assignment(D1: Diagram, D2: Diagram) -> float:
     other for free. A threshold is feasible iff the 0/1 assignment problem
     with cost 1 on every entry above it has optimum 0.
     """
-    a = np.array(D1.finite, dtype=np.float64).reshape(-1, 2)
-    b = np.array(D2.finite, dtype=np.float64).reshape(-1, 2)
+    a, b = D1.finite, D2.finite
     n1, n2 = len(a), len(b)
     if n1 + n2 == 0:
         return 0.0
@@ -261,7 +252,7 @@ def random_diagram(rng: np.random.Generator, max_pts: int = 4, dim: int = 0) -> 
         d = b + (1 + int(rng.integers(0, 8))) / 4.0
         finite.append((b, d))
     essential = [int(rng.integers(0, 9)) / 4.0 for _ in range(n_ess)]
-    return Diagram.make(finite, essential, dim)
+    return Diagram(finite, essential, dim)
 
 
 def random_genspec(rng: np.random.Generator, seed: int, n_hi: int = 9, m_hi: int = 7,

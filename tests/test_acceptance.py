@@ -29,7 +29,7 @@ from matchdist.bottleneck import bottleneck_distance
 from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
 from matchdist.complexes import mono_filtration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
-from matchdist.persistence import diagram
+from matchdist.persistence import Diagram, diagram
 from matchdist.slices import (
     SLICE_TYPES,
     ParamBox,
@@ -156,8 +156,7 @@ def test_c5_persistence_cross_check():
         ),
         0,
     )
-    assert D.finite == ((0.1, 0.2), (0.4, 0.6), (0.5, 0.8))
-    assert D.essential == (0.0,)
+    assert D == Diagram([(0.1, 0.2), (0.4, 0.6), (0.5, 0.8)], [0.0], 0)
 
     rng = np.random.Generator(np.random.Philox(505))
     for i in range(300):

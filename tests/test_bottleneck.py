@@ -22,7 +22,7 @@ from matchdist.slices import SLICE_TYPES, Slice, pair_extents, restrict
 
 
 def D(finite=(), essential=(), dim=0):
-    return Diagram.make(finite, essential, dim)
+    return Diagram(finite, essential, dim)
 
 
 def test_identity_is_zero():
@@ -176,7 +176,7 @@ def _lb_and_candidates(d1: Diagram, d2: Diagram) -> tuple[float, list[float]]:
     and its diagonal cost; the candidates are the pairwise sup-distances
     and half-persistences in (lb, ub], ub being the all-unmatched cost.
     """
-    pts1, pts2 = list(d1.finite), list(d2.finite)
+    pts1, pts2 = d1.finite.tolist(), d2.finite.tolist()
 
     def sup(p, q):
         return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
@@ -338,8 +338,10 @@ def test_sweep_matches_assignment_oracle_around_the_seed_block(monkeypatch):
     # or the points around positions 31 and 32, cost the same
     for n in (33, 40, 64):
         pairs.append((_tied_diagram(rng, n, 8.0), _tied_diagram(rng, n, 8.0)))
-    long = _tied_diagram(rng, 28, 40.0).finite + _tied_diagram(rng, 8, 16.0).finite
-    pairs.append((D(long + _grid_diagram(rng, 30).finite), _tied_diagram(rng, 36, 16.0)))
+    long = np.concatenate([_tied_diagram(rng, 28, 40.0).finite,
+                           _tied_diagram(rng, 8, 16.0).finite])
+    pairs.append((D(np.concatenate([long, _grid_diagram(rng, 30).finite])),
+                  _tied_diagram(rng, 36, 16.0)))
     at_lb = 0
     for d1, d2 in pairs:
         expected = bottleneck_assignment(d1, d2)
@@ -398,7 +400,7 @@ def test_high_rows_exclude_points_costing_exactly_lb():
     assert bottleneck_brute(d1, d2) == 1.0
     assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 1.0
     d1, d2 = _ladder(40, 0.25, 3.0)
-    d2 = D(d2.finite + ((0.0, 6.0), (100.0, 106.0)))
+    d2 = D(np.concatenate([d2.finite, [(0.0, 6.0), (100.0, 106.0)]]))
     assert bottleneck_assignment(d1, d2) == 3.0
     assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 3.0
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchdist.complexes as complexes
 from matchdist.complexes import (
     lower_star,
     mono_filtration,
@@ -17,7 +18,7 @@ from matchdist.errors import (
     MonotonicityViolation,
     NonFiniteCoordinate,
 )
-from matchdist.generators import GenSpec, generate_random
+from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 
 
 def test_single_vertex():
@@ -131,6 +132,61 @@ def test_normalize_pair_uses_common_shift():
     assert shift == (1.0, 2.0)
     assert G1.critical[0][0] == (0.0, 6.0)
     assert G2.critical[0][0] == (4.0, 0.0)
+
+
+def _shifted_by_validation(F, vx, vy):
+    return validate_bifiltration(
+        F.simplices, [[(x + vx, y + vy) for x, y in c] for c in F.critical]
+    )
+
+
+def _assert_same_filtration(G, H):
+    assert G.simplices == H.simplices and G.critical == H.critical
+    assert np.array_equal(G.px, H.px) and np.array_equal(G.py, H.py)
+    assert np.array_equal(G.offsets, H.offsets)
+    assert (G.max_x, G.max_y, G.c_max) == (H.max_x, H.max_y, H.c_max)
+    assert G.one_critical == H.one_critical
+
+
+def _counting_validation(monkeypatch) -> list[int]:
+    calls = []
+    validate = complexes.validate_bifiltration
+
+    def counting(*args):
+        calls.append(1)
+        return validate(*args)
+
+    monkeypatch.setattr(complexes, "validate_bifiltration", counting)
+    return calls
+
+
+def test_translated_shares_structure_without_validation(monkeypatch):
+    spec = GenSpec(12, 20, 2, seed=41)
+    rng = np.random.Generator(np.random.Philox(41))
+    base = generate_random(spec)
+    values = {v: tuple(rng.uniform(-30.0, 30.0, size=2)) for v in base.vertex_ids}
+    inputs = [base, generate_random_kcritical(spec, 3), lower_star(base.simplices, values)]
+    assert not inputs[1].one_critical
+    shift = (0.1, -7.3)  # not exact in binary: every coordinate is rounded
+    expected = [_shifted_by_validation(F, *shift) for F in inputs]
+    calls = _counting_validation(monkeypatch)
+    for F, H in zip(inputs, expected):
+        G = F.translated(*shift)
+        _assert_same_filtration(G, H)
+        assert G.facet_indices is F.facet_indices and G.index is F.index
+    assert calls == []
+
+
+def test_translated_reduces_a_critical_set_that_rounding_merges(monkeypatch):
+    # the shift rounds both x coordinates to 1.0, so (1.0, 3.0) dominates
+    # (1.0, 10.0), which validation drops
+    F = validate_bifiltration([[0]], [[(1e-17, 10.0), (2e-17, 3.0)]])
+    assert F.critical[0] == ((1e-17, 10.0), (2e-17, 3.0))
+    H = _shifted_by_validation(F, 1.0, 0.0)
+    assert H.critical[0] == ((1.0, 3.0),)
+    calls = _counting_validation(monkeypatch)
+    _assert_same_filtration(F.translated(1.0, 0.0), H)
+    assert calls == [1]
 
 
 def test_lower_star_edge():

@@ -5,10 +5,19 @@ import pytest
 
 from conftest import scaled_copy
 from matchdist.bounds import variation_filtration
+from matchdist.complexes import validate_bifiltration
 from matchdist.errors import DepthTooLarge
 from matchdist.generators import GenSpec, generate_random
 from matchdist.heatmap import compute_heatmap
-from matchdist.slices import ParamBox, SliceType, center, initial_boxes, pair_extents
+from matchdist.slices import (
+    ParamBox,
+    Slice,
+    SliceType,
+    center,
+    initial_boxes,
+    pair_extents,
+    subdivide,
+)
 from matchdist.solver import SolverConfig, approximate, eval_slice
 
 
@@ -24,6 +33,32 @@ def test_depth_zero_is_initial_centers(pair):
     hm = compute_heatmap(F1, F2, 0)
     for box in initial_boxes(F1, F2):
         assert hm.grids[box.stype][0, 0] == eval_slice(F1, F2, center(box), 0)
+
+
+def test_cells_are_centers_of_subdivided_boxes(pair):
+    # cell [i][j] is the level-2 quad-tree box in mu bucket i, lam bucket j
+    F1, F2 = pair
+    n = 4
+    hm = compute_heatmap(F1, F2, 2)
+    for box in initial_boxes(F1, F2):
+        cells = [cell for child in subdivide(box) for cell in subdivide(child)]
+        where = {(round(c.mu_min / box.mu_max * n), round(c.lam_min * n)): c for c in cells}
+        assert len(where) == n * n
+        for (i, j), c in where.items():
+            assert hm.grids[box.stype][i, j] == eval_slice(F1, F2, center(c), 0)
+
+
+def test_collapsed_mu_range_keeps_lam_along_columns():
+    # every x coordinate is 0, so x-slices have the one origin mu = 0; a
+    # steep x-slice pushes (0, y) to lam * y, so its columns differ
+    F1 = validate_bifiltration([[0]], [[(0.0, 1.0)]])
+    F2 = validate_bifiltration([[0]], [[(0.0, 3.0)]])
+    hm = compute_heatmap(F1, F2, 2)
+    grid = hm.grids[SliceType.STEEP_X]
+    for j in range(4):
+        expected = eval_slice(F1, F2, Slice((j + 0.5) / 4, 0.0, SliceType.STEEP_X), 0)
+        assert expected == 2.0 * (j + 0.5) / 4
+        assert grid[:, j].tolist() == [expected] * 4
 
 
 def test_negative_coordinates_are_refused_as_by_approximate(pair):

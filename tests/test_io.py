@@ -87,8 +87,8 @@ def test_load_dispatches_on_header(tmp_path):
 
 
 def test_diagram_dump_format():
-    D = Diagram.make([(0.5, 1.25)], [0.0], dim=1)
-    text = format_diagram(D)
-    assert text.splitlines()[0] == "# dim=1"
-    assert "0.5 1.25" in text
-    assert "0.0 inf" in text
+    # unsorted input dumps in canonical order, with plain float reprs
+    D = Diagram([(0.5, 1.25), (0.1, 2.0), (0.1, 0.3)], [2.0, 0.0], 1)
+    assert format_diagram(D, "note").splitlines() == [
+        "# dim=1", "# note", "0.1 0.3", "0.1 2.0", "0.5 1.25", "0.0 inf", "2.0 inf",
+    ]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,44 +21,35 @@ def path_complex():
 
 def test_path_complex_diagram():
     D = diagram(path_complex(), 0)
-    assert D.finite == ((0.1, 0.2), (0.4, 0.6), (0.5, 0.8))
-    assert D.essential == (0.0,)
+    assert D == Diagram([(0.1, 0.2), (0.4, 0.6), (0.5, 0.8)], [0.0], 0)
 
 
 def test_single_vertex():
     D = diagram(mono_filtration([[0]], [2.5]), 0)
-    assert D.finite == () and D.essential == (2.5,)
+    assert D == Diagram([], [2.5], 0)
 
 
 def test_zero_persistence_pair_discarded():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 1.0, 1.0])
-    D = diagram(M, 0)
-    assert D.finite == ()
-    assert D.essential == (0.0,)
+    assert diagram(M, 0) == Diagram([], [0.0], 0)
 
 
 def test_elder_rule_tie_breaking():
     # equal births: the component created by the smaller vertex id dies
     M = mono_filtration([[0], [1], [0, 1]], [0.5, 0.5, 1.0])
-    D = diagram(M, 0)
-    assert D.finite == ((0.5, 1.0),)
-    assert D.essential == (0.5,)
+    assert diagram(M, 0) == Diagram([(0.5, 1.0)], [0.5], 0)
 
 
 def test_hollow_triangle_dim1():
     simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
     M = mono_filtration(simplices, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    D = diagram(M, 1)
-    assert D.finite == ()
-    assert D.essential == (1.0,)
+    assert diagram(M, 1) == Diagram([], [1.0], 1)
 
 
 def test_filled_triangle_dim1():
     simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
     M = mono_filtration(simplices, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
-    D = diagram(M, 1)
-    assert D.finite == ((1.0, 2.0),)
-    assert D.essential == ()
+    assert diagram(M, 1) == Diagram([(1.0, 2.0)], [], 1)
 
 
 def _random_mono(seed: int):
@@ -113,16 +105,12 @@ def test_shift_equivariance(seed, r):
     D = diagram(M, 0)
     D2 = diagram(MonoFiltration(M.complex, M.values + r), 0)
     # shifting every value shifts every diagram coordinate
-    expect = Diagram.make(
-        [(b + r, d + r) for b, d in D.finite], [b + r for b in D.essential], 0
-    )
-    assert D2 == expect
+    assert D2 == Diagram(D.finite + r, D.essential + r, 0)
 
 
 def test_dimension_beyond_complex_is_empty():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 0.0, 1.0])
-    D = diagram(M, 2)
-    assert D.finite == () and D.essential == ()
+    assert diagram(M, 2) == Diagram([], [], 2)
     triangle = mono_filtration(
         [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]], [0, 0, 0, 1, 1, 1, 2]
     )
@@ -203,3 +191,32 @@ def test_general_matches_oracle_on_random_three_complexes():
                 assert D == persistence_boundary_oracle(M, dim)
                 nontrivial += dim >= 2 and len(D) > 0
     assert nontrivial >= 20
+
+
+def test_diagram_canonical_form():
+    rng = np.random.Generator(np.random.Philox(11))
+    # ties in birth, repeated points, and an essential birth equal to one
+    pts = [(0.5, 1.0), (0.1, 0.9), (0.1, 0.3), (0.5, 1.0), (-0.25, 4.0)]
+    ess = [2.0, 0.0, 1.0, 0.0]
+    src = np.array(pts)
+    D = Diagram(src, ess, 1)
+    assert D.finite.tolist() == [[-0.25, 4.0], [0.1, 0.3], [0.1, 0.9], [0.5, 1.0], [0.5, 1.0]]
+    assert D.essential.tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert D.finite.dtype == D.essential.dtype == np.float64
+    for _ in range(10):
+        E = Diagram([pts[i] for i in rng.permutation(len(pts))],
+                    [ess[i] for i in rng.permutation(len(ess))], 1)
+        assert E == D
+        assert np.array_equal(E.finite, D.finite) and np.array_equal(E.essential, D.essential)
+    # read-only, without freezing the caller's array
+    for arr in (D.finite, D.essential):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    src[0, 0] = 7.0
+    assert D.finite[3, 0] == 0.5
+    assert D != Diagram(pts, ess, 0)
+    assert D != Diagram(pts[:-1], ess, 1)
+    assert Diagram([], [], 0).finite.shape == (0, 2)
+    for malformed in ([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            Diagram(malformed, [], 0)
