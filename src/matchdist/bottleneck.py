@@ -32,7 +32,8 @@ few rows of the n1 x n2 distance matrix as possible:
   _SEED points of each side give a first lb, and only then does each side
   add the rows of its remaining points that cost more than the running
   lb. A high lb from one side spares rows of the other. A side of at most
-  _SEED points is covered by its seed.
+  _SEED points is covered by its seed; when both sides are, the second
+  seed block is the transpose of the first.
 - Every point above lb has its nearest partner within lb, because
   min(nearest, diagonal) <= lb < diagonal. If the nearest partners of a
   side's points above lb are pairwise distinct, they are a matching that
@@ -152,7 +153,11 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     diags = (diag1[order1], diag2[order2])
     # seed both sides before continuing either: a high lb from one side
     # spares rows of the other
-    rows = [_sup_rows(pts[s][:_SEED], pts[1 - s]) for s in (0, 1)]
+    rows = [_sup_rows(pts[0][:_SEED], pts[1])]
+    # when both sides fit in their seeds, the second block is the first's
+    # transpose: |x - y| and |y - x| are equal bit for bit
+    small = len(a) <= _SEED and len(b) <= _SEED
+    rows.append(rows[0].T if small else _sup_rows(pts[1][:_SEED], pts[0]))
     lb = max(_lb_of(rows[0], diags[0]), _lb_of(rows[1], diags[1]))
     for s in (0, 1):
         done, k = len(rows[s]), _above(diags[s], lb)

@@ -32,7 +32,11 @@ from .complexes import MonoFiltration
 
 @dataclass(frozen=True, eq=False)
 class Diagram:
-    """Finite (birth, death) points plus essential births, made canonical."""
+    """Finite (birth, death) points plus essential births, made canonical.
+
+    A finite point with death < birth or a nan coordinate, or a nan
+    essential birth, raises ValueError.
+    """
 
     finite: np.ndarray
     essential: np.ndarray
@@ -43,6 +47,9 @@ class Diagram:
         pts = pts.reshape(len(pts), 2)  # (0, 2) when empty; other shapes raise
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
         ess = np.sort(np.asarray(self.essential, dtype=np.float64))
+        # nan sorts last; "not >=" also catches a nan in either coordinate
+        if not (pts[:, 1] >= pts[:, 0]).all() or (len(ess) and np.isnan(ess[-1])):
+            raise ValueError("diagram points need death >= birth and no nan")
         pts.flags.writeable = ess.flags.writeable = False
         object.__setattr__(self, "finite", pts)
         object.__setattr__(self, "essential", ess)

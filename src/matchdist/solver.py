@@ -10,9 +10,13 @@ the largest evaluated distance so far.
 
 A box is evaluated and bounded when it is queued, so the four level-0
 boxes are evaluated even under a zero budget. Under the local linear
-bound a split first bounds each child against the parent's center slice
-and its known distance (bounds.bounds_from_reference); a child whose
-pre-bound already meets the threshold retires without an evaluation.
+bound a split first bounds each child against the evaluated center slices
+of the box and of its two nearest ancestors, with their known distances,
+and keeps the smallest of these pre-bounds
+(bounds.bounds_from_reference). The inherited bound already holds each
+ancestor's bound, but over the whole ancestor box; the same center bounds
+the smaller child more tightly. A child whose pre-bound already meets the
+threshold retires without an evaluation.
 One heap holds the queue: bfs pops it in queue order, priority pops the
 largest bound first.
 
@@ -45,6 +49,11 @@ MAX_LEVEL = 40
 # so a run whose lower bound is still exactly zero stops once boxes reach
 # this level and reports an honest residual instead
 ZERO_STALL_LEVEL = 6
+# evaluated slices a split bounds its children against: the box's own
+# center and the centers of its nearest evaluated ancestors
+REFERENCES = 3
+
+_Refs = tuple[tuple[Slice, float], ...]
 
 
 def eval_slice(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int = 0) -> float:
@@ -181,7 +190,7 @@ class _RunState:
             return self.rho + self.cfg.epsilon
         return (1.0 + self.cfg.epsilon) * self.rho
 
-    def do_eval(self, box: ParamBox, in_flight_cover: float) -> float:
+    def do_eval(self, box: ParamBox, in_flight_cover: float) -> tuple[Slice, float]:
         L = center(box)
         d = eval_slice(self.F1, self.F2, L, self.cfg.homology_dim)
         self.calls += 1
@@ -195,7 +204,7 @@ class _RunState:
             self.trace.append(
                 TraceRow(self.calls, self.elapsed_ms(), self.rho, upper, rel, box)
             )
-        return d
+        return L, d
 
     def finish(self) -> ApproxResult:
         cfg = self.cfg
@@ -249,27 +258,29 @@ def approximate(
     st = _RunState(F1, F2, cfg)
     by_bound = cfg.traversal == "priority"
     prebound = cfg.bound_kind is BoundKind.LOCAL_LINEAR
-    # entries are (key, seq, box, eff, d) with d the distance at the box
-    # center; bfs keys every entry 0.0, so the rising seq alone orders the
-    # heap and it pops first in, first out
-    heap: list[tuple[float, int, ParamBox, float, float]] = []
+    # entries are (key, seq, box, eff, refs) with refs the (center slice,
+    # distance) pairs of the box and its nearest evaluated ancestors, the
+    # box's own first; bfs keys every entry 0.0, so the rising seq alone
+    # orders the heap and it pops first in, first out
+    heap: list[tuple[float, int, ParamBox, float, _Refs]] = []
 
-    def push(box: ParamBox, inherited: float, in_flight: float) -> None:
+    def push(box: ParamBox, inherited: float, in_flight: float, ancestors: _Refs) -> None:
         # in_flight covers this box and its unqueued siblings in the trace
-        d = st.do_eval(box, in_flight)
+        L, d = st.do_eval(box, in_flight)
         own = box_bound(cfg.bound_kind, F1, F2, box, d)
         eff = min(own, inherited)
+        refs = ((L, d),) + ancestors[: REFERENCES - 1]
         # each push makes exactly one evaluation, so calls is a rising seq
-        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, d))
+        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, refs))
         st.cover.add(eff)
 
     for b in initial_boxes(F1, F2):
-        push(b, INF, INF)
+        push(b, INF, INF, ())
 
     while heap:
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
             break
-        _, _, box, eff, d = heapq.heappop(heap)
+        _, _, box, eff, refs = heapq.heappop(heap)
         st.cover.remove(eff)
         if eff <= st.threshold():
             st.retired.append((box, eff))
@@ -282,7 +293,7 @@ def approximate(
             children = subdivide(box)
             st.deepest_level = max(st.deepest_level, box.level + 1)
             if prebound:
-                pre = bounds_from_reference(F1, F2, children, center(box), d)
+                pre = bounds_from_reference(F1, F2, children, refs)
                 bounds = [min(p, eff) for p in pre]
             else:
                 bounds = [eff] * len(children)
@@ -290,7 +301,7 @@ def approximate(
                 if prebound and bounds[i] <= st.threshold():
                     st.retired.append((child, bounds[i]))
                 else:
-                    push(child, bounds[i], max(bounds[i:]))
+                    push(child, bounds[i], max(bounds[i:]), refs)
     if heap:
         # stopped by the budget or a stall: every queued box stays open
         st.unresolved.extend((b, e) for _, _, b, e, _ in heap)

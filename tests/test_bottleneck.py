@@ -472,3 +472,25 @@ def test_search_above_lb_computes_no_rows_beyond_the_sweep(monkeypatch):
             rows.clear()
             bottleneck_distance(x, y)
             assert sum(rows) <= len(x.finite) + len(y.finite), (len(x.finite), len(y.finite))
+
+
+def test_small_pairs_compute_one_distance_block(monkeypatch):
+    # when both sides fit in their seeds, the second side's block is the
+    # first's transpose: one block of distances, the same answer either way
+    rng = np.random.Generator(np.random.Philox(5))
+    rows = []
+    sup_rows = bottleneck_module._sup_rows
+
+    def counting(p, q):
+        rows.append((len(p), len(q)))
+        return sup_rows(p, q)
+
+    monkeypatch.setattr("matchdist.bottleneck._sup_rows", counting)
+    for n1, n2 in ((1, 1), (1, 32), (32, 32), (7, 20), (32, 33)):
+        d1, d2 = _grid_diagram(rng, n1), _grid_diagram(rng, n2)
+        want = bottleneck_assignment(d1, d2)
+        for x, y in ((d1, d2), (d2, d1)):
+            rows.clear()
+            assert bottleneck_distance(x, y) == want
+            n, m = len(x.finite), len(y.finite)
+            assert rows[:2] == ([(n, m)] if max(n, m) <= 32 else [(min(n, 32), m), (min(m, 32), n)])

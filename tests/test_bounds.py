@@ -100,9 +100,13 @@ def test_two_corner_rule_equals_four_corner_max():
                                  rng.uniform(0, 8, 8), [0.0, 0.0, 3.0]])
             ys = np.concatenate([rng.uniform(0, 8, 32), *(y for _, y in on_lines),
                                  rng.uniform(0, 8, 8), below, [0.0, 3.0, 0.0]])
-            want = four_corner_variation(xs, ys, B, center(B))
-            c = weighted_push(xs, ys, center(B))
-            assert np.array_equal(_point_variations(xs, ys, B, c), want)
+            # against the center, as bound_L scans, and against a slice
+            # outside the box, as an ancestor's center can be
+            refs = [center(B), Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, stype)]
+            for ref in refs:
+                c = weighted_push(xs, ys, ref)
+                assert np.array_equal(_point_variations(xs, ys, B, c),
+                                      four_corner_variation(xs, ys, B, ref))
 
 
 def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
@@ -111,7 +115,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
         ref = center(B)
         d = eval_slice(F1, F2, ref, 0)
-        pre = bounds_from_reference(F1, F2, subdivide(B), ref, d)
+        pre = bounds_from_reference(F1, F2, subdivide(B), [(ref, d)])
         want = [d + float(four_corner_variation(F1.px, F1.py, child, ref).max())
                 + float(four_corner_variation(F2.px, F2.py, child, ref).max())
                 for child in subdivide(B)]
@@ -120,7 +124,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
             for L in grid_slices(child, 4):
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
     flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
-    assert bounds_from_reference(F1, F2, [flat] * 4, center(flat), 0.25) == [0.25] * 4
+    assert bounds_from_reference(F1, F2, [flat] * 4, [(center(flat), 0.25)]) == [0.25] * 4
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -148,13 +152,49 @@ def test_any_reference_slice_gives_a_sound_bound(kcritical):
             for ref in (center(B), corner, Slice(lam, mu, stype)):
                 d_ref = eval_slice(F1, F2, ref, 0)
                 finite += np.isfinite(d_ref)
-                [bound] = bounds_from_reference(F1, F2, [B], ref, d_ref)
+                [bound] = bounds_from_reference(F1, F2, [B], [(ref, d_ref)])
                 for L in grid_slices(B, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert finite > 0
     point = ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)  # zero variation
     d_ref = eval_slice(F1, F2, center(point), 0)
-    assert bounds_from_reference(F1, F2, [point], center(point), d_ref) == [d_ref]
+    assert bounds_from_reference(F1, F2, [point], [(center(point), d_ref)]) == [d_ref]
+
+
+@pytest.mark.parametrize("kcritical", [False, True])
+def test_several_references_give_the_smallest_sound_bound(kcritical):
+    # the children of a box against its center and its ancestors' centers,
+    # as a split bounds them, plus a reference outside the ancestors
+    rng = np.random.Generator(np.random.Philox(1212 + kcritical))
+    spec_a = GenSpec(6, 7, 1, seed=41, coord_range=20)
+    F1 = generate_random_kcritical(spec_a, 3) if kcritical else generate_random(spec_a)
+    F2 = generate_random(GenSpec(6, 7, 1, seed=42, coord_range=20))
+    assert F1.one_critical is not kcritical
+    tighter = 0
+    for stype in SLICE_TYPES:
+        for _ in range(3):
+            ancestors = [ParamBox(0.0, 1.0, 0.0, 20.0, stype, 0)]
+            for _ in range(3):
+                ancestors.append(subdivide(ancestors[-1])[int(rng.integers(0, 4))])
+            children = subdivide(ancestors[-1])
+            outside = Slice(float(rng.uniform(0.0, 1.0)), 25.0, stype)
+            refs = [(L, eval_slice(F1, F2, L, 0))
+                    for L in [center(A) for A in ancestors[::-1]] + [outside]]
+            multi = bounds_from_reference(F1, F2, children, refs)
+            single = [bounds_from_reference(F1, F2, children, [r]) for r in refs]
+            assert multi == [min(col) for col in zip(*single)]
+            tighter += sum(m < s for m, s in zip(multi, single[0]))
+            for child, bound in zip(children, multi):
+                for L in grid_slices(child, 5):
+                    assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
+    assert tighter > 0  # an ancestor's center beat the parent's for some child
+    assert bounds_from_reference(F1, F2, [], refs) == []
+    # against the box's own center, the vectorized rule is bound_L's scan
+    for B in children:
+        d_b = eval_slice(F1, F2, center(B), 0)
+        assert bounds_from_reference(F1, F2, [B], [(center(B), d_b)]) == [bound_L(F1, F2, B, d_b)]
+    with pytest.raises(ValueError):  # boxes of one slice type
+        bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
 
 
 def _pair(seed_a=11, seed_b=12, n=6, m=6):

@@ -220,3 +220,14 @@ def test_diagram_canonical_form():
     for malformed in ([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)], [0.0, 1.0]):
         with pytest.raises(ValueError):
             Diagram(malformed, [], 0)
+
+
+def test_diagram_rejects_points_below_the_diagonal_and_nan():
+    # such points used to sit at bottleneck distance 0 from the empty diagram
+    nan = float("nan")
+    for finite, essential in (([(3.0, 1.0)], []), ([(nan, 1.0)], []), ([(1.0, nan)], []),
+                              ([(0.0, 1.0), (2.0, 1.5)], [0.0]), ([], [nan]), ([], [1.0, nan, 0.0])):
+        with pytest.raises(ValueError):
+            Diagram(finite, essential, 0)
+    # a point on the diagonal and an infinite death are well formed
+    assert len(Diagram([(1.0, 1.0), (0.0, float("inf"))], [], 0)) == 2

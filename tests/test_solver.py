@@ -123,9 +123,12 @@ def _final_threshold(res: ApproxResult) -> float:
 
 
 def test_pruned_boxes_are_sound():
-    # every retired box, evaluated or retired by its parent's pre-bound,
-    # stores a bound above every distance in it and at most the threshold
-    unevaluated = 0
+    # every retired box, evaluated or retired by its pre-bound, stores a
+    # bound above every distance in it and at most the threshold. A parent
+    # that is split has its certified bound above the threshold, so a child
+    # retired unevaluated stores less than its parent-center pre-bound only
+    # through the grandparent's or great-grandparent's center
+    unevaluated = below_parent_center = 0
     for a in (71, 73, 75):
         F1, F2 = small_pair(a, a + 100)
         for cfg in (SolverConfig(epsilon=0.3, trace=True),
@@ -135,20 +138,32 @@ def test_pruned_boxes_are_sound():
             res = approximate(F1, F2, cfg)
             assert not res.not_converged
             evaluated = {r.box for r in res.trace}
+            parent_of = {c: r.box for r in res.trace for c in subdivide(r.box)}
             final_thr = _final_threshold(res)
             for box, eff in res.retired_boxes:
                 assert eff <= final_thr
                 d_max = max(eval_slice(F1, F2, L, 0) for L in grid_slices(box, 5))
                 assert d_max <= eff + 1e-9
-                unevaluated += box not in evaluated
+                if box not in evaluated:
+                    unevaluated += 1
+                    below_parent_center += eff < _parent_center_prebound(F1, F2, box, parent_of[box])
     assert unevaluated > 0
+    assert below_parent_center > 0
+
+
+def _parent_center_prebound(F1, F2, box, parent):
+    """The L bound of box against its parent's center, by a four-corner scan."""
+    ref = center(parent)
+    return (eval_slice(F1, F2, ref)
+            + float(four_corner_variation(F1.px, F1.py, box, ref).max())
+            + float(four_corner_variation(F2.px, F2.py, box, ref).max()))
 
 
 def test_retired_bounds_never_exceed_the_linear_bound():
     # an evaluated box stores its own L bound or a tighter inherited one,
     # never the looser C bound in place of an L bound it could have had; a
-    # child retired unevaluated stores at most its pre-bound, the L bound
-    # taken against its parent's center
+    # child retired unevaluated stores at most its L bound against its
+    # parent's center, the first of the three references of its pre-bound
     for i in range(6):
         F1, F2 = small_pair(21 + i, 121 + i)
         for cfg in (SolverConfig(epsilon=0.2, trace=True),
@@ -162,12 +177,8 @@ def test_retired_bounds_never_exceed_the_linear_bound():
                 if box in evaluated:
                     assert eff <= bound_L(F1, F2, box, eval_slice(F1, F2, center(box)))
                     continue
-                ref = center(parent_of[box])
-                pre = (eval_slice(F1, F2, ref)
-                       + float(four_corner_variation(F1.px, F1.py, box, ref).max())
-                       + float(four_corner_variation(F2.px, F2.py, box, ref).max()))
                 assert eff <= final_thr
-                assert eff <= pre
+                assert eff <= _parent_center_prebound(F1, F2, box, parent_of[box])
 
 
 def test_traversals_agree_on_guarantee():
