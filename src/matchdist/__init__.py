@@ -8,7 +8,7 @@ the slice-parameter space, with three interchangeable bound rules.
 """
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
+from .bounds import BoundKind, Reference, bound_C, bound_G, bound_L, variation_filtration
 from .complexes import (
     BiFiltration,
     MonoFiltration,
@@ -35,6 +35,7 @@ from .solver import (
     SolverConfig,
     approximate,
     budgeted_approximate,
+    eval_reference,
     eval_slice,
     reduction_rate,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "HeatmapGrid",
     "MonoFiltration",
     "ParamBox",
+    "Reference",
     "Slice",
     "SliceType",
     "SolverConfig",
@@ -60,6 +62,7 @@ __all__ = [
     "center",
     "compute_heatmap",
     "diagram",
+    "eval_reference",
     "eval_slice",
     "generate_random",
     "generate_random_kcritical",

@@ -173,13 +173,32 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     return lb if feasible(lb) else _search_above(rows, diags, feasible, lb)
 
 
+def essential_distance(D1: Diagram, D2: Diagram) -> float:
+    """Bottleneck distance of the essential parts: the largest gap between
+    births of equal rank (both are sorted), inf when the counts differ.
+
+    Equal births cost 0, infinite ones included, where inf - inf would
+    give nan.
+    """
+    e1, e2 = D1.essential, D2.essential
+    if len(e1) != len(e2):
+        return float("inf")
+    return max((abs(a - b) for a, b in zip(e1.tolist(), e2.tolist()) if a != b), default=0.0)
+
+
+def half_persistence(D: Diagram) -> float:
+    """Half the largest finite persistence of D, 0.0 without finite points:
+    the cost of matching every finite point of D to the diagonal."""
+    return float((D.finite[:, 1] - D.finite[:, 0]).max(initial=0.0)) / 2.0
+
+
 def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:
     """Bottleneck distance; inf when the essential counts differ."""
     if D1.homology_dimension != D2.homology_dimension:
         raise DimensionMismatch(
             f"dimension {D1.homology_dimension} vs {D2.homology_dimension}"
         )
-    if len(D1.essential) != len(D2.essential):
-        return float("inf")
-    ess = float(np.abs(D1.essential - D2.essential).max(initial=0.0))  # both sorted
+    ess = essential_distance(D1, D2)
+    if ess == float("inf"):
+        return ess
     return max(ess, _finite_bottleneck(D1.finite, D2.finite))

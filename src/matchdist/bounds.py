@@ -1,7 +1,9 @@
 """Upper bounds for the bottleneck distance over a parameter box.
 
 Three interchangeable rules, ordered by tightness on subdivision boxes
-(linear <= constant <= global):
+(linear <= constant <= global), each a per-filtration variation bound
+v1, v2 on how far any critical value moves over the box from a reference
+slice:
 
 * local linear: exact per-point variation against a reference slice,
   maximized over all critical values in one vectorized scan; linear time
@@ -9,12 +11,31 @@ Three interchangeable rules, ordered by tightness on subdivision boxes
   nondecreasing in lam and nonincreasing in mu, so the variation over a
   box is attained at two corners, (lam_max, mu_min) and (lam_min, mu_max).
 * local constant: a closed-form per-type bound on the variation that only
-  depends on the box and the coordinate maxima; constant time.
-* global: the constant bound relaxed using only the subdivision level.
+  depends on the box and the coordinate maxima; constant time. Both
+  filtrations get the same vbar.
+* global: the constant bound relaxed using only the subdivision level,
+  g = C * 2**-level for both filtrations.
 
-All three return d_center + (variation bound for F1) + (variation bound
-for F2), so a bound is always at least the bottleneck distance at the
-center slice.
+The reference is an evaluated slice r, given as a Reference record: the
+distance d at r, half the largest finite persistence h1 and h2 of each
+restricted diagram at r (0 without finite points) and the essential part
+e of the distance at r. Every rule then combines its (v1, v2) the same
+way:
+
+    min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2))
+
+The first term is stability (Cohen-Steiner, Edelsbrunner & Harer) for
+both filtrations at once. The second, the trivial-matching cap, holds
+because at any slice L of the box:
+
+* the distance is at most max(e_L, h1_L, h2_L): every finite point can go
+  to the diagonal, and the essential points match in sorted order;
+* stability moves each half-persistence by at most its v_i, so
+  h_i(L) <= h_i + v_i;
+* stability moves each sorted essential birth by at most its v_i, so
+  e_L <= e + v1 + v2, as the essential counts are the Betti numbers of
+  the whole complex, the same at every slice (e is inf at all slices or
+  at none).
 
 The two-corner rule holds against any reference slice, in the box or
 not. bound_L bounds one box against its own center. bounds_from_reference
@@ -31,6 +52,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +61,26 @@ from .errors import InvalidLevel
 from .slices import ParamBox, Slice, SliceType, center, pair_extents, push_at, weighted_push
 
 _LEVEL_TOL = 1e-12
+
+
+class Reference(NamedTuple):
+    """An evaluated slice with what the bounds need from its two diagrams:
+    the distance d, half the largest finite persistence h1 and h2 of each
+    diagram, and the distance e of the essential parts."""
+
+    slice: Slice
+    d: float
+    h1: float
+    h2: float
+    e: float
+
+
+def _capped(ref: Reference, v1, v2):
+    """min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)): the bound over
+    a box whose critical values move by at most v1 and v2 from ref's;
+    elementwise when v1 and v2 are arrays."""
+    cap = np.maximum(np.maximum(ref.h1 + v1, ref.h2 + v2), ref.e + v1 + v2)
+    return np.minimum(ref.d + v1 + v2, cap)
 
 
 class BoundKind(enum.Enum):
@@ -97,19 +139,19 @@ def bounds_from_reference(
     F1: BiFiltration,
     F2: BiFiltration,
     boxes: list[ParamBox],
-    refs: Sequence[tuple[Slice, float]],
+    refs: Sequence[Reference],
 ) -> list[float]:
-    """L bound of each box against the evaluated slices refs, given as
-    (ref, d_ref) pairs with d_ref the distance at ref: the smallest over
-    the references of d_ref + v(F1, B; ref) + v(F2, B; ref). A reference
-    need not lie in the box; one reference gives the plain two-corner rule,
-    equal to bound_L bit for bit when it is the box's center.
+    """L bound of each box against the evaluated slices refs: the smallest
+    over the references of the capped bound with v1 = v(F1, B; ref) and
+    v2 = v(F2, B; ref). A reference need not lie in the box; one reference
+    gives the plain two-corner rule, equal to bound_L bit for bit when it
+    is the box's center.
     """
     if not boxes:
         return []
-    slices = [L for L, _ in refs]
+    slices = [r.slice for r in refs]
     v1, v2 = _variations(F1, boxes, slices), _variations(F2, boxes, slices)
-    return np.min([d_ref + a + b for (_, d_ref), a, b in zip(refs, v1, v2)], axis=0).tolist()
+    return np.min([_capped(r, a, b) for r, a, b in zip(refs, v1, v2)], axis=0).tolist()
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
@@ -119,13 +161,14 @@ def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     return float(_point_variations(F.px, F.py, B, c).max(initial=0.0))
 
 
-def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
-    """Local linear bound: v(F1, B) + d_center + v(F2, B).
+def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Local linear bound against ref, the record of B's center, with
+    v1 = v(F1, B) and v2 = v(F2, B).
 
     Equal to bounds_from_reference of B against its center bit for bit,
     but one box is cheaper to scan with scalar corner pushes.
     """
-    return d_center + variation_filtration(F1, B) + variation_filtration(F2, B)
+    return float(_capped(ref, variation_filtration(F1, B), variation_filtration(F2, B)))
 
 
 def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
@@ -141,15 +184,17 @@ def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
     return 0.5 * (B.dmu + Y * B.dlam)  # steep x
 
 
-def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
-    """Local constant bound: the per-type closed form, point-independent."""
+def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Local constant bound against ref, the record of B's center: the
+    per-type closed form vbar, point-independent, for both filtrations."""
     X, Y, _ = pair_extents(F1, F2)
     vbar = _vbar_constant(B, X, Y)
-    return d_center + vbar + vbar
+    return float(_capped(ref, vbar, vbar))
 
 
-def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) -> float:
-    """Global bound: d_center + 2 * C * 2**-level with C = max{X, Y}.
+def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Global bound against ref, the record of B's center: g = C * 2**-level
+    with C = max{X, Y} for both filtrations.
 
     Only valid for boxes produced by initial_boxes/subdivide, whose lam
     width is exactly 2**-level and whose mu height is at most C * 2**-level.
@@ -164,15 +209,15 @@ def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float) ->
         raise InvalidLevel(
             f"mu height {B.dmu} exceeds C * 2**-level = {g}"
         )
-    return d_center + g + g
+    return float(_capped(ref, g, g))
 
 
 def box_bound(
-    kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, d_center: float
+    kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference
 ) -> float:
-    """Dispatch to the configured bound rule."""
+    """Dispatch to the configured bound rule; ref is the record of B's center."""
     if kind is BoundKind.GLOBAL:
-        return bound_G(F1, F2, B, d_center)
+        return bound_G(F1, F2, B, ref)
     if kind is BoundKind.LOCAL_CONSTANT:
-        return bound_C(F1, F2, B, d_center)
-    return bound_L(F1, F2, B, d_center)
+        return bound_C(F1, F2, B, ref)
+    return bound_L(F1, F2, B, ref)

@@ -9,10 +9,23 @@ rho + eps in absolute mode, (1 + eps) * rho in relative mode, where rho is
 the largest evaluated distance so far.
 
 A box is evaluated and bounded when it is queued, so the four level-0
-boxes are evaluated even under a zero budget. Under the local linear
-bound a split first bounds each child against the evaluated center slices
-of the box and of its two nearest ancestors, with their known distances,
-and keeps the smallest of these pre-bounds
+boxes are evaluated even under a zero budget. Evaluating a center slice
+gives a bounds.Reference record, (slice, d, h1, h2, e), taken from the two
+diagrams the distance was computed from: the distance d, half the largest
+finite persistence h1 and h2 of each diagram, and the essential part e of
+the distance. Every bound rule turns its per-filtration variations v1, v2
+over a box into min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)).
+The first term is the stability bound. The second caps it by the trivial
+matching, every finite point to the diagonal: at any slice of the box the
+distance is at most the largest of the essential part and the two
+half-persistences there, stability moves each half-persistence by at
+most its v_i and each sorted essential birth by at most its v_i, and the
+essential counts, the Betti numbers of the whole complex, are the same at
+every slice.
+
+Under the local linear bound a split first bounds each child against the
+evaluated center slices of the box and of its two nearest ancestors, with
+their records, and keeps the smallest of these pre-bounds
 (bounds.bounds_from_reference). The inherited bound already holds each
 ancestor's bound, but over the whole ancestor box; the same center bounds
 the smaller child more tightly. A child whose pre-bound already meets the
@@ -35,8 +48,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, bounds_from_reference, box_bound
+from .bottleneck import bottleneck_distance, essential_distance, half_persistence
+from .bounds import BoundKind, Reference, bounds_from_reference, box_bound
 from .complexes import BiFiltration
 from .errors import InvalidConfig
 from .persistence import diagram
@@ -53,14 +66,24 @@ ZERO_STALL_LEVEL = 6
 # center and the centers of its nearest evaluated ancestors
 REFERENCES = 3
 
-_Refs = tuple[tuple[Slice, float], ...]
+_Refs = tuple[Reference, ...]
+
+
+def _diagrams(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int):
+    return diagram(restrict(F1, L), dim), diagram(restrict(F2, L), dim)
 
 
 def eval_slice(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int = 0) -> float:
     """Bottleneck distance between the weighted restrictions onto L."""
-    d1 = diagram(restrict(F1, L), dim)
-    d2 = diagram(restrict(F2, L), dim)
-    return bottleneck_distance(d1, d2)
+    return bottleneck_distance(*_diagrams(F1, F2, L, dim))
+
+
+def eval_reference(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int = 0) -> Reference:
+    """eval_slice at L as the record the bound rules take, read off the
+    same two diagrams."""
+    d1, d2 = _diagrams(F1, F2, L, dim)
+    return Reference(L, bottleneck_distance(d1, d2), half_persistence(d1),
+                     half_persistence(d2), essential_distance(d1, d2))
 
 
 @dataclass
@@ -190,12 +213,12 @@ class _RunState:
             return self.rho + self.cfg.epsilon
         return (1.0 + self.cfg.epsilon) * self.rho
 
-    def do_eval(self, box: ParamBox, in_flight_cover: float) -> tuple[Slice, float]:
+    def do_eval(self, box: ParamBox, in_flight_cover: float) -> Reference:
         L = center(box)
-        d = eval_slice(self.F1, self.F2, L, self.cfg.homology_dim)
+        ref = eval_reference(self.F1, self.F2, L, self.cfg.homology_dim)
         self.calls += 1
-        if d > self.rho or self.best_slice is None:
-            self.rho = d
+        if ref.d > self.rho or self.best_slice is None:
+            self.rho = ref.d
             self.best_slice = L
         self.deepest_evaluated_level = max(self.deepest_evaluated_level, box.level)
         if self.trace is not None:
@@ -204,7 +227,7 @@ class _RunState:
             self.trace.append(
                 TraceRow(self.calls, self.elapsed_ms(), self.rho, upper, rel, box)
             )
-        return L, d
+        return ref
 
     def finish(self) -> ApproxResult:
         cfg = self.cfg
@@ -258,18 +281,18 @@ def approximate(
     st = _RunState(F1, F2, cfg)
     by_bound = cfg.traversal == "priority"
     prebound = cfg.bound_kind is BoundKind.LOCAL_LINEAR
-    # entries are (key, seq, box, eff, refs) with refs the (center slice,
-    # distance) pairs of the box and its nearest evaluated ancestors, the
+    # entries are (key, seq, box, eff, refs) with refs the records of the
+    # center slices of the box and its nearest evaluated ancestors, the
     # box's own first; bfs keys every entry 0.0, so the rising seq alone
     # orders the heap and it pops first in, first out
     heap: list[tuple[float, int, ParamBox, float, _Refs]] = []
 
     def push(box: ParamBox, inherited: float, in_flight: float, ancestors: _Refs) -> None:
         # in_flight covers this box and its unqueued siblings in the trace
-        L, d = st.do_eval(box, in_flight)
-        own = box_bound(cfg.bound_kind, F1, F2, box, d)
+        ref = st.do_eval(box, in_flight)
+        own = box_bound(cfg.bound_kind, F1, F2, box, ref)
         eff = min(own, inherited)
-        refs = ((L, d),) + ancestors[: REFERENCES - 1]
+        refs = (ref,) + ancestors[: REFERENCES - 1]
         # each push makes exactly one evaluation, so calls is a rising seq
         heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, refs))
         st.cover.add(eff)

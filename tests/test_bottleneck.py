@@ -14,7 +14,7 @@ from conftest import (
     random_diagram,
 )
 import matchdist.bottleneck as bottleneck_module
-from matchdist.bottleneck import _saturates, bottleneck_distance
+from matchdist.bottleneck import _saturates, bottleneck_distance, essential_distance, half_persistence
 from matchdist.errors import DimensionMismatch
 from matchdist.generators import GenSpec, generate_random
 from matchdist.persistence import Diagram, diagram
@@ -46,6 +46,22 @@ def test_essential_matching():
 
 def test_essential_count_mismatch_is_infinite():
     assert bottleneck_distance(D([(0.0, 1.0)], [0.0, 1.0]), D([(0.0, 1.0)], [0.0])) == math.inf
+
+
+def test_infinite_essential_births():
+    # equal births cost 0 even at inf, where inf - inf is nan
+    inf = math.inf
+    for f in (essential_distance, bottleneck_distance):
+        assert f(D(essential=[inf]), D(essential=[inf])) == 0.0
+        assert f(D(essential=[0.5, inf]), D(essential=[0.25, inf])) == 0.25
+        assert f(D(essential=[inf]), D(essential=[1.0])) == inf
+        assert f(D(essential=[1.0, inf]), D(essential=[inf])) == inf  # counts differ
+
+
+def test_half_persistence():
+    assert half_persistence(D()) == 0.0
+    assert half_persistence(D([(0.0, 1.0), (2.0, 5.0), (3.0, 4.0)], [0.0])) == 1.5
+    assert half_persistence(D(essential=[0.0, 2.0])) == 0.0
 
 
 def test_two_diagram_example_distance_eighth():

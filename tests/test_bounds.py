@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,20 @@ from conftest import (
     weighted_push_grid,
 )
 from matchdist.bounds import (
+    Reference,
     _point_variations,
+    _vbar_constant,
     bound_C,
     bound_G,
     bound_L,
     bounds_from_reference,
     variation_filtration,
 )
-from matchdist.complexes import validate_bifiltration
+from matchdist.bottleneck import bottleneck_distance
+from matchdist.complexes import lower_star, validate_bifiltration
 from matchdist.errors import InvalidLevel
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
+from matchdist.persistence import diagram
 from matchdist.slices import (
     SLICE_TYPES,
     ParamBox,
@@ -28,11 +34,18 @@ from matchdist.slices import (
     SliceType,
     center,
     initial_boxes,
+    pair_extents,
     restrict,
     subdivide,
     weighted_push,
 )
-from matchdist.solver import eval_slice
+from matchdist.solver import eval_reference, eval_slice
+
+
+def capped_bound(ref: Reference, v1: float, v2: float) -> float:
+    """The bound rules' combine of a reference record with the variations
+    v1 and v2, written with Python's min and max."""
+    return min(ref.d + v1 + v2, max(ref.h1 + v1, ref.h2 + v2, ref.e + v1 + v2))
 
 
 def grid_variation(px: float, py: float, B: ParamBox, n: int = 101) -> float:
@@ -113,18 +126,18 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
     F1, F2 = _pair(13, 14)
     for stype in SLICE_TYPES:
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
-        ref = center(B)
-        d = eval_slice(F1, F2, ref, 0)
-        pre = bounds_from_reference(F1, F2, subdivide(B), [(ref, d)])
-        want = [d + float(four_corner_variation(F1.px, F1.py, child, ref).max())
-                + float(four_corner_variation(F2.px, F2.py, child, ref).max())
+        ref = eval_reference(F1, F2, center(B), 0)
+        pre = bounds_from_reference(F1, F2, subdivide(B), [ref])
+        want = [capped_bound(ref, float(four_corner_variation(F1.px, F1.py, child, ref.slice).max()),
+                             float(four_corner_variation(F2.px, F2.py, child, ref.slice).max()))
                 for child in subdivide(B)]
         assert pre == want
         for child, b in zip(subdivide(B), pre):
             for L in grid_slices(child, 4):
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
     flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
-    assert bounds_from_reference(F1, F2, [flat] * 4, [(center(flat), 0.25)]) == [0.25] * 4
+    ref = eval_reference(F1, F2, center(flat), 0)
+    assert bounds_from_reference(F1, F2, [flat] * 4, [ref]) == [ref.d] * 4
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -149,16 +162,16 @@ def test_any_reference_slice_gives_a_sound_bound(kcritical):
             lam, mu = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 25.0))
             if B.lam_min <= lam <= B.lam_max and B.mu_min <= mu <= B.mu_max:
                 mu = B.mu_max + 1.0
-            for ref in (center(B), corner, Slice(lam, mu, stype)):
-                d_ref = eval_slice(F1, F2, ref, 0)
-                finite += np.isfinite(d_ref)
-                [bound] = bounds_from_reference(F1, F2, [B], [(ref, d_ref)])
+            for L_ref in (center(B), corner, Slice(lam, mu, stype)):
+                ref = eval_reference(F1, F2, L_ref, 0)
+                finite += np.isfinite(ref.d)
+                [bound] = bounds_from_reference(F1, F2, [B], [ref])
                 for L in grid_slices(B, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert finite > 0
     point = ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)  # zero variation
-    d_ref = eval_slice(F1, F2, center(point), 0)
-    assert bounds_from_reference(F1, F2, [point], [(center(point), d_ref)]) == [d_ref]
+    ref = eval_reference(F1, F2, center(point), 0)
+    assert bounds_from_reference(F1, F2, [point], [ref]) == [ref.d]
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -178,7 +191,7 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
                 ancestors.append(subdivide(ancestors[-1])[int(rng.integers(0, 4))])
             children = subdivide(ancestors[-1])
             outside = Slice(float(rng.uniform(0.0, 1.0)), 25.0, stype)
-            refs = [(L, eval_slice(F1, F2, L, 0))
+            refs = [eval_reference(F1, F2, L, 0)
                     for L in [center(A) for A in ancestors[::-1]] + [outside]]
             multi = bounds_from_reference(F1, F2, children, refs)
             single = [bounds_from_reference(F1, F2, children, [r]) for r in refs]
@@ -191,10 +204,83 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
     assert bounds_from_reference(F1, F2, [], refs) == []
     # against the box's own center, the vectorized rule is bound_L's scan
     for B in children:
-        d_b = eval_slice(F1, F2, center(B), 0)
-        assert bounds_from_reference(F1, F2, [B], [(center(B), d_b)]) == [bound_L(F1, F2, B, d_b)]
+        ref = eval_reference(F1, F2, center(B), 0)
+        assert bounds_from_reference(F1, F2, [B], [ref]) == [bound_L(F1, F2, B, ref)]
     with pytest.raises(ValueError):  # boxes of one slice type
         bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
+
+
+def _record_oracle(F1, F2, L: Slice, dim: int) -> Reference:
+    """The reference record at L, each field from its definition."""
+    D1, D2 = diagram(restrict(F1, L), dim), diagram(restrict(F2, L), dim)
+
+    def half(D):
+        return max(((b - a) / 2.0 for a, b in D.finite.tolist()), default=0.0)
+
+    e1, e2 = D1.essential.tolist(), D2.essential.tolist()
+    e = math.inf if len(e1) != len(e2) else max(
+        (0.0 if a == b else abs(a - b) for a, b in zip(e1, e2)), default=0.0)
+    return Reference(L, bottleneck_distance(D1, D2), half(D1), half(D2), e)
+
+
+def _one_complex_pairs(seed: int):
+    """A 1-critical and a 3-critical pair on one random 2-complex, so the
+    essential counts agree in every dimension and the distance is finite."""
+    spec = GenSpec(7, 8, 2, seed=seed, coord_range=20)
+    K = generate_random(spec)
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def star():
+        return lower_star(K.simplices, {v: tuple(rng.integers(0, 21, size=2).tolist())
+                                        for v in K.vertex_ids})
+
+    lower = star()
+    return [(star(), lower), (generate_random_kcritical(spec, 3), lower)]
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_trivial_matching_cap_is_sound(dim):
+    # every rule against the record of a reference slice: the center, a
+    # corner and a slice outside the box, on whole level-0 boxes and on
+    # level-4 boxes of 1/16 their size; each bound is the capped formula
+    # and dominates the distance on a 7 x 7 grid over the box
+    rng = np.random.Generator(np.random.Philox(1313 + dim))
+    capped = checked = 0
+    for F1, F2 in _one_complex_pairs(69):
+        X, Y, C = pair_extents(F1, F2)
+        for top in initial_boxes(F1, F2):
+            boxes = [top]
+            for _ in range(2):
+                B = top
+                for _ in range(4):
+                    B = subdivide(B)[int(rng.integers(0, 4))]
+                boxes.append(B)
+            for B in boxes:
+                d_max = max(eval_slice(F1, F2, L, dim) for L in grid_slices(B, 7))
+                corner = Slice(float(rng.choice([B.lam_min, B.lam_max])),
+                               float(rng.choice([B.mu_min, B.mu_max])), B.stype)
+                outside = Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, B.stype)
+                for L_ref in (center(B), corner, outside):
+                    ref = eval_reference(F1, F2, L_ref, dim)
+                    assert ref == _record_oracle(F1, F2, L_ref, dim)
+                    v1 = float(four_corner_variation(F1.px, F1.py, B, L_ref).max())
+                    v2 = float(four_corner_variation(F2.px, F2.py, B, L_ref).max())
+                    [bound] = bounds_from_reference(F1, F2, [B], [ref])
+                    assert bound == capped_bound(ref, v1, v2)
+                    assert d_max <= bound + 1e-9
+                    capped += bound < ref.d + v1 + v2
+                    checked += 1
+                ref = eval_reference(F1, F2, center(B), dim)
+                vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
+                rules = [(bound_L(F1, F2, B, ref), capped_bound(
+                             ref, variation_filtration(F1, B), variation_filtration(F2, B))),
+                         (bound_C(F1, F2, B, ref), capped_bound(ref, vbar, vbar)),
+                         (bound_G(F1, F2, B, ref), capped_bound(ref, g, g))]
+                for bound, want in rules:
+                    assert bound == want
+                    assert d_max <= bound + 1e-9
+    assert checked == 2 * 4 * 3 * 3
+    assert capped > 0  # the cap is strictly below d + v1 + v2 for some box
 
 
 def _pair(seed_a=11, seed_b=12, n=6, m=6):
@@ -212,34 +298,47 @@ def test_variation_filtration_is_max_over_points():
     assert variation_filtration(F1, ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)) == 0.0
 
 
+def _uncapped(B: ParamBox, d: float) -> Reference:
+    """A record whose infinite half-persistences leave the stability term."""
+    return Reference(center(B), d, math.inf, math.inf, 0.0)
+
+
 def test_bound_L_examples():
     F1, F2 = _pair()
     B = ParamBox(0.5, 0.5, 7.0, 7.0, SliceType.FLAT_X, 7)  # degenerate
-    assert bound_L(F1, F2, B, 0.25) == 0.25
+    assert bound_L(F1, F2, B, _uncapped(B, 0.25)) == 0.25
+    assert bound_L(F1, F2, B, Reference(center(B), 0.25, 0.125, 0.0625, 0.0)) == 0.125
     B2 = ParamBox(0.0, 0.5, 0.0, 50.0, SliceType.FLAT_Y, 1)
-    assert bound_L(F1, F1, B2, 0.0) == 2.0 * variation_filtration(F1, B2)
+    # a filtration against itself: d = e = 0, so the cap is at least 2 v
+    assert bound_L(F1, F1, B2, eval_reference(F1, F1, center(B2))) == 2.0 * variation_filtration(F1, B2)
 
 
 def test_bound_C_formula():
     F1 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
     B = ParamBox(0.25, 0.75, 0.4, 0.6, SliceType.FLAT_Y, 1)
     # vbar = (dmu + X * dlam) / 2 = (0.2 + 2 * 0.5) / 2 = 0.6
-    assert bound_C(F1, F1, B, 0.0) == pytest.approx(1.2, abs=1e-12)
+    assert bound_C(F1, F1, B, _uncapped(B, 0.0)) == pytest.approx(1.2, abs=1e-12)
+    # the cap adds vbar to h1 and 2 vbar to e: max(1.0 + 0.6, 0.6, 1.2) < 0.5 + 1.2
+    assert bound_C(F1, F1, B, Reference(center(B), 0.5, 1.0, 0.0, 0.0)) == pytest.approx(1.6, abs=1e-12)
     degenerate = ParamBox(0.5, 0.5, 0.3, 0.3, SliceType.STEEP_X, 4)
-    assert bound_C(F1, F1, degenerate, 0.7) == 0.7
+    assert bound_C(F1, F1, degenerate, _uncapped(degenerate, 0.7)) == 0.7
 
 
 def test_bound_G_level_and_errors():
     F1 = validate_bifiltration([[0]], [[(1.0, 1.0)]])
     B = ParamBox(0.0, 0.125, 0.0, 0.125, SliceType.STEEP_Y, 3)
-    assert bound_G(F1, F1, B, 0.0) == 0.25  # 2 * 1 * 2**-3
+    assert bound_G(F1, F1, B, _uncapped(B, 0.0)) == 0.25  # 2 * 1 * 2**-3
+    # the cap: max(0.25 + 0.125, 0.125, 0.25) < 0.5 + 0.25
+    assert bound_G(F1, F1, B, Reference(center(B), 0.5, 0.25, 0.0, 0.0)) == 0.375
     B0 = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 0)
     F2 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
-    assert bound_G(F2, F2, B0, 0.5) == pytest.approx(0.5 + 4.0, abs=0)
+    assert bound_G(F2, F2, B0, _uncapped(B0, 0.5)) == pytest.approx(0.5 + 4.0, abs=0)
+    bad = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        bound_G(F1, F1, ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 3), 0.0)
+        bound_G(F1, F1, bad, _uncapped(bad, 0.0))
+    bad = ParamBox(0.0, 0.125, 0.0, 0.9, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        bound_G(F1, F1, ParamBox(0.0, 0.125, 0.0, 0.9, SliceType.FLAT_X, 3), 0.0)
+        bound_G(F1, F1, bad, _uncapped(bad, 0.0))
 
 
 def _subdivision_boxes(F1, F2, depth=3):
@@ -256,10 +355,10 @@ def _subdivision_boxes(F1, F2, depth=3):
 def test_bound_chain_on_subdivision_boxes():
     F1, F2 = _pair()
     for B in _subdivision_boxes(F1, F2):
-        d = eval_slice(F1, F2, center(B), 0)
-        l = bound_L(F1, F2, B, d)
-        c = bound_C(F1, F2, B, d)
-        g = bound_G(F1, F2, B, d)
+        ref = eval_reference(F1, F2, center(B), 0)
+        l = bound_L(F1, F2, B, ref)
+        c = bound_C(F1, F2, B, ref)
+        g = bound_G(F1, F2, B, ref)
         assert l <= c <= g
 
 
@@ -270,8 +369,7 @@ def test_bounds_dominate_sampled_slices(seed):
     F1, F2 = _pair(int(rng.integers(0, 1000)), int(rng.integers(1000, 2000)), n=5, m=5)
     boxes = _subdivision_boxes(F1, F2, depth=2)
     B = boxes[int(rng.integers(0, len(boxes)))]
-    d = eval_slice(F1, F2, center(B), 0)
-    l = bound_L(F1, F2, B, d)
+    l = bound_L(F1, F2, B, eval_reference(F1, F2, center(B), 0))
     for L in grid_slices(B, 5):
         assert eval_slice(F1, F2, L, 0) <= l + 1e-9
 

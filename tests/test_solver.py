@@ -14,6 +14,7 @@ from matchdist.solver import (
     SolverConfig,
     approximate,
     budgeted_approximate,
+    eval_reference,
     eval_slice,
     reduction_rate,
 )
@@ -175,7 +176,7 @@ def test_retired_bounds_never_exceed_the_linear_bound():
             final_thr = _final_threshold(res)
             for box, eff in res.retired_boxes:
                 if box in evaluated:
-                    assert eff <= bound_L(F1, F2, box, eval_slice(F1, F2, center(box)))
+                    assert eff <= bound_L(F1, F2, box, eval_reference(F1, F2, center(box)))
                     continue
                 assert eff <= final_thr
                 assert eff <= _parent_center_prebound(F1, F2, box, parent_of[box])
