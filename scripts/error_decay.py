@@ -17,10 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from matchdist.bounds import BoundKind
 from matchdist.generators import GenSpec, generate_random
 from matchdist.io import write_trace_csv
-from matchdist.solver import budgeted_approximate
-
-_KINDS = {"l": BoundKind.LOCAL_LINEAR, "c": BoundKind.LOCAL_CONSTANT,
-          "g": BoundKind.GLOBAL}
+from matchdist.solver import SolverConfig, approximate
 
 
 def run(argv=None) -> int:
@@ -30,17 +27,19 @@ def run(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs=2, default=(1, 2))
     ap.add_argument("--epsilon", type=float, default=0.1)
     ap.add_argument("--budget-ms", type=float, default=5000.0)
-    ap.add_argument("--bound", choices=list(_KINDS), default="c")
+    ap.add_argument("--bound", choices=["l", "c", "g"], default="c")
     ap.add_argument("--out", required=True, help="trace CSV path")
     args = ap.parse_args(argv)
 
     n = args.vertices
     F1 = generate_random(GenSpec(n, args.maximal_factor * n, 1, seed=args.seeds[0]))
     F2 = generate_random(GenSpec(n, args.maximal_factor * n, 1, seed=args.seeds[1]))
-    res = budgeted_approximate(F1, F2, args.epsilon, args.budget_ms,
-                               bound_kind=_KINDS[args.bound])
+    cfg = SolverConfig(epsilon=args.epsilon, mode="relative",
+                       bound_kind=BoundKind(args.bound), traversal="priority",
+                       budget_ms=args.budget_ms)
+    res = approximate(F1, F2, cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
-        write_trace_csv(f, res.trace or [])
+        write_trace_csv(f, res.trace)
     print(f"calls {res.calls}  rho {res.rho}  residual_upper {res.residual_upper}  "
           f"guaranteed_rel_error {res.rel_error}  converged {not res.not_converged}")
     return 0

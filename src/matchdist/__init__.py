@@ -34,7 +34,6 @@ from .solver import (
     ApproxResult,
     SolverConfig,
     approximate,
-    budgeted_approximate,
     eval_reference,
     eval_slice,
     reduction_rate,
@@ -58,7 +57,6 @@ __all__ = [
     "bound_C",
     "bound_G",
     "bound_L",
-    "budgeted_approximate",
     "center",
     "compute_heatmap",
     "diagram",

@@ -26,9 +26,6 @@ from .persistence import diagram
 from .slices import restrict
 from .solver import ApproxResult, SolverConfig, approximate, reduction_rate
 
-_BOUNDS = {"l": BoundKind.LOCAL_LINEAR, "c": BoundKind.LOCAL_CONSTANT, "g": BoundKind.GLOBAL}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -67,18 +64,17 @@ def cmd_dist(args) -> int:
     cfg = SolverConfig(
         epsilon=args.epsilon,
         mode="relative" if args.relative else "absolute",
-        bound_kind=_BOUNDS[args.bound],
+        bound_kind=BoundKind(args.bound),
         homology_dim=args.dim,
         traversal=args.traversal,
         budget_ms=args.budget_ms,
-        trace=args.trace is not None,
     )
     res = approximate(F1, F2, cfg)
     _print_report(res)
     print(f"wall_ms {res.elapsed_ms}", file=sys.stderr)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as f:
-            write_trace_csv(f, res.trace or [])
+            write_trace_csv(f, res.trace)
     if args.dump_diagrams is not None:
         _dump_best_diagrams(F1, F2, res, args.dim, shift, Path(args.dump_diagrams))
     return 2 if res.not_converged else 0
@@ -141,7 +137,7 @@ def cmd_bench(args) -> int:
             cfg = SolverConfig(
                 epsilon=args.epsilon,
                 mode="relative" if args.relative else "absolute",
-                bound_kind=_BOUNDS[key],
+                bound_kind=BoundKind(key),
                 homology_dim=args.dim,
             )
             t0 = time.perf_counter()

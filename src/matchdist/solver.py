@@ -5,23 +5,14 @@ slices of the bottleneck distance between the weighted restrictions. The
 driver covers the slice space with four parameter boxes, evaluates the
 bottleneck distance at each box center, bounds the distance over the box,
 and subdivides boxes whose bound exceeds the current pruning threshold:
-rho + eps in absolute mode, (1 + eps) * rho in relative mode, where rho is
-the largest evaluated distance so far.
+rho + eps in absolute mode, (1 + eps) * rho rounded down in relative mode,
+where rho is the largest evaluated distance so far.
 
 A box is evaluated and bounded when it is queued, so the four level-0
 boxes are evaluated even under a zero budget. Evaluating a center slice
-gives a bounds.Reference record, (slice, d, h1, h2, e), taken from the two
-diagrams the distance was computed from: the distance d, half the largest
-finite persistence h1 and h2 of each diagram, and the essential part e of
-the distance. Every bound rule turns its per-filtration variations v1, v2
-over a box into min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)).
-The first term is the stability bound. The second caps it by the trivial
-matching, every finite point to the diagonal: at any slice of the box the
-distance is at most the largest of the essential part and the two
-half-persistences there, stability moves each half-persistence by at
-most its v_i and each sorted essential birth by at most its v_i, and the
-essential counts, the Betti numbers of the whole complex, are the same at
-every slice.
+gives a bounds.Reference record, (slice, d, h1, h2, e), read off the two
+diagrams the distance was computed from; bounds.py explains how every
+bound rule caps the stability bound by the trivial matching with it.
 
 Under the local linear bound a split first bounds each child against the
 evaluated center slices of the box and of its two nearest ancestors, with
@@ -44,8 +35,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .bottleneck import bottleneck_distance, essential_distance, half_persistence
@@ -93,6 +86,13 @@ class SolverConfig:
     epsilon is the absolute error in absolute mode and the relative error
     in relative mode. traversal is "bfs" or "priority"; a budget_ms
     requires priority.
+
+    A budgeted run (mode="relative", traversal="priority", a budget_ms)
+    splits the box with the largest certified bound first. epsilon then
+    only retires boxes that are already certified; the meaningful output
+    is the pair (rho, residual_upper) and the guaranteed relative error,
+    whatever they are when the budget runs out. A large enough budget
+    drains the queue and reproduces the unbudgeted result.
     """
 
     epsilon: float = 0.1
@@ -101,7 +101,6 @@ class SolverConfig:
     homology_dim: int = 0
     traversal: str = "bfs"  # or "priority"
     budget_ms: Optional[float] = None
-    trace: bool = False
 
     def validate(self) -> None:
         if not (0.0 < self.epsilon < INF):
@@ -127,6 +126,23 @@ def _rel_error(rho: float, upper: float) -> float:
     return 0.0 if upper == rho else (upper - rho) / rho
 
 
+def _threshold(rho: float, cfg: SolverConfig) -> float:
+    """The pruning threshold at rho: rho + eps in absolute mode. In
+    relative mode it is the largest float t <= (1 + eps) * rho, taken
+    exactly, whose _rel_error(rho, t) is at most eps, so rounding never
+    reports a converged run above its epsilon."""
+    eps = cfg.epsilon
+    if cfg.mode == "absolute":
+        return rho + eps
+    if rho == 0.0 or rho == INF:
+        return rho
+    exact = (1 + Fraction(eps)) * Fraction(rho)
+    t = float(min(exact, Fraction(sys.float_info.max)))
+    while Fraction(t) > exact or _rel_error(rho, t) > eps:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
 @dataclass(frozen=True)
 class TraceRow:
     call: int
@@ -141,11 +157,11 @@ class TraceRow:
 class ApproxResult:
     """Outcome of a solver run.
 
-    delta is the returned approximation: rho in absolute mode,
-    (1 + eps) * rho in relative mode, or the honest residual upper bound
+    delta is the returned approximation: rho in absolute mode, (1 + eps) *
+    rho rounded down in relative mode, or the honest residual upper bound
     when the run did not converge. residual_upper always upper-bounds the
     true matching distance. best_slice is the evaluated slice at which rho
-    was attained.
+    was attained. trace holds one row per evaluation, in call order.
     """
 
     delta: float
@@ -159,7 +175,7 @@ class ApproxResult:
     mode: str
     bound_kind: BoundKind
     elapsed_ms: float
-    trace: Optional[list[TraceRow]] = None
+    trace: list[TraceRow] = field(default_factory=list)
     retired_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
     unresolved_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
     best_slice: Optional[Slice] = None
@@ -195,11 +211,13 @@ class _RunState:
     def __init__(self, F1, F2, cfg: SolverConfig):
         self.F1, self.F2, self.cfg = F1, F2, cfg
         self.rho = 0.0
+        # rho changes only on a new maximum, so the threshold is kept here
+        self.threshold = _threshold(0.0, cfg)
         self.best_slice: Optional[Slice] = None
         self.calls = 0
         self.deepest_level = 0
         self.deepest_evaluated_level = 0
-        self.trace: Optional[list[TraceRow]] = [] if cfg.trace else None
+        self.trace: list[TraceRow] = []
         self.retired: list[tuple[ParamBox, float]] = []
         self.unresolved: list[tuple[ParamBox, float]] = []
         self.t0 = time.perf_counter()
@@ -208,35 +226,27 @@ class _RunState:
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
 
-    def threshold(self) -> float:
-        if self.cfg.mode == "absolute":
-            return self.rho + self.cfg.epsilon
-        return (1.0 + self.cfg.epsilon) * self.rho
-
     def do_eval(self, box: ParamBox, in_flight_cover: float) -> Reference:
         L = center(box)
         ref = eval_reference(self.F1, self.F2, L, self.cfg.homology_dim)
         self.calls += 1
         if ref.d > self.rho or self.best_slice is None:
             self.rho = ref.d
+            self.threshold = _threshold(ref.d, self.cfg)
             self.best_slice = L
         self.deepest_evaluated_level = max(self.deepest_evaluated_level, box.level)
-        if self.trace is not None:
-            upper = max(self.threshold(), self.cover.max(), in_flight_cover)
-            rel = _rel_error(self.rho, upper)
-            self.trace.append(
-                TraceRow(self.calls, self.elapsed_ms(), self.rho, upper, rel, box)
-            )
+        upper = max(self.threshold, self.cover.max(), in_flight_cover)
+        self.trace.append(TraceRow(self.calls, self.elapsed_ms(), self.rho, upper,
+                                   _rel_error(self.rho, upper), box))
         return ref
 
     def finish(self) -> ApproxResult:
         cfg = self.cfg
-        thr_final = self.threshold()
         if self.unresolved:
-            residual = delta = max(thr_final, *(e for _, e in self.unresolved))
+            residual = delta = max(self.threshold, *(e for _, e in self.unresolved))
         else:
-            residual = thr_final
-            delta = self.rho if cfg.mode == "absolute" else (1.0 + cfg.epsilon) * self.rho
+            residual = self.threshold
+            delta = self.rho if cfg.mode == "absolute" else self.threshold
         return ApproxResult(
             delta=delta,
             rho=self.rho,
@@ -305,7 +315,7 @@ def approximate(
             break
         _, _, box, eff, refs = heapq.heappop(heap)
         st.cover.remove(eff)
-        if eff <= st.threshold():
+        if eff <= st.threshold:
             st.retired.append((box, eff))
         elif st.stalled(box):
             st.unresolved.append((box, eff))
@@ -321,7 +331,7 @@ def approximate(
             else:
                 bounds = [eff] * len(children)
             for i, child in enumerate(children):
-                if prebound and bounds[i] <= st.threshold():
+                if prebound and bounds[i] <= st.threshold:
                     st.retired.append((child, bounds[i]))
                 else:
                     push(child, bounds[i], max(bounds[i:]), refs)
@@ -329,36 +339,6 @@ def approximate(
         # stopped by the budget or a stall: every queued box stays open
         st.unresolved.extend((b, e) for _, _, b, e, _ in heap)
     return st.finish()
-
-
-def budgeted_approximate(
-    F1: BiFiltration,
-    F2: BiFiltration,
-    epsilon: float,
-    budget_ms: float,
-    *,
-    bound_kind: BoundKind = BoundKind.LOCAL_LINEAR,
-    homology_dim: int = 0,
-) -> ApproxResult:
-    """Best-effort run under a wall-clock budget.
-
-    Runs the relative variant with priority traversal (largest certified
-    bound first) and tracing enabled. epsilon only retires boxes that are
-    already certified; the meaningful output is the pair (rho,
-    residual_upper) and the guaranteed relative error, whatever they are
-    when the budget runs out. A large enough budget drains the queue and
-    reproduces the plain relative result.
-    """
-    cfg = SolverConfig(
-        epsilon=epsilon,
-        mode="relative",
-        bound_kind=bound_kind,
-        homology_dim=homology_dim,
-        traversal="priority",
-        budget_ms=budget_ms,
-        trace=True,
-    )
-    return approximate(F1, F2, cfg)
 
 
 def reduction_rate(result: ApproxResult) -> float:

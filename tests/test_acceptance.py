@@ -106,7 +106,7 @@ def test_c3_bound_chain():
     # pairs no longer trace 200 boxes
     for seed in range(11):
         F1, F2 = _scaled_pair(300 + seed, 400 + seed)
-        res = approximate(F1, F2, SolverConfig(epsilon=0.3, trace=True))
+        res = approximate(F1, F2, SolverConfig(epsilon=0.3))
         boxes.extend((F1, F2, row.box) for row in res.trace)
     assert len(boxes) >= 200
     step = len(boxes) // 200
@@ -177,7 +177,7 @@ def test_c6_end_to_end_sandwich():
         _, _, C = pair_extents(F1, F2)
         oracle = dmatch_sampled(F1, F2, n=64)
         for eps in (0.5, 0.1):
-            res = approximate(F1, F2, SolverConfig(epsilon=eps, trace=True))
+            res = approximate(F1, F2, SolverConfig(epsilon=eps))
             assert not res.not_converged
             assert res.delta == res.rho
             assert res.rho == max(r.rho for r in res.trace)

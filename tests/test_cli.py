@@ -72,6 +72,7 @@ def test_dist_trace_roundtrip(dataset, tmp_path):
     report = dict(line.split() for line in out.splitlines())
     rows = trace.read_text().splitlines()
     assert rows[0].startswith("call,elapsed_ms,rho,upper,rel_error,type,")
+    assert len(rows) - 1 == int(report["calls"])
     last = rows[-1].split(",")
     assert last[0] == report["calls"]
     assert last[2] == report["rho"]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from matchdist.solver import (
     ApproxResult,
     SolverConfig,
     approximate,
-    budgeted_approximate,
     eval_reference,
     eval_slice,
     reduction_rate,
@@ -71,7 +71,7 @@ def test_identical_relative_does_not_converge(monkeypatch):
 def test_absolute_guarantee_against_sampled_oracle():
     F1, F2 = small_pair()
     eps = 0.05
-    res = approximate(F1, F2, SolverConfig(epsilon=eps, trace=True))
+    res = approximate(F1, F2, SolverConfig(epsilon=eps))
     assert not res.not_converged
     assert res.delta == res.rho
     # delta is an evaluated bottleneck distance, hence a lower bound
@@ -93,7 +93,7 @@ def test_relative_guarantee_brackets_absolute_run():
 
 def test_rho_monotone_along_trace():
     F1, F2 = small_pair(41, 42)
-    res = approximate(F1, F2, SolverConfig(epsilon=0.1, trace=True))
+    res = approximate(F1, F2, SolverConfig(epsilon=0.1))
     rhos = [r.rho for r in res.trace]
     assert rhos == sorted(rhos)
 
@@ -132,10 +132,9 @@ def test_pruned_boxes_are_sound():
     unevaluated = below_parent_center = 0
     for a in (71, 73, 75):
         F1, F2 = small_pair(a, a + 100)
-        for cfg in (SolverConfig(epsilon=0.3, trace=True),
-                    SolverConfig(epsilon=0.3, mode="relative", trace=True),
-                    SolverConfig(epsilon=0.3, mode="relative", traversal="priority",
-                                 trace=True)):
+        for cfg in (SolverConfig(epsilon=0.3),
+                    SolverConfig(epsilon=0.3, mode="relative"),
+                    SolverConfig(epsilon=0.3, mode="relative", traversal="priority")):
             res = approximate(F1, F2, cfg)
             assert not res.not_converged
             evaluated = {r.box for r in res.trace}
@@ -167,8 +166,8 @@ def test_retired_bounds_never_exceed_the_linear_bound():
     # parent's center, the first of the three references of its pre-bound
     for i in range(6):
         F1, F2 = small_pair(21 + i, 121 + i)
-        for cfg in (SolverConfig(epsilon=0.2, trace=True),
-                    SolverConfig(epsilon=0.3, mode="relative", trace=True)):
+        for cfg in (SolverConfig(epsilon=0.2),
+                    SolverConfig(epsilon=0.3, mode="relative")):
             res = approximate(F1, F2, cfg)
             assert res.retired_boxes
             parent_of = {c: r.box for r in res.trace for c in subdivide(r.box)}
@@ -198,7 +197,7 @@ def test_traversals_agree_on_guarantee():
 def test_determinism_bfs_and_dfs():
     F1, F2 = small_pair(91, 92)
     for trav in ("bfs", "priority"):
-        cfg = SolverConfig(epsilon=0.2, traversal=trav, trace=True)
+        cfg = SolverConfig(epsilon=0.2, traversal=trav)
         a = approximate(F1, F2, cfg)
         b = approximate(F1, F2, cfg)
         assert a.delta == b.delta and a.calls == b.calls
@@ -207,10 +206,15 @@ def test_determinism_bfs_and_dfs():
         ]
 
 
+def _budgeted(epsilon: float, budget_ms: float) -> SolverConfig:
+    return SolverConfig(epsilon=epsilon, mode="relative", traversal="priority",
+                        budget_ms=budget_ms)
+
+
 def test_budgeted_with_huge_budget_matches_plain_run():
     F1, F2 = small_pair(101, 102)
     plain = approximate(F1, F2, SolverConfig(epsilon=0.5, mode="relative", traversal="priority"))
-    res = budgeted_approximate(F1, F2, 0.5, budget_ms=1e9)
+    res = approximate(F1, F2, _budgeted(0.5, 1e9))
     assert not res.not_converged
     assert res.delta == plain.delta
     assert res.calls == plain.calls
@@ -218,7 +222,7 @@ def test_budgeted_with_huge_budget_matches_plain_run():
 
 def test_budgeted_with_zero_budget_stops_after_initial_boxes():
     F1, F2 = small_pair(111, 112)
-    res = budgeted_approximate(F1, F2, 0.5, budget_ms=0.0)
+    res = approximate(F1, F2, _budgeted(0.5, 0.0))
     assert res.calls == 4
     assert res.not_converged
     assert res.rho <= res.residual_upper
@@ -227,12 +231,62 @@ def test_budgeted_with_zero_budget_stops_after_initial_boxes():
 
 def test_budgeted_relative_error_non_increasing():
     F1, F2 = small_pair(121, 122)
-    res = budgeted_approximate(F1, F2, 0.3, budget_ms=1e9)
+    res = approximate(F1, F2, _budgeted(0.3, 1e9))
     errs = [r.rel_error for r in res.trace]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12
     # trace rows stop at the last eval; the drained result is tighter
-    assert res.rel_error <= 0.3 + 1e-12
+    assert res.rel_error <= 0.3
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(epsilon=0.2),
+    SolverConfig(epsilon=0.2, traversal="priority"),
+    SolverConfig(epsilon=0.2, traversal="priority", budget_ms=0.0),
+], ids=["bfs", "priority", "zero-budget"])
+def test_trace_has_one_row_per_evaluation(cfg):
+    F1, F2 = small_pair(131, 132)
+    res = approximate(F1, F2, cfg)
+    assert len(res.trace) == res.calls
+    assert [r.call for r in res.trace] == list(range(1, res.calls + 1))
+    assert res.trace[-1].rho == res.rho
+
+
+def _within_epsilon(rho: float, t: float, eps: float) -> bool:
+    exact = (1 + Fraction(eps)) * Fraction(rho)
+    return Fraction(t) <= exact and solver._rel_error(rho, t) <= eps
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+def test_relative_threshold_is_the_largest_float_within_epsilon(eps):
+    rng = random.Random(int(eps * 10))
+    cfg = SolverConfig(epsilon=eps, mode="relative")
+    rounded_up = 0
+    for _ in range(1000):
+        rho = rng.uniform(1e-3, 1e4)
+        t = solver._threshold(rho, cfg)
+        assert _within_epsilon(rho, t, eps)
+        assert not _within_epsilon(rho, math.nextafter(t, math.inf), eps)
+        rounded_up += t < (1.0 + eps) * rho
+    # the plain product overshoots for a good share of rho
+    assert rounded_up > 100
+    assert solver._threshold(0.0, cfg) == 0.0
+    assert solver._threshold(math.inf, cfg) == math.inf
+    assert solver._threshold(2.0, SolverConfig(epsilon=eps)) == 2.0 + eps
+
+
+def test_converged_relative_runs_report_at_most_epsilon():
+    rounded_down = 0
+    for i in range(4):
+        F1, F2 = small_pair(141 + i, 241 + i)
+        for eps in (0.1, 0.3, 0.5):
+            res = approximate(F1, F2, SolverConfig(epsilon=eps, mode="relative"))
+            assert not res.not_converged
+            assert res.delta == res.residual_upper
+            assert _within_epsilon(res.rho, res.delta, eps)
+            assert res.rel_error <= eps
+            rounded_down += res.delta < (1.0 + eps) * res.rho
+    assert rounded_down > 0
 
 
 def test_reduction_rate_examples():
