@@ -2,8 +2,9 @@
 """Record how the guaranteed relative error decays during a budgeted run.
 
 Runs the relative variant with priority traversal under a wall-clock
-budget on a random pair and writes the per-call trace CSV; the rel_error column against elapsed_ms
-gives the decay curve. Plot with any external tool, e.g.:
+budget on a random pair and writes the per-call trace CSV; the rel_error
+column against elapsed_ms gives the decay curve. Plot with any external
+tool, e.g.:
 
     python scripts/error_decay.py --budget-ms 2000 --out decay.csv
 """

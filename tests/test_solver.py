@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,9 @@ def test_relative_threshold_is_the_largest_float_within_epsilon(eps):
     assert rounded_up > 100
     assert solver._threshold(0.0, cfg) == 0.0
     assert solver._threshold(math.inf, cfg) == math.inf
+    # (1 + eps) * rho past the largest float: the largest float, not an error
+    huge = SolverConfig(epsilon=1e308, mode="relative")
+    assert solver._threshold(2.0, huge) == sys.float_info.max
     assert solver._threshold(2.0, SolverConfig(epsilon=eps)) == 2.0 + eps
 
 
