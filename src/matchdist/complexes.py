@@ -120,6 +120,80 @@ class BiFiltration:
                 cof[f].append(i)
         return [tuple(c) for c in cof]
 
+    @cached_property
+    def merge_candidates(self) -> np.ndarray:
+        """Storage indices, ascending, of the edges that can merge two
+        components on some slice; dimension-0 persistence reads only these.
+
+        An edge is dropped when, for each of its critical points p, its
+        endpoints are joined by kept edges that each have a critical point
+        <= p. Pushes are monotone in both coordinates, so on every slice
+        those edges enter no later than the dropped one: every sublevel
+        complex has the same components with or without it, hence the same
+        H0 module and the same dimension-0 diagram, ties included. A
+        monotone shift of all coordinates keeps every such <=, so
+        `translated` carries the set over.
+
+        Built on first use by one sweep over the edges' critical points in
+        (x, y, storage index) order, keeping a spanning forest of the kept
+        points that is minimal in y: a point is dropped when the forest
+        path between its endpoints has no y above its own, and otherwise
+        linked in, cutting the heaviest link of the cycle it closes. The
+        forest holds only points swept earlier, so the storage-index
+        tie-break keeps three equal-grade edges of a triangle from
+        justifying each other's removal. An edge is kept if any of its
+        points is.
+        """
+        lo, m = self.vertex_count, self.edge_count
+        starts = self.offsets[lo : lo + m + 1]
+        owner = np.repeat(np.arange(lo, lo + m), np.diff(starts))
+        xs = self.px[starts[0] : starts[-1]]
+        ys = self.py[starts[0] : starts[-1]]
+        order = np.lexsort((owner, ys, xs)).tolist()
+        owner, ys, facets = owner.tolist(), ys.tolist(), self.facet_indices
+        parent = list(range(lo))  # roots point at themselves
+        link = [0.0] * lo  # y of the link from a vertex to its parent
+        # per vertex: the last walk that reached it from an endpoint u, and
+        # the heaviest link on the way there with the vertex that holds it
+        mark = [-1] * lo
+        heavy = [0.0] * lo
+        heavy_at = [0] * lo
+        kept = [False] * (lo + m)
+        for step, i in enumerate(order):
+            e, y = owner[i], ys[i]
+            v, u = facets[e]
+            a, h, hv = u, -np.inf, -1
+            while True:
+                mark[a], heavy[a], heavy_at[a] = step, h, hv
+                if parent[a] == a:
+                    break
+                if link[a] > h:
+                    h, hv = link[a], a
+                a = parent[a]
+            b, g, gv = v, -np.inf, -1
+            while mark[b] != step and parent[b] != b:
+                if link[b] > g:
+                    g, gv = link[b], b
+                b = parent[b]
+            if mark[b] == step:  # same tree: the walks meet at b
+                if heavy[b] > g:
+                    g, gv = heavy[b], heavy_at[b]
+                if g <= y:
+                    continue
+                parent[gv] = gv  # cut the heaviest link of the cycle
+            # re-root u's tree at u and hang it under v
+            a, prev, w = u, v, y
+            while True:
+                up, up_w = parent[a], link[a]
+                parent[a], link[a] = prev, w
+                if up == a:
+                    break
+                a, prev, w = up, a, up_w
+            kept[e] = True
+        out = np.flatnonzero(kept)
+        out.flags.writeable = False
+        return out
+
     def __repr__(self) -> str:
         return (
             f"BiFiltration(n={self.n}, vertices={self.vertex_count}, "

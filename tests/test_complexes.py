@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,67 @@ def test_storage_sorted_by_dimension_then_vertices():
         [[0, 1], [1], [0]], [[(2.0, 2.0)], [(1.0, 1.0)], [(0.0, 0.0)]]
     )
     assert F.simplices == [(0,), (1,), (0, 1)]
+
+
+def _assert_merge_certificate(F):
+    # brute force: at each critical point p of a dropped edge, a BFS over
+    # the kept edges with a critical point <= p joins its endpoints
+    kept = F.merge_candidates.tolist()
+    lo = F.vertex_count
+    assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, lo + F.edge_count))
+    for e in sorted(set(range(lo, lo + F.edge_count)) - set(kept)):
+        u, v = F.facet_indices[e]
+        for px, py in F.critical[e]:
+            adj = {}
+            for k in kept:
+                if any(qx <= px and qy <= py for qx, qy in F.critical[k]):
+                    a, b = F.facet_indices[k]
+                    adj.setdefault(a, []).append(b)
+                    adj.setdefault(b, []).append(a)
+            reached, todo = {u}, [u]
+            while todo:
+                for w in adj.get(todo.pop(), ()):
+                    if w not in reached:
+                        reached.add(w)
+                        todo.append(w)
+            assert v in reached, (F.simplices[e], (px, py))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([4, 1000]))
+def test_dropped_edges_are_joined_by_kept_edges_that_enter_no_later(seed, coord_range):
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = int(rng.integers(3, 9))
+    d = int(rng.integers(1, 3))
+    m = min(int(rng.integers(2, 12)), comb(n, d + 1))
+    spec = GenSpec(n, m, d, seed=seed, coord_range=coord_range)
+    for F in (generate_random(spec), generate_random_kcritical(spec, int(rng.integers(2, 4)))):
+        _assert_merge_certificate(F)
+
+
+def test_equal_grade_triangle_keeps_two_of_its_edges():
+    # each edge is joined by the other two, but not all three may go
+    simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
+    F = validate_bifiltration(simplices, [[(0.0, 0.0)]] * 3 + [[(1.0, 1.0)]] * 3)
+    assert F.merge_candidates.tolist() == [3, 4]
+    # a two-point critical set needs a path at each of its points
+    G = validate_bifiltration(simplices, [[(0.0, 0.0)]] * 3 + [[(1.0, 1.0)]] * 2
+                              + [[(0.0, 2.0), (2.0, 0.0)]])
+    assert G.merge_candidates.tolist() == [3, 4, 5]
+    _assert_merge_certificate(G)
+
+
+def test_c7_pair_keeps_under_60_percent_of_its_edges():
+    for seed in (7000, 7100):
+        F = generate_random(GenSpec(100, 400, 1, seed=seed))
+        assert len(F.merge_candidates) < 0.6 * F.edge_count
+
+
+def test_translated_carries_the_merge_candidates_over():
+    F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    assert "merge_candidates" not in F.__dict__  # built on first use
+    kept = F.merge_candidates
+    assert not kept.flags.writeable
+    G = F.translated(0.1, -7.3)
+    assert G.merge_candidates is kept
+    _assert_merge_certificate(G)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import mono_filtration, validate_bifiltration
-from matchdist.generators import generate_random, generate_random_kcritical
-from matchdist.persistence import Diagram, diagram
+from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
+from matchdist.persistence import Diagram, _merge_edges, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
 
 
@@ -191,6 +191,45 @@ def test_general_matches_oracle_on_random_three_complexes():
                 assert D == persistence_boundary_oracle(M, dim)
                 nontrivial += dim >= 2 and len(D) > 0
     assert nontrivial >= 20
+
+
+def _full_union_find(M):
+    """Dimension-0 diagram from the union-find over every edge."""
+    lo = M.complex.vertex_count
+    pairs, essential = _merge_edges(M, np.arange(lo, lo + M.complex.edge_count))
+    ends = M.values[pairs].reshape(-1, 2)
+    return Diagram(ends[ends[:, 1] > ends[:, 0]], M.values[essential], 0)
+
+
+def _disjoint_union(F, G):
+    shift = max(F.vertex_ids) + 1
+    simplices = F.simplices + [tuple(v + shift for v in s) for s in G.simplices]
+    return validate_bifiltration(simplices, F.critical + G.critical)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
+    # integer coordinates in [0, 4] and slices at lam in {0, 0.5, 1} and
+    # integer mu: many simplices share a value on every slice
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec = random_genspec(rng, seed, n_hi=9, m_hi=12, d_hi=2)
+    spec = GenSpec(spec.n_vertices, spec.n_maximal, spec.max_dim, seed=seed, coord_range=4)
+    F = generate_random(spec)
+    K = generate_random_kcritical(spec, int(rng.integers(2, 4)))
+    kept = F.merge_candidates  # built before the shift, which carries it over
+    shifted = F.translated(0.5, 0.25)
+    assert shifted.merge_candidates is kept
+    complexes = [F, K, _disjoint_union(F, K), shifted,
+                 validate_bifiltration([[0], [1], [2]], [[(1, 3)], [(0, 4)], [(2, 2), (3, 0)]])]
+    for G in complexes:
+        for t in SLICE_TYPES:
+            for lam in (0.0, 0.5, 1.0):
+                for mu in range(5):
+                    M = restrict(G, Slice(lam, float(mu), t))
+                    D = diagram(M, 0)
+                    assert D == persistence_boundary_oracle(M, 0)
+                    assert D == _full_union_find(M)
 
 
 def test_diagram_canonical_form():

@@ -118,12 +118,6 @@ def test_terminal_boxes_cover_initial_boxes(traversal):
     assert all(v == 1 for v in per_type.values())
 
 
-def _final_threshold(res: ApproxResult) -> float:
-    if res.mode == "absolute":
-        return res.rho + res.epsilon
-    return (1.0 + res.epsilon) * res.rho
-
-
 def test_pruned_boxes_are_sound():
     # every retired box, evaluated or retired by its pre-bound, stores a
     # bound above every distance in it and at most the threshold. A parent
@@ -140,9 +134,9 @@ def test_pruned_boxes_are_sound():
             assert not res.not_converged
             evaluated = {r.box for r in res.trace}
             parent_of = {c: r.box for r in res.trace for c in subdivide(r.box)}
-            final_thr = _final_threshold(res)
             for box, eff in res.retired_boxes:
-                assert eff <= final_thr
+                # a converged run's residual upper bound is its final threshold
+                assert eff <= res.residual_upper
                 d_max = max(eval_slice(F1, F2, L, 0) for L in grid_slices(box, 5))
                 assert d_max <= eff + 1e-9
                 if box not in evaluated:
@@ -170,15 +164,14 @@ def test_retired_bounds_never_exceed_the_linear_bound():
         for cfg in (SolverConfig(epsilon=0.2),
                     SolverConfig(epsilon=0.3, mode="relative")):
             res = approximate(F1, F2, cfg)
-            assert res.retired_boxes
+            assert res.retired_boxes and not res.not_converged
             parent_of = {c: r.box for r in res.trace for c in subdivide(r.box)}
             evaluated = {r.box for r in res.trace}
-            final_thr = _final_threshold(res)
             for box, eff in res.retired_boxes:
                 if box in evaluated:
                     assert eff <= bound_L(F1, F2, box, eval_reference(F1, F2, center(box)))
                     continue
-                assert eff <= final_thr
+                assert eff <= res.residual_upper
                 assert eff <= _parent_center_prebound(F1, F2, box, parent_of[box])
 
 
