@@ -123,16 +123,19 @@ class BiFiltration:
     @cached_property
     def merge_candidates(self) -> np.ndarray:
         """Storage indices, ascending, of the edges that can merge two
-        components on some slice; dimension-0 persistence reads only these.
+        components on some slice; dimension-0 persistence of a `pushed`
+        mono-filtration reads only these.
 
         An edge is dropped when, for each of its critical points p, its
         endpoints are joined by kept edges that each have a critical point
-        <= p. Pushes are monotone in both coordinates, so on every slice
-        those edges enter no later than the dropped one: every sublevel
-        complex has the same components with or without it, hence the same
-        H0 module and the same dimension-0 diagram, ties included. A
-        monotone shift of all coordinates keeps every such <=, so
-        `translated` carries the set over.
+        <= p. A slice's value of a simplex is the least push of its
+        critical points, and pushes are monotone in both coordinates, so
+        on every slice those edges enter no later than the dropped one:
+        every sublevel complex has the same components with or without it,
+        hence the same H0 module and the same dimension-0 diagram, ties
+        included. Values not made that way (a hand-built `MonoFiltration`)
+        carry no such guarantee. A monotone shift of all coordinates keeps
+        every such <=, so `translated` carries the set over.
 
         Built on first use by one sweep over the edges' critical points in
         (x, y, storage index) order, keeping a spanning forest of the kept
@@ -143,6 +146,12 @@ class BiFiltration:
         tie-break keeps three equal-grade edges of a triangle from
         justifying each other's removal. An edge is kept if any of its
         points is.
+
+        The forest is stored as parent pointers, with a union-find over
+        its trees (a cut on a cycle never splits one). A point joining two
+        trees costs no walk and re-roots the smaller tree; one closing a
+        cycle walks up from both endpoints in turn until the walks meet,
+        so it costs about the length of the forest path it checks.
         """
         lo, m = self.vertex_count, self.edge_count
         starts = self.offsets[lo : lo + m + 1]
@@ -153,34 +162,59 @@ class BiFiltration:
         owner, ys, facets = owner.tolist(), ys.tolist(), self.facet_indices
         parent = list(range(lo))  # roots point at themselves
         link = [0.0] * lo  # y of the link from a vertex to its parent
-        # per vertex: the last walk that reached it from an endpoint u, and
+        tree = list(range(lo))  # union-find over the forest's trees
+        size = [1] * lo
+        # per vertex and walk side: the last step whose walk reached it, and
         # the heaviest link on the way there with the vertex that holds it
-        mark = [-1] * lo
-        heavy = [0.0] * lo
-        heavy_at = [0] * lo
+        mark_u, heavy_u, at_u = [-1] * lo, [0.0] * lo, [0] * lo
+        mark_v, heavy_v, at_v = [-1] * lo, [0.0] * lo, [0] * lo
         kept = [False] * (lo + m)
+
+        def root(a: int) -> int:
+            while tree[a] != a:
+                tree[a] = a = tree[tree[a]]
+            return a
+
         for step, i in enumerate(order):
             e, y = owner[i], ys[i]
             v, u = facets[e]
-            a, h, hv = u, -np.inf, -1
-            while True:
-                mark[a], heavy[a], heavy_at[a] = step, h, hv
-                if parent[a] == a:
-                    break
-                if link[a] > h:
-                    h, hv = link[a], a
-                a = parent[a]
-            b, g, gv = v, -np.inf, -1
-            while mark[b] != step and parent[b] != b:
-                if link[b] > g:
-                    g, gv = link[b], b
-                b = parent[b]
-            if mark[b] == step:  # same tree: the walks meet at b
-                if heavy[b] > g:
-                    g, gv = heavy[b], heavy_at[b]
-                if g <= y:
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                if size[ru] > size[rv]:
+                    u, v, ru, rv = v, u, rv, ru
+                tree[ru] = rv
+                size[rv] += size[ru]
+            else:
+                a, h, ha = u, -np.inf, -1
+                b, g, gb = v, -np.inf, -1
+                mark_u[a], heavy_u[a], at_u[a] = step, h, ha
+                mark_v[b], heavy_v[b], at_v[b] = step, g, gb
+                while True:  # the first vertex both walks reach is the meet
+                    if parent[a] != a:
+                        if link[a] > h:
+                            h, ha = link[a], a
+                        a = parent[a]
+                        if mark_v[a] == step:
+                            g, gb = heavy_v[a], at_v[a]
+                            break
+                        mark_u[a], heavy_u[a], at_u[a] = step, h, ha
+                    if parent[b] != b:
+                        if link[b] > g:
+                            g, gb = link[b], b
+                        b = parent[b]
+                        if mark_u[b] == step:
+                            h, ha = heavy_u[b], at_u[b]
+                            break
+                        mark_v[b], heavy_v[b], at_v[b] = step, g, gb
+                if max(h, g) <= y:
                     continue
-                parent[gv] = gv  # cut the heaviest link of the cycle
+                # cut the heaviest link of the cycle; the endpoint below it
+                # is then at most its walk's length from its root
+                if h >= g:
+                    parent[ha] = ha
+                else:
+                    parent[gb] = gb
+                    u, v = v, u
             # re-root u's tree at u and hang it under v
             a, prev, w = u, v, y
             while True:
@@ -218,11 +252,18 @@ class BiFiltration:
 
 
 class MonoFiltration:
-    """One real value per simplex of a shared complex."""
+    """One real value per simplex of a shared complex.
 
-    def __init__(self, complex: BiFiltration, values: np.ndarray):
+    pushed says that each value is the least push of the simplex's own
+    critical points under one map monotone in both coordinates, as
+    `restrict` makes them. Dimension-0 persistence then runs over the
+    complex's `merge_candidates`; for any other values, over every edge.
+    """
+
+    def __init__(self, complex: BiFiltration, values: np.ndarray, pushed: bool = False):
         self.complex = complex
         self.values = np.asarray(values, dtype=np.float64)
+        self.pushed = pushed
         if self.values.shape != (complex.n,):
             raise ValueError("one value per simplex required")
 

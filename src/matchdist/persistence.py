@@ -4,20 +4,19 @@ Simplices are ordered by (value, storage index) ascending; storage order
 is (dimension, vertex tuple), so faces come before cofaces at equal values.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
-that order, restricted to the complex's `merge_candidates`: an edge left
-out has its endpoints joined by edges that enter no later on every slice,
-so every sublevel complex has the same components and the diagram is the
-same, ties included. Dimensions k >= 1 clear with the negative edges, the
-ones that merge two components, of a pass over all edges: on tied values
-the candidates' negative edges can differ from the full order's. They
-reduce the coboundary matrix over the two-element field with clearing
-(Chen & Kerber's twist, as in Ripser): dimensions go upward, a k-simplex
-that dimension k - 1 paired as a death is skipped, and each remaining
-k-simplex, in reverse order, has its coboundary column reduced. Columns
-are integer bitmasks with the earliest cofacet as the highest bit. A
-column's pivot is the cofacet that kills the class the simplex creates; a
-column that reduces to zero is essential. The pairs equal those of
-boundary-matrix reduction on the same order.
+that order, only over `BiFiltration.merge_candidates` when the
+mono-filtration is `pushed` (made by `restrict`). Dimensions k >= 1 clear
+with the negative edges, the ones that merge two components, of a pass
+over all edges: on tied values the candidates' negative edges can differ
+from the full order's. They reduce the coboundary matrix over the
+two-element field with clearing (Chen & Kerber's twist, as in Ripser):
+dimensions go upward, a k-simplex that dimension k - 1 paired as a death
+is skipped, and each remaining k-simplex, in reverse order, has its
+coboundary column reduced. Columns are integer bitmasks with the earliest
+cofacet as the highest bit. A column's pivot is the cofacet that kills
+the class the simplex creates; a column that reduces to zero is
+essential. The pairs equal those of boundary-matrix reduction on the
+same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
@@ -76,13 +75,13 @@ def _merge_edges(M: MonoFiltration, edges: np.ndarray) -> tuple[list[int], list[
     """Union-find over the given edges in simplex order, with the elder rule.
 
     edges are storage indices in ascending order: all edges of the
-    complex, or its `merge_candidates`, which give the same components at
-    every value. When an edge merges two components the younger one dies:
-    larger birth value, ties broken in favour of the smaller creator-vertex
-    id. A root is always its component's creator vertex, and vertex storage
-    indices rise with the ids, so births and creators are known before the
-    loop. Returns the merges as flattened (dying root, merging edge) pairs,
-    and the roots of the components left at the end.
+    complex, or its `merge_candidates`. When an edge merges two components
+    the younger one dies: larger birth value, ties broken in favour of the
+    smaller creator-vertex id. A root is always its component's creator
+    vertex, and vertex storage indices rise with the ids, so births and
+    creators are known before the loop. Returns the merges as flattened
+    (dying root, merging edge) pairs, and the roots of the components left
+    at the end.
     """
     K = M.complex
     vals = M.values.tolist()
@@ -155,15 +154,18 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
 def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     """Persistence diagram of M in homology dimension dim.
 
-    Dimension 0 is the union-find diagram over the complex's merge
-    candidates: each connected component of the full complex contributes
-    one essential point at its minimal vertex value. Higher dimensions
-    reduce coboundary columns with clearing, starting from the negative
-    edges of the union-find over all edges.
+    Dimension 0 is the union-find diagram, over the complex's
+    `merge_candidates` when M is `pushed`: each connected component of the
+    full complex contributes one essential point at its minimal vertex
+    value. Higher dimensions reduce coboundary columns with clearing,
+    starting from the negative edges of the union-find over all edges.
     """
     K = M.complex
     lo = K.vertex_count
-    edges = K.merge_candidates if dim == 0 else np.arange(lo, lo + K.edge_count)
+    if dim == 0 and M.pushed:
+        edges = K.merge_candidates
+    else:
+        edges = np.arange(lo, lo + K.edge_count)
     pairs, essential = _merge_edges(M, edges)
     if dim > 0:
         pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)

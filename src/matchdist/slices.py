@@ -137,7 +137,7 @@ def restrict(F: BiFiltration, L: Slice) -> MonoFiltration:
         values = wp
     else:
         values = np.minimum.reduceat(wp, F.offsets[:-1])
-    return MonoFiltration(F, values)
+    return MonoFiltration(F, values, pushed=True)
 
 
 def pair_extents(F1: BiFiltration, F2: BiFiltration) -> tuple[float, float, float]:

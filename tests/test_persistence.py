@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.complexes import mono_filtration, validate_bifiltration
+from matchdist.complexes import MonoFiltration, mono_filtration, validate_bifiltration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, _merge_edges, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
@@ -87,8 +87,6 @@ def test_stability_under_perturbation(seed, eps):
     for i, fs in enumerate(M.complex.facet_indices):
         for j in fs:
             vals[i] = max(vals[i], vals[j])
-    from matchdist.complexes import MonoFiltration
-
     M2 = MonoFiltration(M.complex, vals)
     M2.check_monotone()
     assert np.all(np.abs(vals - M.values) <= eps + 1e-12)
@@ -99,8 +97,6 @@ def test_stability_under_perturbation(seed, eps):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
 def test_shift_equivariance(seed, r):
-    from matchdist.complexes import MonoFiltration
-
     M = _random_mono(seed)
     D = diagram(M, 0)
     D2 = diagram(MonoFiltration(M.complex, M.values + r), 0)
@@ -230,6 +226,20 @@ def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
                     D = diagram(M, 0)
                     assert D == persistence_boundary_oracle(M, 0)
                     assert D == _full_union_find(M)
+
+
+def test_hand_built_values_keep_every_edge_in_dim0():
+    # the candidates of an equal-grade triangle drop edge (1, 2), which is
+    # sound for pushes of its critical points but not for arbitrary values
+    K = mono_filtration([[0], [1], [2], [0, 1], [0, 2], [1, 2]], [0, 0, 0, 1, 1, 1])
+    assert not K.pushed
+    assert K.complex.merge_candidates.tolist() == [3, 4]
+    M = MonoFiltration(K.complex, [0.0, 0.0, 0.0, 5.0, 5.0, 1.0])
+    assert not M.pushed
+    D = diagram(M, 0)
+    assert D == persistence_boundary_oracle(M, 0)
+    assert D.finite.tolist() == [[0.0, 1.0], [0.0, 5.0]]
+    assert restrict(K.complex, Slice(1.0, 0.0, SLICE_TYPES[0])).pushed
 
 
 def test_diagram_canonical_form():
