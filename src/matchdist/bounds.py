@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -92,23 +93,15 @@ class BoundKind(enum.Enum):
         return self.value
 
 
-def _point_variations(xs: np.ndarray, ys: np.ndarray, B: ParamBox, c: np.ndarray) -> np.ndarray:
-    """Per-point maximal push change over B against the reference pushes c.
-
-    Requires xs, ys >= 0 (approximate enforces it): the push is then
-    largest at (lam_max, mu_min) and smallest at (lam_min, mu_max), and
-    max(hi - c, c - lo) equals the largest |corner - c| over all four
-    corners bit for bit.
-    """
-    hi = push_at(xs, ys, B.lam_max, B.mu_min, B.stype)
-    lo = push_at(xs, ys, B.lam_min, B.mu_max, B.stype)
-    return np.maximum(hi - c, c - lo)
-
-
 def _corner_pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox]) -> tuple[np.ndarray, np.ndarray]:
     """The pushes at (lam_max, mu_min) and at (lam_min, mu_max) of boxes of
-    one slice type, a row per box: the hi and lo of _point_variations, bit
-    for bit, from one push_at call each."""
+    one slice type, a row per box, from one push_at call each.
+
+    Requires xs, ys >= 0 (approximate enforces it): the push is then
+    largest at the first corner and smallest at the second, so against a
+    reference push c, max(hi - c, c - lo) equals the largest |corner - c|
+    over all four corners bit for bit.
+    """
     stype = boxes[0].stype
     if any(B.stype is not stype for B in boxes):
         raise ValueError("boxes must share one slice type")
@@ -118,19 +111,19 @@ def _corner_pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox]) -> tup
     return push_at(xs, ys, lam_max, mu_min, stype), push_at(xs, ys, lam_min, mu_max, stype)
 
 
-def _variations(F: BiFiltration, boxes: list[ParamBox], refs: Sequence[Slice]) -> list[np.ndarray]:
-    """v(F, B; ref), the maximal point variation against ref, as one array
-    over the boxes per reference.
+def _variations(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox], refs: Sequence[Slice]) -> list[np.ndarray]:
+    """The maximal variation over each box of the points (xs, ys) against
+    ref, as one array over the boxes per reference.
 
     The corner pushes do not depend on the reference, so they are computed
     once; each reference adds one weighted push and the scan
     max(hi - c, c - lo). Scanning one reference at a time keeps every
     temporary as small as the corner pushes.
     """
-    hi, lo = _corner_pushes(F.px, F.py, boxes)
+    hi, lo = _corner_pushes(xs, ys, boxes)
     out = []
     for L in refs:
-        c = weighted_push(F.px, F.py, L)
+        c = weighted_push(xs, ys, L)
         out.append(np.maximum(hi - c, c - lo).max(axis=1, initial=0.0))
     return out
 
@@ -144,31 +137,26 @@ def bounds_from_reference(
     """L bound of each box against the evaluated slices refs: the smallest
     over the references of the capped bound with v1 = v(F1, B; ref) and
     v2 = v(F2, B; ref). A reference need not lie in the box; one reference
-    gives the plain two-corner rule, equal to bound_L bit for bit when it
-    is the box's center.
+    gives the plain two-corner rule.
     """
     if not boxes:
         return []
     slices = [r.slice for r in refs]
-    v1, v2 = _variations(F1, boxes, slices), _variations(F2, boxes, slices)
-    return np.min([_capped(r, a, b) for r, a, b in zip(refs, v1, v2)], axis=0).tolist()
+    v1 = _variations(F1.px, F1.py, boxes, slices)
+    v2 = _variations(F2.px, F2.py, boxes, slices)
+    return reduce(np.minimum, map(_capped, refs, v1, v2)).tolist()
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     """Maximal variation over B of all critical values against its center;
     for multi-critical simplices it bounds the min-push variation above."""
-    c = weighted_push(F.px, F.py, center(B))
-    return float(_point_variations(F.px, F.py, B, c).max(initial=0.0))
+    return float(_variations(F.px, F.py, [B], [center(B)])[0][0])
 
 
 def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Local linear bound against ref, the record of B's center, with
-    v1 = v(F1, B) and v2 = v(F2, B).
-
-    Equal to bounds_from_reference of B against its center bit for bit,
-    but one box is cheaper to scan with scalar corner pushes.
-    """
-    return float(_capped(ref, variation_filtration(F1, B), variation_filtration(F2, B)))
+    """Local linear bound against ref, the record of B's center: the
+    two-corner rule of bounds_from_reference for the one box B."""
+    return bounds_from_reference(F1, F2, [B], [ref])[0]
 
 
 def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:

@@ -4,6 +4,11 @@ A bi-filtration assigns each simplex a non-empty antichain of points in the
 plane (a single point in the common 1-critical case); a mono-filtration
 assigns a single real. Both are validated against face closure and
 monotonicity along faces. Coordinates are plain doubles throughout.
+
+Persistence reads every simplex it is given. `BiFiltration.reduced(dim)`
+is the smaller complex with the same diagrams on every slice; it is exact
+only for pushes of its own critical points, so it is built here and
+handed to `restrict`, never implied inside persistence.
 """
 
 from __future__ import annotations
@@ -123,8 +128,7 @@ class BiFiltration:
     @cached_property
     def merge_candidates(self) -> np.ndarray:
         """Storage indices, ascending, of the edges that can merge two
-        components on some slice; dimension-0 persistence of a `pushed`
-        mono-filtration reads only these.
+        components on some slice: the edges of `reduced(0)`.
 
         An edge is dropped when, for each of its critical points p, its
         endpoints are joined by kept edges that each have a critical point
@@ -133,9 +137,9 @@ class BiFiltration:
         on every slice those edges enter no later than the dropped one:
         every sublevel complex has the same components with or without it,
         hence the same H0 module and the same dimension-0 diagram, ties
-        included. Values not made that way (a hand-built `MonoFiltration`)
-        carry no such guarantee. A monotone shift of all coordinates keeps
-        every such <=, so `translated` carries the set over.
+        included. Values that are not pushes of the critical points carry
+        no such guarantee. A monotone shift of all coordinates keeps every
+        such <=, so `translated` carries the set over.
 
         Built on first use by one sweep over the edges' critical points in
         (x, y, storage index) order, keeping a spanning forest of the kept
@@ -228,6 +232,18 @@ class BiFiltration:
         out.flags.writeable = False
         return out
 
+    def reduced(self, dim: int) -> "BiFiltration":
+        """The complex whose restriction onto any slice has the same
+        dimension-dim diagram as this one's: for dim 0 the vertices and the
+        `merge_candidates` edges, built on first use; otherwise self."""
+        return self._h0_complex if dim == 0 else self
+
+    @cached_property
+    def _h0_complex(self) -> "BiFiltration":
+        # edges have only vertex faces, so the subset is closed under faces
+        keep = [*range(self.vertex_count), *self.merge_candidates.tolist()]
+        return BiFiltration([self.simplices[i] for i in keep], [self.critical[i] for i in keep])
+
     def __repr__(self) -> str:
         return (
             f"BiFiltration(n={self.n}, vertices={self.vertex_count}, "
@@ -242,6 +258,7 @@ class BiFiltration:
         unless rounding merges two coordinates of one critical set.
         """
         out = copy.copy(self)
+        out.__dict__.pop("_h0_complex", None)  # its values are unshifted
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         # a reduced critical set has x strictly rising and y strictly falling
         strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)
@@ -254,16 +271,13 @@ class BiFiltration:
 class MonoFiltration:
     """One real value per simplex of a shared complex.
 
-    pushed says that each value is the least push of the simplex's own
-    critical points under one map monotone in both coordinates, as
-    `restrict` makes them. Dimension-0 persistence then runs over the
-    complex's `merge_candidates`; for any other values, over every edge.
+    Persistence reads every simplex of the complex, whatever made the
+    values; to compute it on fewer, restrict a `BiFiltration.reduced`.
     """
 
-    def __init__(self, complex: BiFiltration, values: np.ndarray, pushed: bool = False):
+    def __init__(self, complex: BiFiltration, values: np.ndarray):
         self.complex = complex
         self.values = np.asarray(values, dtype=np.float64)
-        self.pushed = pushed
         if self.values.shape != (complex.n,):
             raise ValueError("one value per simplex required")
 

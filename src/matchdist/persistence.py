@@ -3,12 +3,13 @@
 Simplices are ordered by (value, storage index) ascending; storage order
 is (dimension, vertex tuple), so faces come before cofaces at equal values.
 
+Every simplex of the complex given is read, whatever made its values;
+the solver computes dimension 0 on the smaller complex
+`BiFiltration.reduced(0)`, whose diagram on every slice is the same.
+
 Dimension 0 is one union-find pass with the elder rule over the edges in
-that order, only over `BiFiltration.merge_candidates` when the
-mono-filtration is `pushed` (made by `restrict`). Dimensions k >= 1 clear
-with the negative edges, the ones that merge two components, of a pass
-over all edges: on tied values the candidates' negative edges can differ
-from the full order's. They reduce the coboundary matrix over the
+that order. Dimensions k >= 1 clear with its negative edges, the ones
+that merge two components, and reduce the coboundary matrix over the
 two-element field with clearing (Chen & Kerber's twist, as in Ripser):
 dimensions go upward, a k-simplex that dimension k - 1 paired as a death
 is skipped, and each remaining k-simplex, in reverse order, has its
@@ -71,22 +72,20 @@ class Diagram:
         return len(self.finite) + len(self.essential)
 
 
-def _merge_edges(M: MonoFiltration, edges: np.ndarray) -> tuple[list[int], list[int]]:
-    """Union-find over the given edges in simplex order, with the elder rule.
+def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
+    """Union-find over all edges in simplex order, with the elder rule.
 
-    edges are storage indices in ascending order: all edges of the
-    complex, or its `merge_candidates`. When an edge merges two components
-    the younger one dies: larger birth value, ties broken in favour of the
-    smaller creator-vertex id. A root is always its component's creator
-    vertex, and vertex storage indices rise with the ids, so births and
-    creators are known before the loop. Returns the merges as flattened
+    When an edge merges two components the younger one dies: larger birth
+    value, ties broken in favour of the smaller creator-vertex id. A root
+    is always its component's creator vertex, and vertex storage indices
+    rise with the ids, so births and creators are known before the loop. Returns the merges as flattened
     (dying root, merging edge) pairs, and the roots of the components left
     at the end.
     """
     K = M.complex
     vals = M.values.tolist()
     lo = K.vertex_count
-    edges = edges[np.argsort(M.values[edges], kind="stable")]
+    edges = lo + np.argsort(M.values[lo : lo + K.edge_count], kind="stable")
     facets = K.facet_indices
     parent = list(range(lo))
 
@@ -154,19 +153,12 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
 def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     """Persistence diagram of M in homology dimension dim.
 
-    Dimension 0 is the union-find diagram, over the complex's
-    `merge_candidates` when M is `pushed`: each connected component of the
-    full complex contributes one essential point at its minimal vertex
-    value. Higher dimensions reduce coboundary columns with clearing,
-    starting from the negative edges of the union-find over all edges.
+    Dimension 0 is the union-find diagram: each connected component
+    contributes one essential point at its minimal vertex value. Higher
+    dimensions reduce coboundary columns with clearing, starting from the
+    negative edges of the union-find.
     """
-    K = M.complex
-    lo = K.vertex_count
-    if dim == 0 and M.pushed:
-        edges = K.merge_candidates
-    else:
-        edges = np.arange(lo, lo + K.edge_count)
-    pairs, essential = _merge_edges(M, edges)
+    pairs, essential = _merge_edges(M)
     if dim > 0:
         pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)
     ends = M.values[pairs].reshape(-1, 2)  # (birth, death) rows

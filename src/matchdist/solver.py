@@ -63,7 +63,9 @@ _Refs = tuple[Reference, ...]
 
 
 def _diagrams(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int):
-    return diagram(restrict(F1, L), dim), diagram(restrict(F2, L), dim)
+    """Both diagrams at L, each computed on its complex's `reduced(dim)`."""
+    return (diagram(restrict(F1.reduced(dim), L), dim),
+            diagram(restrict(F2.reduced(dim), L), dim))
 
 
 def eval_slice(F1: BiFiltration, F2: BiFiltration, L: Slice, dim: int = 0) -> float:
@@ -120,10 +122,10 @@ class SolverConfig:
 
 
 def _rel_error(rho: float, upper: float) -> float:
-    """(upper - rho) / rho, or 0.0 when the bracket is exact (even at inf)."""
-    if rho == 0.0:
-        return INF
-    return 0.0 if upper == rho else (upper - rho) / rho
+    """(upper - rho) / rho, or 0.0 when the bracket is exact (even at 0, inf)."""
+    if upper == rho:
+        return 0.0
+    return INF if rho == 0.0 else (upper - rho) / rho
 
 
 def _threshold(rho: float, cfg: SolverConfig) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matchdist.bounds import _point_variations
+from matchdist.bounds import _variations
 from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
 from matchdist.slices import (
@@ -67,8 +67,7 @@ def weighted_push_grid(
 def variation_point(px: float, py: float, B: ParamBox) -> float:
     """The package's per-point variation rule (corners against the center
     slice of B) for one point, as the L bound applies it."""
-    xs, ys = np.array([px]), np.array([py])
-    return float(_point_variations(xs, ys, B, weighted_push(xs, ys, center(B)))[0])
+    return float(_variations(np.array([px]), np.array([py]), [B], [center(B)])[0][0])
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:

@@ -14,7 +14,7 @@ from conftest import (
 )
 from matchdist.bounds import (
     Reference,
-    _point_variations,
+    _corner_pushes,
     _vbar_constant,
     bound_C,
     bound_G,
@@ -116,9 +116,10 @@ def test_two_corner_rule_equals_four_corner_max():
             # against the center, as bound_L scans, and against a slice
             # outside the box, as an ancestor's center can be
             refs = [center(B), Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, stype)]
+            hi, lo = _corner_pushes(xs, ys, [B])
             for ref in refs:
                 c = weighted_push(xs, ys, ref)
-                assert np.array_equal(_point_variations(xs, ys, B, c),
+                assert np.array_equal(np.maximum(hi[0] - c, c - lo[0]),
                                       four_corner_variation(xs, ys, B, ref))
 
 

@@ -135,6 +135,19 @@ def test_dist_infinite_distance_reports_exact_bracket(tmp_path):
     assert "nan" not in trace.read_text()
 
 
+@pytest.mark.parametrize("text", ["bifiltration\n1\n0 ; 1 1\n", "bifiltration\n0\n"])
+def test_dist_relative_exact_zero_bracket_has_zero_error(tmp_path, text):
+    # a single vertex, or nothing, against itself: every bound is 0
+    a = tmp_path / "a.txt"
+    a.write_text(text)
+    code, out, _ = run_cli(["dist", str(a), str(a), "--epsilon", "0.1", "--relative"])
+    assert code == 0
+    report = dict(line.split() for line in out.splitlines())
+    assert report["rho"] == report["residual_upper"] == "0.0"
+    assert report["rel_error"] == "0.0"
+    assert report["converged"] == "yes"
+
+
 def test_dist_usage_error_exit_one(dataset):
     code, _, err = run_cli(["dist", str(dataset / "a.txt")])
     assert code == 1

@@ -292,3 +292,20 @@ def test_translated_carries_the_merge_candidates_over():
     G = F.translated(0.1, -7.3)
     assert G.merge_candidates is kept
     _assert_merge_certificate(G)
+
+
+def test_reduced_complex_is_rebuilt_after_a_shift():
+    F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    assert F.reduced(1) is F and F.reduced(2) is F
+    R = F.reduced(0)
+    assert F.reduced(0) is R  # built once
+    lo = F.vertex_count
+    keep = [*range(lo), *F.merge_candidates.tolist()]
+    assert R.simplices == [F.simplices[i] for i in keep]
+    assert R.critical == [F.critical[i] for i in keep]
+    G = F.translated(0.5, 0.25)
+    assert G.merge_candidates is F.merge_candidates
+    S = G.reduced(0)
+    assert S is not R
+    assert S.simplices == R.simplices
+    assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)

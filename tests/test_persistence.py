@@ -7,7 +7,7 @@ from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import MonoFiltration, mono_filtration, validate_bifiltration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
-from matchdist.persistence import Diagram, _merge_edges, diagram
+from matchdist.persistence import Diagram, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
 
 
@@ -189,14 +189,6 @@ def test_general_matches_oracle_on_random_three_complexes():
     assert nontrivial >= 20
 
 
-def _full_union_find(M):
-    """Dimension-0 diagram from the union-find over every edge."""
-    lo = M.complex.vertex_count
-    pairs, essential = _merge_edges(M, np.arange(lo, lo + M.complex.edge_count))
-    ends = M.values[pairs].reshape(-1, 2)
-    return Diagram(ends[ends[:, 1] > ends[:, 0]], M.values[essential], 0)
-
-
 def _disjoint_union(F, G):
     shift = max(F.vertex_ids) + 1
     simplices = F.simplices + [tuple(v + shift for v in s) for s in G.simplices]
@@ -222,24 +214,22 @@ def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
         for t in SLICE_TYPES:
             for lam in (0.0, 0.5, 1.0):
                 for mu in range(5):
-                    M = restrict(G, Slice(lam, float(mu), t))
-                    D = diagram(M, 0)
+                    L = Slice(lam, float(mu), t)
+                    M = restrict(G, L)
+                    D = diagram(restrict(G.reduced(0), L), 0)
                     assert D == persistence_boundary_oracle(M, 0)
-                    assert D == _full_union_find(M)
+                    assert D == diagram(M, 0)
 
 
 def test_hand_built_values_keep_every_edge_in_dim0():
     # the candidates of an equal-grade triangle drop edge (1, 2), which is
     # sound for pushes of its critical points but not for arbitrary values
     K = mono_filtration([[0], [1], [2], [0, 1], [0, 2], [1, 2]], [0, 0, 0, 1, 1, 1])
-    assert not K.pushed
     assert K.complex.merge_candidates.tolist() == [3, 4]
     M = MonoFiltration(K.complex, [0.0, 0.0, 0.0, 5.0, 5.0, 1.0])
-    assert not M.pushed
     D = diagram(M, 0)
     assert D == persistence_boundary_oracle(M, 0)
     assert D.finite.tolist() == [[0.0, 1.0], [0.0, 5.0]]
-    assert restrict(K.complex, Slice(1.0, 0.0, SLICE_TYPES[0])).pushed
 
 
 def test_diagram_canonical_form():
