@@ -11,6 +11,7 @@ from .bottleneck import bottleneck_distance
 from .bounds import BoundKind, Reference, bound_C, bound_G, bound_L, variation_filtration
 from .complexes import (
     BiFiltration,
+    CellComplex,
     MonoFiltration,
     lower_star,
     mono_filtration,
@@ -43,6 +44,7 @@ __all__ = [
     "ApproxResult",
     "BiFiltration",
     "BoundKind",
+    "CellComplex",
     "Diagram",
     "GenSpec",
     "HeatmapGrid",

@@ -5,15 +5,21 @@ plane (a single point in the common 1-critical case); a mono-filtration
 assigns a single real. Both are validated against face closure and
 monotonicity along faces. Coordinates are plain doubles throughout.
 
-Persistence reads every simplex it is given. `BiFiltration.reduced(dim)`
-is the smaller complex with the same diagrams on every slice; it is exact
-only for pushes of its own critical points, so it is built here and
-handed to `restrict`, never implied inside persistence.
+Restriction and persistence read one interface, `CellComplex`: cell
+dimensions, critical sets flat in `px`/`py` with offsets, and the
+boundary and coboundary as flat (CSR) arrays. A `BiFiltration` is a
+simplicial `CellComplex`. `BiFiltration.reduced(dim)` is a smaller
+complex with the same dimension-dim diagram on every slice, built once:
+for dim 0 the vertices and the `merge_candidates` edges, for dims >= 1
+the chunk reduction, a cell complex. Both are exact only for pushes of
+their own critical points, so they are built here and handed to
+`restrict`, never implied inside persistence.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -66,34 +72,36 @@ def reduce_antichain(points: Sequence[Point]) -> tuple[Point, ...]:
     return tuple(kept)
 
 
-class BiFiltration:
-    """Validated bi-filtered complex.
+def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, flat): row i is flat[ptr[i]:ptr[i + 1]]."""
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=ptr[1:])
+    return ptr, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(ptr[-1]))
 
-    Immutable after construction; safe to share across workers. Use
-    :func:`validate_bifiltration`, :func:`lower_star` or the generators to
-    build one. Simplices are stored sorted by (dimension, vertex tuple) so
-    all downstream tie-breaking is deterministic.
+
+class CellComplex:
+    """Graded cell complex over the two-element field: what restriction
+    and persistence read.
+
+    Cells are stored by dimension, so each dimension is one block of
+    storage indices, vertices first, and every face comes before its
+    cofaces. Each cell has a grade, a non-empty antichain of critical
+    points, kept flat in `px`/`py` with `offsets`. The boundary of cell i
+    is `boundary_idx[boundary_ptr[i]:boundary_ptr[i + 1]]`, cells one
+    dimension lower. An edge's boundary has two vertices, or none after a
+    chunk reduction: such an edge is a cycle.
     """
 
-    def __init__(self, simplices: list[Simplex], critical: list[tuple[Point, ...]]):
-        # trusted inputs: validate_bifiltration is the checked entry point
-        order = sorted(range(len(simplices)), key=lambda i: (len(simplices[i]), simplices[i]))
-        self.simplices: list[Simplex] = [simplices[i] for i in order]
-        self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self.n = len(self.simplices)
-
-        self.dims = np.array([len(s) - 1 for s in self.simplices], dtype=np.int64)
-        self.facet_indices: list[tuple[int, ...]] = [
-            tuple(self.index[f] for f in facets(s)) for s in self.simplices
-        ]
-
-        vertex_ids = sorted(s[0] for s in self.simplices if len(s) == 1)
-        self.vertex_ids: list[int] = vertex_ids
-        # vertices come first in storage order, so a vertex's storage index
-        # is its rank among the vertex ids; the edges follow as one block
-        self.vertex_count = len(vertex_ids)
-        self.edge_count = int(np.count_nonzero(self.dims == 1))
-        self._set_critical([critical[i] for i in order])
+    def __init__(self, dims: np.ndarray, critical: list[tuple[Point, ...]],
+                 boundary_ptr: np.ndarray, boundary_idx: np.ndarray):
+        # trusted inputs: cells sorted by dimension, boundaries one lower
+        self.n = len(critical)
+        self.dims = dims
+        self.boundary_ptr = boundary_ptr
+        self.boundary_idx = boundary_idx
+        self.vertex_count = int(np.count_nonzero(dims == 0))
+        self.edge_count = int(np.count_nonzero(dims == 1))
+        self._set_critical(critical)
 
     def _set_critical(self, critical: list[tuple[Point, ...]]) -> None:
         """Store the critical sets, in storage order, and their flat form."""
@@ -114,16 +122,51 @@ class BiFiltration:
         return self.n
 
     @cached_property
-    def cofacet_indices(self) -> list[tuple[int, ...]]:
-        """Codimension-1 cofaces of each simplex, by storage index.
+    def coboundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, cofaces): the cofaces of cell i, ascending, are
+        `cofaces[ptr[i]:ptr[i + 1]]`. Built on first use: only persistence
+        above dimension 0 reads them."""
+        owner = np.repeat(np.arange(self.n), np.diff(self.boundary_ptr))
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.boundary_idx, minlength=self.n), out=ptr[1:])
+        return ptr, owner[np.argsort(self.boundary_idx, kind="stable")]
 
-        Built on first use: only persistence above dimension 0 reads them.
-        """
-        cof: list[list[int]] = [[] for _ in range(self.n)]
-        for i, fs in enumerate(self.facet_indices):
-            for f in fs:
-                cof[f].append(i)
-        return [tuple(c) for c in cof]
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, list]:
+        """(edges, ends): the edges with a two-vertex boundary, ascending,
+        and per storage index the two vertices of such an edge (None
+        elsewhere): the graph a union-find runs over. Every other edge has
+        an empty boundary; it is a cycle and never merges components."""
+        lo, ptr, idx = self.vertex_count, self.boundary_ptr, self.boundary_idx
+        edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + self.edge_count + 1]) == 2)
+        ends: list = [None] * (lo + self.edge_count)
+        for e, v, u in zip(edges.tolist(), idx[ptr[edges]].tolist(), idx[ptr[edges] + 1].tolist()):
+            ends[e] = (v, u)
+        return edges, ends
+
+
+class BiFiltration(CellComplex):
+    """Validated bi-filtered simplicial complex.
+
+    Immutable after construction; safe to share across workers. Use
+    :func:`validate_bifiltration`, :func:`lower_star` or the generators to
+    build one. Simplices are stored sorted by (dimension, vertex tuple) so
+    all downstream tie-breaking is deterministic.
+    """
+
+    def __init__(self, simplices: list[Simplex], critical: list[tuple[Point, ...]]):
+        # trusted inputs: validate_bifiltration is the checked entry point
+        order = sorted(range(len(simplices)), key=lambda i: (len(simplices[i]), simplices[i]))
+        self.simplices: list[Simplex] = [simplices[i] for i in order]
+        self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
+        self.facet_indices: list[tuple[int, ...]] = [
+            tuple(self.index[f] for f in facets(s)) for s in self.simplices
+        ]
+        dims = np.array([len(s) - 1 for s in self.simplices], dtype=np.int64)
+        super().__init__(dims, [critical[i] for i in order], *_csr(self.facet_indices))
+        # vertices come first in storage order, so a vertex's storage index
+        # is its rank among the vertex ids; the edges follow as one block
+        self.vertex_ids: list[int] = [s[0] for s in self.simplices[: self.vertex_count]]
 
     @cached_property
     def merge_candidates(self) -> np.ndarray:
@@ -232,17 +275,60 @@ class BiFiltration:
         out.flags.writeable = False
         return out
 
-    def reduced(self, dim: int) -> "BiFiltration":
-        """The complex whose restriction onto any slice has the same
-        dimension-dim diagram as this one's: for dim 0 the vertices and the
-        `merge_candidates` edges, built on first use; otherwise self."""
-        return self._h0_complex if dim == 0 else self
+    def reduced(self, dim: int) -> CellComplex:
+        """A smaller complex whose restriction onto any slice has the same
+        dimension-dim diagram as this one's, built on first use and kept.
+
+        For dim 0 it is the vertices and the `merge_candidates` edges. For
+        dims >= 1 it is one chunk reduction (Fugacci & Kerber,
+        arXiv:1812.08580) for all of them. It goes up the storage order,
+        and when a cell t's current boundary holds a face s of equal grade
+        it adds t's boundary to every other coface of s, which drops s
+        from theirs, and then drops s and t. Two cells of equal grade
+        enter together on every slice, and the elimination is a filtered
+        chain equivalence, so every slice keeps its persistence modules:
+        only the pair's zero-length interval goes, which diagrams drop
+        anyway. The grade is the whole critical set, so this is exact for
+        k-critical inputs too. A coface r of s stays graded, since the
+        faces of t enter no later than t, which enters with s, before r.
+        """
+        return self._h0_complex if dim == 0 else self._chunk_complex
 
     @cached_property
     def _h0_complex(self) -> "BiFiltration":
         # edges have only vertex faces, so the subset is closed under faces
         keep = [*range(self.vertex_count), *self.merge_candidates.tolist()]
         return BiFiltration([self.simplices[i] for i in keep], [self.critical[i] for i in keep])
+
+    @cached_property
+    def _chunk_complex(self) -> CellComplex:
+        grade = self.critical
+        bd = [set(fs) for fs in self.facet_indices]
+        cob: list[set[int]] = [set() for _ in range(self.n)]
+        for t, fs in enumerate(self.facet_indices):
+            for f in fs:
+                cob[f].add(t)
+        alive = [True] * self.n
+        for t in range(self.n):  # t is alive: a face dies at a later coface's turn
+            g, tb = grade[t], bd[t]
+            s = min((f for f in tb if grade[f] == g), default=None)
+            if s is None:
+                continue
+            for r in cob[s] - {t}:
+                bd[r] ^= tb
+                for f in tb:
+                    cob[f] ^= {r}
+            for f in bd[s]:
+                cob[f].discard(s)
+            for f in tb:
+                cob[f].discard(t)
+            for r in cob[t]:
+                bd[r].discard(t)
+            alive[s] = alive[t] = False
+        keep = [i for i in range(self.n) if alive[i]]
+        new = {c: j for j, c in enumerate(keep)}
+        bds = [sorted(new[f] for f in bd[c]) for c in keep]
+        return CellComplex(self.dims[keep], [self.critical[i] for i in keep], *_csr(bds))
 
     def __repr__(self) -> str:
         return (
@@ -258,7 +344,8 @@ class BiFiltration:
         unless rounding merges two coordinates of one critical set.
         """
         out = copy.copy(self)
-        out.__dict__.pop("_h0_complex", None)  # its values are unshifted
+        for name in ("_h0_complex", "_chunk_complex"):  # their values are unshifted
+            out.__dict__.pop(name, None)
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         # a reduced critical set has x strictly rising and y strictly falling
         strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)
@@ -269,13 +356,13 @@ class BiFiltration:
 
 
 class MonoFiltration:
-    """One real value per simplex of a shared complex.
+    """One real value per cell of a shared complex.
 
-    Persistence reads every simplex of the complex, whatever made the
+    Persistence reads every cell of the complex, whatever made the
     values; to compute it on fewer, restrict a `BiFiltration.reduced`.
     """
 
-    def __init__(self, complex: BiFiltration, values: np.ndarray):
+    def __init__(self, complex: CellComplex, values: np.ndarray):
         self.complex = complex
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.shape != (complex.n,):
@@ -283,14 +370,14 @@ class MonoFiltration:
 
     def check_monotone(self) -> None:
         """Raise MonotonicityViolation unless faces enter no later than cofaces."""
-        vals = self.values
-        for i, fs in enumerate(self.complex.facet_indices):
-            for j in fs:
-                if vals[j] > vals[i]:
-                    raise MonotonicityViolation(
-                        f"value({self.complex.simplices[j]})={vals[j]} > "
-                        f"value({self.complex.simplices[i]})={vals[i]}"
-                    )
+        K, vals = self.complex, self.values
+        cells = np.repeat(np.arange(K.n), np.diff(K.boundary_ptr))
+        late = np.flatnonzero(vals[K.boundary_idx] > vals[cells])
+        if len(late):
+            i, j = int(cells[late[0]]), int(K.boundary_idx[late[0]])
+            raise MonotonicityViolation(
+                f"value of cell {j} ({vals[j]}) > value of its coface {i} ({vals[i]})"
+            )
 
 
 def mono_filtration(

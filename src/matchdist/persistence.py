@@ -1,23 +1,28 @@
 """Persistence diagrams of mono-filtrations.
 
-Simplices are ordered by (value, storage index) ascending; storage order
-is (dimension, vertex tuple), so faces come before cofaces at equal values.
-
-Every simplex of the complex given is read, whatever made its values;
-the solver computes dimension 0 on the smaller complex
-`BiFiltration.reduced(0)`, whose diagram on every slice is the same.
+A MonoFiltration gives each cell of a `CellComplex` one value. Cells are
+ordered by (value, storage index) ascending; storage order goes up by
+dimension, so faces come before cofaces at equal values. Every cell of
+the complex given is read, whatever made its values; the solver hands
+persistence the smaller complex `BiFiltration.reduced(dim)`, whose
+dimension-dim diagram on every slice is the same: the vertices and the
+`merge_candidates` for dimension 0, the chunk-reduced cell complex for
+dimensions >= 1.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
-that order. Dimensions k >= 1 clear with its negative edges, the ones
-that merge two components, and reduce the coboundary matrix over the
+that order; an edge whose boundary is empty is a cycle and merges
+nothing. Dimensions k >= 1 clear with its negative edges, the ones that
+merge two components, and reduce the coboundary matrix over the
 two-element field with clearing (Chen & Kerber's twist, as in Ripser):
-dimensions go upward, a k-simplex that dimension k - 1 paired as a death
-is skipped, and each remaining k-simplex, in reverse order, has its
-coboundary column reduced. Columns are integer bitmasks with the earliest
-cofacet as the highest bit. A column's pivot is the cofacet that kills
-the class the simplex creates; a column that reduces to zero is
-essential. The pairs equal those of boundary-matrix reduction on the
-same order.
+dimensions go upward, a k-cell that dimension k - 1 paired as a death is
+skipped, and each remaining k-cell, in reverse order, has its coboundary
+column reduced. A column is an integer bitmask over the (k + 1)-cells
+ranked in slice order, the earliest as the highest bit. All columns of a
+dimension are built at once: the flat coboundary entries are scattered
+into one packed byte buffer, a row per k-cell, and each row is read as an
+int. A column's pivot is the cofacet that kills the class the cell
+creates; a column that reduces to zero is essential. The pairs equal
+those of boundary-matrix reduction on the same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
@@ -73,21 +78,20 @@ class Diagram:
 
 
 def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
-    """Union-find over all edges in simplex order, with the elder rule.
+    """Union-find over all edges in cell order, with the elder rule.
 
     When an edge merges two components the younger one dies: larger birth
     value, ties broken in favour of the smaller creator-vertex id. A root
     is always its component's creator vertex, and vertex storage indices
-    rise with the ids, so births and creators are known before the loop. Returns the merges as flattened
-    (dying root, merging edge) pairs, and the roots of the components left
-    at the end.
+    rise with the ids, so births and creators are known before the loop.
+    An edge with an empty boundary is a cycle and merges nothing. Returns
+    the merges as flattened (dying root, merging edge) pairs, and the
+    roots of the components left at the end.
     """
     K = M.complex
     vals = M.values.tolist()
-    lo = K.vertex_count
-    edges = lo + np.argsort(M.values[lo : lo + K.edge_count], kind="stable")
-    facets = K.facet_indices
-    parent = list(range(lo))
+    edges, ends = K.edge_ends
+    parent = list(range(K.vertex_count))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -96,8 +100,8 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
         return a
 
     merges: list[int] = []  # dying root, merging edge, flattened
-    for e in edges.tolist():
-        v, u = facets[e]
+    for e in edges[np.argsort(M.values[edges], kind="stable")].tolist():
+        v, u = ends[e]
         ra, rb = find(u), find(v)
         if ra == rb:
             continue
@@ -106,40 +110,49 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
             ra, rb = rb, ra
         parent[rb] = ra  # rb is the younger root
         merges += (rb, e)
-    return merges, [v for v in range(lo) if parent[v] == v]
+    return merges, [v for v in range(K.vertex_count) if parent[v] == v]
+
+
+# _ONE_BIT[b] is a byte with only bit b set
+_ONE_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
 def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[list, list]:
-    """Flattened (simplex, pivot simplex) pairs and essential simplices of
-    dimension dim, by reduction with clearing from the negative edges."""
+    """Flattened (cell, pivot cell) pairs and essential cells of dimension
+    dim, by reduction with clearing from the negative edges."""
     K = M.complex
-    vals = M.values.tolist()
-    cofacets = K.cofacet_indices
-    rev = np.argsort(M.values, kind="stable")[::-1]
-    # bit b of a column stands for the simplex rev[b]: earlier is higher
-    bit = np.empty(K.n, dtype=np.int64)
-    bit[rev] = np.arange(K.n)
-    bit = bit.tolist()
-    by_bit = rev.tolist()
-    rev_dims = K.dims[rev]
-
+    ptr, cofaces = K.coboundary
     pairs: list[int] = []
     essential: list[int] = []
     for k in range(1, dim + 1):
+        # the k-cells are [a, b), the (k + 1)-cells [b, c)
+        a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
+        up = np.argsort(M.values[b:c], kind="stable")
+        # bit p of a column stands for the (k + 1)-cell by_bit[p]: earlier is higher
+        bit = np.empty(c - b, dtype=np.int64)
+        bit[up] = np.arange(c - b - 1, -1, -1)
+        by_bit = (b + up[::-1]).tolist()
+        # every column at once: row r of a packed little-endian buffer is
+        # the column of the k-cell a + r; each entry sets its bit in its row
+        width = (c - b + 7) // 8
+        at = bit[cofaces[ptr[a] : ptr[b]] - b]
+        row = np.repeat(np.arange(b - a) * width, np.diff(ptr[a : b + 1]))
+        buf = np.zeros((b - a) * width, dtype=np.uint8)
+        np.bitwise_or.at(buf, row + (at >> 3), _ONE_BIT[at & 7])
+        raw = memoryview(buf)
+
         reduced: dict[int, int] = {}  # pivot bit -> reduced column
-        for s in rev[rev_dims == k].tolist():
+        for s in (a + np.argsort(M.values[a:b], kind="stable")[::-1]).tolist():
             if s in cleared:
                 continue
-            col = 0
-            for t in cofacets[s]:
-                col |= 1 << bit[t]
+            r = (s - a) * width
+            col = int.from_bytes(raw[r : r + width], "little")
             while col:
                 p = col.bit_length() - 1
                 other = reduced.get(p)
                 if other is None:
                     reduced[p] = col
-                    # on lower-star slices most pairs die at birth: skip them
-                    if k == dim and vals[by_bit[p]] > vals[s]:
+                    if k == dim:
                         pairs += (s, by_bit[p])
                     break
                 col ^= other

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BiFiltration, MonoFiltration
+from .complexes import BiFiltration, CellComplex, MonoFiltration
 from .errors import DegenerateBox
 
 
@@ -127,10 +127,11 @@ def push_at(xs, ys, lam: float, mu: float, stype: SliceType) -> np.ndarray:
     return np.maximum(lam * ys, xs - mu)  # steep x
 
 
-def restrict(F: BiFiltration, L: Slice) -> MonoFiltration:
-    """Weighted restriction of F onto L.
+def restrict(F: CellComplex, L: Slice) -> MonoFiltration:
+    """Weighted restriction of F, a `BiFiltration` or one of its
+    `reduced` complexes, onto L.
 
-    Each simplex takes the minimum weighted push over its critical set
+    Each cell takes the minimum weighted push over its critical set
     (the slice meets the staircase boundary at the smallest push)."""
     wp = weighted_push(F.px, F.py, L)
     if F.one_critical:

@@ -203,10 +203,12 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert tighter > 0  # an ancestor's center beat the parent's for some child
     assert bounds_from_reference(F1, F2, [], refs) == []
-    # against the box's own center, the vectorized rule is bound_L's scan
+    # against the box's own center, the rule is the capped four-corner scan
     for B in children:
         ref = eval_reference(F1, F2, center(B), 0)
-        assert bounds_from_reference(F1, F2, [B], [ref]) == [bound_L(F1, F2, B, ref)]
+        v1 = float(four_corner_variation(F1.px, F1.py, B, ref.slice).max())
+        v2 = float(four_corner_variation(F2.px, F2.py, B, ref.slice).max())
+        assert bounds_from_reference(F1, F2, [B], [ref]) == [capped_bound(ref, v1, v2)]
     with pytest.raises(ValueError):  # boxes of one slice type
         bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
 

@@ -296,7 +296,6 @@ def test_translated_carries_the_merge_candidates_over():
 
 def test_reduced_complex_is_rebuilt_after_a_shift():
     F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
-    assert F.reduced(1) is F and F.reduced(2) is F
     R = F.reduced(0)
     assert F.reduced(0) is R  # built once
     lo = F.vertex_count
@@ -309,3 +308,30 @@ def test_reduced_complex_is_rebuilt_after_a_shift():
     assert S is not R
     assert S.simplices == R.simplices
     assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)
+
+
+def test_chunk_reduced_complex_is_rebuilt_after_a_shift():
+    F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    R = F.reduced(1)
+    assert F.reduced(2) is R and F.reduced(1) is R  # one reduction for dims >= 1, built once
+    assert R.n < F.n and R.vertex_count >= 1
+    G = F.translated(0.5, 0.25)
+    S = G.reduced(1)
+    assert S is not R
+    assert np.array_equal(S.dims, R.dims)
+    assert np.array_equal(S.boundary_ptr, R.boundary_ptr)
+    assert np.array_equal(S.boundary_idx, R.boundary_idx)
+    assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)
+
+
+def test_cell_complex_coboundary_transposes_the_boundary():
+    for F in (generate_random(GenSpec(9, 14, 3, seed=8, coord_range=3)),
+              generate_random_kcritical(GenSpec(9, 14, 2, seed=9, coord_range=2), 3)):
+        for K in (F, F.reduced(1)):
+            ptr, cofaces = K.coboundary
+            up = {(i, int(t)) for i in range(K.n) for t in cofaces[ptr[i] : ptr[i + 1]]}
+            bptr, faces = K.boundary_ptr, K.boundary_idx
+            down = {(int(f), t) for t in range(K.n) for f in faces[bptr[t] : bptr[t + 1]]}
+            assert up == down
+            assert all(K.dims[t] == K.dims[i] + 1 for i, t in up)
+            assert np.all(np.diff(K.dims) >= 0)  # one block per dimension

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.complexes import MonoFiltration, mono_filtration, validate_bifiltration
+from matchdist.complexes import MonoFiltration, lower_star, mono_filtration, validate_bifiltration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
@@ -219,6 +219,73 @@ def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
                     D = diagram(restrict(G.reduced(0), L), 0)
                     assert D == persistence_boundary_oracle(M, 0)
                     assert D == diagram(M, 0)
+
+
+def _tied_slices():
+    # lam in {0, 0.5, 1} and integer mu: on integer coordinates many cells
+    # share a value on every slice
+    return [Slice(lam, float(mu), t)
+            for t in SLICE_TYPES for lam in (0.0, 0.5, 1.0) for mu in range(4)]
+
+
+def _assert_chunk_reduction_exact(F, slices):
+    for dim in (1, 2):
+        R = F.reduced(dim)
+        for L in slices:
+            assert diagram(restrict(R, L), dim) == persistence_boundary_oracle(restrict(F, L), dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chunk_reduced_complex_matches_boundary_oracle_on_tied_slices(seed):
+    # integer coordinates in [0, 3]: many equal grades, so many eliminations
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec = random_genspec(rng, seed, n_hi=9, m_hi=12, d_hi=3)
+    spec = GenSpec(spec.n_vertices, spec.n_maximal, spec.max_dim, seed=seed, coord_range=3)
+    F = generate_random(spec)
+    values = {v: tuple(rng.integers(0, 4, size=2).tolist()) for v in F.vertex_ids}
+    for G in (F, generate_random_kcritical(spec, int(rng.integers(2, 4))),
+              lower_star(F.simplices, values)):
+        _assert_chunk_reduction_exact(G, _tied_slices())
+
+
+def test_chunk_reduced_three_complexes_match_boundary_oracle():
+    # dense lower-star and random 3-complexes, so that dims 2 and 3 have
+    # cells left after the reduction
+    rng = np.random.Generator(np.random.Philox(717))
+    eliminated = nontrivial = 0
+    for i in range(12):
+        K = generate_random(GenSpec(8, 20, 3, seed=70_000 + i, coord_range=3))
+        values = {v: tuple(rng.integers(0, 4, size=2).tolist()) for v in K.vertex_ids}
+        for F in (K, lower_star(K.simplices, values), _multicritical_square()):
+            slices = _tied_slices()[::3] + [Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 4)), t)
+                                            for t in SLICE_TYPES]
+            _assert_chunk_reduction_exact(F, slices)
+            eliminated += F.n - F.reduced(1).n
+            nontrivial += len(diagram(restrict(F.reduced(2), slices[-1]), 2)) > 0
+    assert eliminated > 0 and nontrivial > 0
+
+
+def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
+    # lower star on a triangle whose vertex values rise along 0, 1, 2:
+    # eliminating vertex 1 with edge (0, 1) turns the boundary of edge
+    # (1, 2) into {0, 2}, and eliminating vertex 2 with edge (0, 2) then
+    # adds {0, 2} to it, which leaves a cycle
+    hollow = lower_star([[0], [1], [2], [0, 1], [0, 2], [1, 2]],
+                        {0: (0, 0), 1: (1, 1), 2: (2, 2)})
+    filled = validate_bifiltration(hollow.simplices + [(0, 1, 2)],
+                                   [*hollow.critical, [(3.0, 3.0)]])
+    for F, dims in ((hollow, [0, 1]), (filled, [0, 1, 2])):
+        R = F.reduced(1)
+        assert R.dims.tolist() == dims
+        assert R.boundary_ptr[:3].tolist() == [0, 0, 0]  # the vertex and the cycle
+        assert R.edge_ends[0].tolist() == []
+        for L in _tied_slices():  # dim 0 too: the union-find skips the cycle
+            for dim in (0, 1, 2):
+                assert diagram(restrict(R, L), dim) == persistence_boundary_oracle(restrict(F, L), dim)
+    L = Slice(0.5, 1.0, SLICE_TYPES[0])
+    assert diagram(restrict(hollow.reduced(1), L), 1) == Diagram([], [2.0], 1)
+    assert diagram(restrict(filled.reduced(1), L), 1) == Diagram([(2.0, 3.0)], [], 1)
 
 
 def test_hand_built_values_keep_every_edge_in_dim0():
