@@ -1,41 +1,54 @@
 """Upper bounds for the bottleneck distance over a parameter box.
 
 Three interchangeable rules, ordered by tightness on subdivision boxes
-(linear <= constant <= global), each a per-filtration variation bound
-v1, v2 on how far any critical value moves over the box from a reference
-slice:
+(linear <= constant <= global), each bounding how far the critical values
+of each filtration move over the box from a reference slice, as a rise
+A_i (how far above its reference value a critical value can go) and a
+fall B_i (how far below):
 
-* local linear: exact per-point variation against a reference slice,
+* local linear: exact per-point rise and fall against a reference slice,
   maximized over all critical values in one vectorized scan; linear time
   in the number of critical values. On non-negative points a push is
-  nondecreasing in lam and nonincreasing in mu, so the variation over a
-  box is attained at two corners, (lam_max, mu_min) and (lam_min, mu_max).
-* local constant: a closed-form per-type bound on the variation that only
-  depends on the box and the coordinate maxima; constant time. Both
-  filtrations get the same vbar.
+  nondecreasing in lam and nonincreasing in mu, so over a box it is
+  largest at (lam_max, mu_min) and smallest at (lam_min, mu_max):
+  A = max(hi - c) and B = max(c - lo) over the points, both at least 0.
+* local constant: a closed-form per-type bound vbar on the variation that
+  only depends on the box and the coordinate maxima; constant time.
+  Both filtrations get A = B = vbar.
 * global: the constant bound relaxed using only the subdivision level,
-  g = C * 2**-level for both filtrations.
+  A = B = g = C * 2**-level for both filtrations.
 
 The reference is an evaluated slice r, given as a Reference record: the
 distance d at r, half the largest finite persistence h1 and h2 of each
 restricted diagram at r (0 without finite points) and the essential part
-e of the distance at r. Every rule then combines its (v1, v2) the same
-way:
+e of the distance at r. Every rule then combines its rises and falls the
+same way:
 
-    min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2))
+    min(d + S, max(h1 + (A1 + B1) / 2, h2 + (A2 + B2) / 2, e + S))
+    S = max(A1 + B2, A2 + B1, ((A1 + B1) + (A2 + B2)) / 2)
 
-The first term is stability (Cohen-Steiner, Edelsbrunner & Harer) for
-both filtrations at once. The second, the trivial-matching cap, holds
-because at any slice L of the box:
+The bottleneck distance does not change when both diagrams are translated
+by the same c along the diagonal, nor does any persistence, so the bound
+may compare each slice of the box with the reference diagrams shifted by
+a common c. Against the shifted reference, filtration i moves by at most
+v_i(c) = max(A_i - c, B_i + c), and S is the smallest v1(c) + v2(c) over
+c. The first term is stability (Cohen-Steiner, Edelsbrunner & Harer) for
+both filtrations against one shifted reference pair. The second, the
+trivial-matching cap, holds because at any slice L of the box:
 
 * the distance is at most max(e_L, h1_L, h2_L): every finite point can go
   to the diagonal, and the essential points match in sorted order;
-* stability moves each half-persistence by at most its v_i, so
-  h_i(L) <= h_i + v_i;
-* stability moves each sorted essential birth by at most its v_i, so
-  e_L <= e + v1 + v2, as the essential counts are the Betti numbers of
-  the whole complex, the same at every slice (e is inf at all slices or
-  at none).
+* stability moves each half-persistence by at most v_i(c) for every c,
+  so h_i(L) <= h_i + (A_i + B_i) / 2, each at its own best c;
+* stability moves each sorted essential birth by at most v_i(c), so
+  e_L <= e + S, with one c for both, as the essential counts are the
+  Betti numbers of the whole complex, the same at every slice (e is inf
+  at all slices or at none).
+
+The stability and essential terms must share one c; taking each v_i at
+its own best c would not be sound. With A_i = B_i = v_i the formula is
+min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)), and it is never
+larger than that for A_i, B_i <= v_i, so the shift only tightens.
 
 The two-corner rule holds against any reference slice, in the box or
 not. bound_L bounds one box against its own center. bounds_from_reference
@@ -44,15 +57,15 @@ against several evaluated slices at once and keeps the smallest bound per
 box; the solver passes the split box's center and the centers of its two
 nearest evaluated ancestors. The corner pushes do not depend on the
 reference, so they are computed once per filtration for all the boxes;
-each reference then adds one weighted push per filtration and the scan
-max(hi - c, c - lo).
+each reference then adds one weighted push per filtration and the scans
+max(hi - c) and max(c - lo).
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from functools import reduce
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -76,12 +89,24 @@ class Reference(NamedTuple):
     e: float
 
 
-def _capped(ref: Reference, v1, v2):
-    """min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)): the bound over
-    a box whose critical values move by at most v1 and v2 from ref's;
-    elementwise when v1 and v2 are arrays."""
-    cap = np.maximum(np.maximum(ref.h1 + v1, ref.h2 + v2), ref.e + v1 + v2)
-    return np.minimum(ref.d + v1 + v2, cap)
+def _capped(ref: Reference, A1: float, B1: float, A2: float, B2: float) -> float:
+    """min(d + S, max(h1 + (A1 + B1) / 2, h2 + (A2 + B2) / 2, e + S)),
+    S = max(A1 + B2, A2 + B1, ((A1 + B1) + (A2 + B2)) / 2): the bound over a
+    box whose critical values rise by at most A_i and fall by at most B_i
+    from ref's.
+
+    x + S is taken as the largest of x + A1 + B2, x + B1 + A2 and
+    x + m1 + m2 with m_i = (A_i + B_i) / 2: each is rounded no higher than
+    x + v1 + v2 for A_i, B_i <= v_i, and all three are x + v1 + v2 bit for
+    bit when A_i = B_i = v_i. Python floats: a bound combines a handful of
+    numbers, too few for numpy's per-call cost to pay off.
+    """
+    m1, m2 = (A1 + B1) / 2.0, (A2 + B2) / 2.0
+
+    def plus_S(x: float) -> float:
+        return max(x + A1 + B2, x + B1 + A2, x + m1 + m2)
+
+    return min(plus_S(ref.d), max(ref.h1 + m1, ref.h2 + m2, plus_S(ref.e)))
 
 
 class BoundKind(enum.Enum):
@@ -111,20 +136,21 @@ def _corner_pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox]) -> tup
     return push_at(xs, ys, lam_max, mu_min, stype), push_at(xs, ys, lam_min, mu_max, stype)
 
 
-def _variations(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox], refs: Sequence[Slice]) -> list[np.ndarray]:
-    """The maximal variation over each box of the points (xs, ys) against
-    ref, as one array over the boxes per reference.
+def _rise_fall(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox], refs: Sequence[Slice]) -> list[tuple[list, list]]:
+    """How far the points (xs, ys) rise and fall over each box against
+    ref: (max(hi - c), max(c - lo)) over the points, each at least 0, as
+    two lists over the boxes per reference.
 
     The corner pushes do not depend on the reference, so they are computed
-    once; each reference adds one weighted push and the scan
-    max(hi - c, c - lo). Scanning one reference at a time keeps every
-    temporary as small as the corner pushes.
+    once; each reference adds one weighted push and the two scans.
+    Scanning one reference at a time keeps every temporary as small as the
+    corner pushes.
     """
     hi, lo = _corner_pushes(xs, ys, boxes)
     out = []
     for L in refs:
         c = weighted_push(xs, ys, L)
-        out.append(np.maximum(hi - c, c - lo).max(axis=1, initial=0.0))
+        out.append(((hi - c).max(axis=1, initial=0.0).tolist(), (c - lo).max(axis=1, initial=0.0).tolist()))
     return out
 
 
@@ -135,22 +161,26 @@ def bounds_from_reference(
     refs: Sequence[Reference],
 ) -> list[float]:
     """L bound of each box against the evaluated slices refs: the smallest
-    over the references of the capped bound with v1 = v(F1, B; ref) and
-    v2 = v(F2, B; ref). A reference need not lie in the box; one reference
-    gives the plain two-corner rule.
+    over the references of the capped bound with the rise and fall of F1
+    and of F2 over the box against that reference. A reference need not
+    lie in the box; one reference gives the plain two-corner rule.
     """
     if not boxes:
         return []
     slices = [r.slice for r in refs]
-    v1 = _variations(F1.px, F1.py, boxes, slices)
-    v2 = _variations(F2.px, F2.py, boxes, slices)
-    return reduce(np.minimum, map(_capped, refs, v1, v2)).tolist()
+    rf1 = _rise_fall(F1.px, F1.py, boxes, slices)
+    rf2 = _rise_fall(F2.px, F2.py, boxes, slices)
+    per_ref = [list(map(partial(_capped, r), A1, B1, A2, B2))
+               for r, (A1, B1), (A2, B2) in zip(refs, rf1, rf2)]
+    return [min(col) for col in zip(*per_ref)]
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
-    """Maximal variation over B of all critical values against its center;
-    for multi-critical simplices it bounds the min-push variation above."""
-    return float(_variations(F.px, F.py, [B], [center(B)])[0][0])
+    """Maximal variation over B of all critical values against its center,
+    the larger of their rise and fall; for multi-critical simplices it
+    bounds the min-push variation above."""
+    [(rise, fall)] = _rise_fall(F.px, F.py, [B], [center(B)])
+    return max(rise[0], fall[0])
 
 
 def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
@@ -174,10 +204,11 @@ def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
 
 def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
     """Local constant bound against ref, the record of B's center: the
-    per-type closed form vbar, point-independent, for both filtrations."""
+    per-type closed form vbar, point-independent, as the rise and the
+    fall of both filtrations."""
     X, Y, _ = pair_extents(F1, F2)
     vbar = _vbar_constant(B, X, Y)
-    return float(_capped(ref, vbar, vbar))
+    return _capped(ref, vbar, vbar, vbar, vbar)
 
 
 def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
@@ -197,7 +228,7 @@ def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> 
         raise InvalidLevel(
             f"mu height {B.dmu} exceeds C * 2**-level = {g}"
         )
-    return float(_capped(ref, g, g))
+    return _capped(ref, g, g, g, g)
 
 
 def box_bound(

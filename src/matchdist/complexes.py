@@ -132,17 +132,14 @@ class CellComplex:
         return ptr, owner[np.argsort(self.boundary_idx, kind="stable")]
 
     @cached_property
-    def edge_ends(self) -> tuple[np.ndarray, list]:
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, ends): the edges with a two-vertex boundary, ascending,
-        and per storage index the two vertices of such an edge (None
-        elsewhere): the graph a union-find runs over. Every other edge has
-        an empty boundary; it is a cycle and never merges components."""
+        and an (len(edges), 2) int array of the two vertices of each: the
+        graph a union-find runs over. Every other edge has an empty
+        boundary; it is a cycle and never merges components."""
         lo, ptr, idx = self.vertex_count, self.boundary_ptr, self.boundary_idx
         edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + self.edge_count + 1]) == 2)
-        ends: list = [None] * (lo + self.edge_count)
-        for e, v, u in zip(edges.tolist(), idx[ptr[edges]].tolist(), idx[ptr[edges] + 1].tolist()):
-            ends[e] = (v, u)
-        return edges, ends
+        return edges, idx[ptr[edges, None] + np.arange(2)]
 
 
 class BiFiltration(CellComplex):

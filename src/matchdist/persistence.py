@@ -91,25 +91,23 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
     K = M.complex
     vals = M.values.tolist()
     edges, ends = K.edge_ends
+    order = np.argsort(M.values[edges], kind="stable")
+    vs, us = ends[order].T.tolist()
     parent = list(range(K.vertex_count))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     merges: list[int] = []  # dying root, merging edge, flattened
-    for e in edges[np.argsort(M.values[edges], kind="stable")].tolist():
-        v, u = ends[e]
-        ra, rb = find(u), find(v)
-        if ra == rb:
+    for e, v, u in zip(edges[order].tolist(), vs, us):
+        # find both roots, halving the paths on the way
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             continue
-        ba, bb = vals[ra], vals[rb]
-        if ba > bb or (ba == bb and ra < rb):
-            ra, rb = rb, ra
-        parent[rb] = ra  # rb is the younger root
-        merges += (rb, e)
+        if vals[u] > vals[v] or (vals[u] == vals[v] and u < v):
+            u, v = v, u
+        parent[v] = u  # v is the younger root
+        merges += (v, e)
     return merges, [v for v in range(K.vertex_count) if parent[v] == v]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matchdist.bounds import _variations
+from matchdist.bounds import _rise_fall
 from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
 from matchdist.slices import (
@@ -66,8 +66,9 @@ def weighted_push_grid(
 
 def variation_point(px: float, py: float, B: ParamBox) -> float:
     """The package's per-point variation rule (corners against the center
-    slice of B) for one point, as the L bound applies it."""
-    return float(_variations(np.array([px]), np.array([py]), [B], [center(B)])[0][0])
+    slice of B) for one point: the larger of its rise and fall."""
+    [(rise, fall)] = _rise_fall(np.array([px]), np.array([py]), [B], [center(B)])
+    return float(max(rise[0], fall[0]))
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:
@@ -78,6 +79,29 @@ def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:
     corners = [Slice(lam, mu, B.stype)
                for lam in (B.lam_min, B.lam_max) for mu in (B.mu_min, B.mu_max)]
     return np.max([np.abs(weighted_push(xs, ys, L) - c) for L in corners], axis=0)
+
+
+def four_corner_rise_fall(xs, ys, B: ParamBox, ref: Slice) -> tuple[float, float]:
+    """The rise and fall of the points over B against ref: the largest
+    signed push(corner) - push(ref) and push(ref) - push(corner) over the
+    points and the four corners of B, one weighted_push per corner, each
+    at least 0; the L bound's scans, written without their monotonicity
+    shortcut."""
+    c = weighted_push(xs, ys, ref)
+    diffs = [weighted_push(xs, ys, Slice(lam, mu, B.stype)) - c
+             for lam in (B.lam_min, B.lam_max) for mu in (B.mu_min, B.mu_max)]
+    return float(np.max(diffs, initial=0.0)), float(np.max(np.negative(diffs), initial=0.0))
+
+
+def shift_capped_bound(ref, rf1: tuple[float, float], rf2: tuple[float, float]) -> float:
+    """The bound rules' combine of a reference record with the rise and
+    fall (A_i, B_i) of each filtration, written from its derivation with
+    Python's min and max: S is the smallest v1(c) + v2(c) over one common
+    shift c of the reference diagrams, v_i(c) = max(A_i - c, B_i + c), and
+    each half-persistence takes its own best shift."""
+    (A1, B1), (A2, B2) = rf1, rf2
+    S = max(A1 + B2, A2 + B1, ((A1 + B1) + (A2 + B2)) / 2.0)
+    return min(ref.d + S, max(ref.h1 + (A1 + B1) / 2.0, ref.h2 + (A2 + B2) / 2.0, ref.e + S))
 
 
 def diagram_shifted(D: Diagram, r: float) -> Diagram:

@@ -101,10 +101,11 @@ def test_c2_corner_maximization():
 @criterion(3, "bound chain L <= C <= G, all dominating sampled distances")
 def test_c3_bound_chain():
     boxes = []
-    # eleven pairs: children retired by their parent's pre-bound are never
-    # evaluated, and the trivial-matching cap retires more boxes, so six
-    # pairs no longer trace 200 boxes
-    for seed in range(11):
+    # twenty-one pairs: children retired by their parent's pre-bound are
+    # never evaluated, and the trivial-matching cap and the common shift of
+    # the reference diagrams retire more boxes, so eleven pairs trace only
+    # 113 boxes
+    for seed in range(21):
         F1, F2 = _scaled_pair(300 + seed, 400 + seed)
         res = approximate(F1, F2, SolverConfig(epsilon=0.3))
         boxes.extend((F1, F2, row.box) for row in res.trace)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    four_corner_rise_fall,
     four_corner_variation,
     grid_slices,
     random_box,
+    shift_capped_bound,
     variation_point,
     weighted_push_grid,
 )
@@ -42,9 +44,10 @@ from matchdist.slices import (
 from matchdist.solver import eval_reference, eval_slice
 
 
-def capped_bound(ref: Reference, v1: float, v2: float) -> float:
-    """The bound rules' combine of a reference record with the variations
-    v1 and v2, written with Python's min and max."""
+def symmetric_bound(ref: Reference, v1: float, v2: float) -> float:
+    """The combine with rise = fall = v_i for each filtration, written with
+    Python's min and max: min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)).
+    The C and G rules give exactly this; the L rule never exceeds it."""
     return min(ref.d + v1 + v2, max(ref.h1 + v1, ref.h2 + v2, ref.e + v1 + v2))
 
 
@@ -129,10 +132,10 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
         ref = eval_reference(F1, F2, center(B), 0)
         pre = bounds_from_reference(F1, F2, subdivide(B), [ref])
-        want = [capped_bound(ref, float(four_corner_variation(F1.px, F1.py, child, ref.slice).max()),
-                             float(four_corner_variation(F2.px, F2.py, child, ref.slice).max()))
+        want = [shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, child, ref.slice),
+                                   four_corner_rise_fall(F2.px, F2.py, child, ref.slice))
                 for child in subdivide(B)]
-        assert pre == want
+        assert pre == pytest.approx(want, rel=1e-12, abs=1e-12)
         for child, b in zip(subdivide(B), pre):
             for L in grid_slices(child, 4):
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
@@ -206,9 +209,9 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
     # against the box's own center, the rule is the capped four-corner scan
     for B in children:
         ref = eval_reference(F1, F2, center(B), 0)
-        v1 = float(four_corner_variation(F1.px, F1.py, B, ref.slice).max())
-        v2 = float(four_corner_variation(F2.px, F2.py, B, ref.slice).max())
-        assert bounds_from_reference(F1, F2, [B], [ref]) == [capped_bound(ref, v1, v2)]
+        want = shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, B, ref.slice),
+                                  four_corner_rise_fall(F2.px, F2.py, B, ref.slice))
+        assert bounds_from_reference(F1, F2, [B], [ref]) == [pytest.approx(want, rel=1e-12, abs=1e-12)]
     with pytest.raises(ValueError):  # boxes of one slice type
         bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
 
@@ -226,9 +229,10 @@ def _record_oracle(F1, F2, L: Slice, dim: int) -> Reference:
     return Reference(L, bottleneck_distance(D1, D2), half(D1), half(D2), e)
 
 
-def _one_complex_pairs(seed: int):
-    """A 1-critical and a 3-critical pair on one random 2-complex, so the
-    essential counts agree in every dimension and the distance is finite."""
+def _one_complex_pairs(seed: int) -> dict:
+    """Pairs on one random 2-complex, so the essential counts agree in
+    every dimension and the distance is finite: a lower-star, a 3-critical
+    and a random 1-critical filtration, each against one lower-star."""
     spec = GenSpec(7, 8, 2, seed=seed, coord_range=20)
     K = generate_random(spec)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -238,7 +242,8 @@ def _one_complex_pairs(seed: int):
                                         for v in K.vertex_ids})
 
     lower = star()
-    return [(star(), lower), (generate_random_kcritical(spec, 3), lower)]
+    return {"lower-star": (star(), lower), "k-critical": (generate_random_kcritical(spec, 3), lower),
+            "1-critical": (K, lower)}
 
 
 @pytest.mark.parametrize("dim", [0, 1])
@@ -249,7 +254,8 @@ def test_trivial_matching_cap_is_sound(dim):
     # and dominates the distance on a 7 x 7 grid over the box
     rng = np.random.Generator(np.random.Philox(1313 + dim))
     capped = checked = 0
-    for F1, F2 in _one_complex_pairs(69):
+    pairs = _one_complex_pairs(69)
+    for F1, F2 in (pairs["lower-star"], pairs["k-critical"]):
         X, Y, C = pair_extents(F1, F2)
         for top in initial_boxes(F1, F2):
             boxes = [top]
@@ -266,24 +272,85 @@ def test_trivial_matching_cap_is_sound(dim):
                 for L_ref in (center(B), corner, outside):
                     ref = eval_reference(F1, F2, L_ref, dim)
                     assert ref == _record_oracle(F1, F2, L_ref, dim)
-                    v1 = float(four_corner_variation(F1.px, F1.py, B, L_ref).max())
-                    v2 = float(four_corner_variation(F2.px, F2.py, B, L_ref).max())
+                    rf1, rf2 = (four_corner_rise_fall(F.px, F.py, B, L_ref) for F in (F1, F2))
+                    (A1, B1), (A2, B2) = rf1, rf2
                     [bound] = bounds_from_reference(F1, F2, [B], [ref])
-                    assert bound == capped_bound(ref, v1, v2)
+                    assert bound == pytest.approx(shift_capped_bound(ref, rf1, rf2), rel=1e-12, abs=1e-12)
                     assert d_max <= bound + 1e-9
-                    capped += bound < ref.d + v1 + v2
+                    capped += bound < ref.d + max(A1 + B2, A2 + B1, (A1 + B1 + A2 + B2) / 2)
                     checked += 1
                 ref = eval_reference(F1, F2, center(B), dim)
                 vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
-                rules = [(bound_L(F1, F2, B, ref), capped_bound(
-                             ref, variation_filtration(F1, B), variation_filtration(F2, B))),
-                         (bound_C(F1, F2, B, ref), capped_bound(ref, vbar, vbar)),
-                         (bound_G(F1, F2, B, ref), capped_bound(ref, g, g))]
-                for bound, want in rules:
-                    assert bound == want
-                    assert d_max <= bound + 1e-9
+                l, c, g_bound = (bound_L(F1, F2, B, ref), bound_C(F1, F2, B, ref),
+                                 bound_G(F1, F2, B, ref))
+                assert l == pytest.approx(shift_capped_bound(
+                    ref, *(four_corner_rise_fall(F.px, F.py, B, ref.slice) for F in (F1, F2))),
+                    rel=1e-12, abs=1e-12)
+                # C and G take rise = fall = v: the symmetric combine, bit for bit
+                assert c == symmetric_bound(ref, vbar, vbar)
+                assert g_bound == symmetric_bound(ref, g, g)
+                assert d_max <= min(l, c, g_bound) + 1e-9
     assert checked == 2 * 4 * 3 * 3
-    assert capped > 0  # the cap is strictly below d + v1 + v2 for some box
+    assert capped > 0  # the cap is strictly below the stability term for some box
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["1-critical", "k-critical", "lower-star"]),
+       st.integers(0, 1))
+@example(2, "k-critical", 0)
+@example(38, "1-critical", 1)
+@example(33, "lower-star", 1)
+def test_common_shift_bound_dominates_the_distance(seed, kind, dim):
+    # the shift-invariant rule against a reference at the center, at a
+    # corner and outside the box, on a level-2 and a level-4 box; taking
+    # each filtration's variation at its own best shift is not sound, and
+    # fails each of the explicit examples
+    rng = np.random.Generator(np.random.Philox(seed))
+    F1, F2 = _one_complex_pairs(seed)[kind]
+    B = initial_boxes(F1, F2)[int(rng.integers(0, 4))]
+    for level in range(1, 5):
+        B = subdivide(B)[int(rng.integers(0, 4))]
+        if level % 2:
+            continue
+        d_max = max(eval_slice(F1, F2, L, dim) for L in grid_slices(B, 7))
+        corner = Slice(float(rng.choice([B.lam_min, B.lam_max])),
+                       float(rng.choice([B.mu_min, B.mu_max])), B.stype)
+        outside = Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, B.stype)
+        for L_ref in (center(B), corner, outside):
+            [bound] = bounds_from_reference(F1, F2, [B], [eval_reference(F1, F2, L_ref, dim)])
+            assert d_max <= bound + 1e-9
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_common_shift_never_loosens_the_symmetric_rule(dim):
+    # against any reference the rule is at most the symmetric combine of
+    # v_i = max(A_i, B_i); against the corner (lam_min, mu_max), where
+    # every push is smallest, nothing falls (B_i = 0), so S = max(A1, A2)
+    # and the bound is strictly below d + A1 + A2 and its cap when both
+    # filtrations move
+    rng = np.random.Generator(np.random.Philox(1414 + dim))
+    strict = 0
+    for F1, F2 in _one_complex_pairs(71).values():
+        for top in initial_boxes(F1, F2):
+            for depth in range(4):
+                B = top
+                for _ in range(depth):
+                    B = subdivide(B)[int(rng.integers(0, 4))]
+                stype = B.stype
+                low = Slice(B.lam_min, B.mu_max, stype)
+                outside = Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, stype)
+                for L_ref in (center(B), low, outside):
+                    ref = eval_reference(F1, F2, L_ref, dim)
+                    v1, v2 = (float(four_corner_variation(F.px, F.py, B, L_ref).max())
+                              for F in (F1, F2))
+                    [bound] = bounds_from_reference(F1, F2, [B], [ref])
+                    assert bound <= symmetric_bound(ref, v1, v2)
+                    if L_ref is low and v1 > 0 and v2 > 0:
+                        assert math.isfinite(ref.d)
+                        assert four_corner_rise_fall(F1.px, F1.py, B, low)[1] == 0.0
+                        assert bound < symmetric_bound(ref, v1, v2)
+                        strict += 1
+    assert strict >= 24
 
 
 def _pair(seed_a=11, seed_b=12, n=6, m=6):
@@ -312,8 +379,11 @@ def test_bound_L_examples():
     assert bound_L(F1, F2, B, _uncapped(B, 0.25)) == 0.25
     assert bound_L(F1, F2, B, Reference(center(B), 0.25, 0.125, 0.0625, 0.0)) == 0.125
     B2 = ParamBox(0.0, 0.5, 0.0, 50.0, SliceType.FLAT_Y, 1)
-    # a filtration against itself: d = e = 0, so the cap is at least 2 v
-    assert bound_L(F1, F1, B2, eval_reference(F1, F1, center(B2))) == 2.0 * variation_filtration(F1, B2)
+    # a filtration against itself: d = e = 0, so the bound is the spread
+    # A + B of its critical values, the rise plus the fall
+    rise, fall = four_corner_rise_fall(F1.px, F1.py, B2, center(B2))
+    assert 0.0 < rise + fall < 2.0 * variation_filtration(F1, B2)
+    assert bound_L(F1, F1, B2, eval_reference(F1, F1, center(B2))) == rise + fall
 
 
 def test_bound_C_formula():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dmatch_sampled, four_corner_variation, grid_slices, scaled_copy
+from conftest import dmatch_sampled, grid_slices, scaled_copy
 from matchdist import solver
-from matchdist.bounds import BoundKind, bound_L
+from matchdist.bounds import BoundKind, bound_L, bounds_from_reference
 from matchdist.errors import InvalidConfig
 from matchdist.generators import GenSpec, generate_random
 from matchdist.slices import SLICE_TYPES, center, pair_extents, subdivide
@@ -147,11 +147,10 @@ def test_pruned_boxes_are_sound():
 
 
 def _parent_center_prebound(F1, F2, box, parent):
-    """The L bound of box against its parent's center, by a four-corner scan."""
-    ref = center(parent)
-    return (eval_slice(F1, F2, ref)
-            + float(four_corner_variation(F1.px, F1.py, box, ref).max())
-            + float(four_corner_variation(F2.px, F2.py, box, ref).max()))
+    """The L bound of box against its parent's center alone, the first
+    reference of its pre-bound."""
+    [bound] = bounds_from_reference(F1, F2, [box], [eval_reference(F1, F2, center(parent))])
+    return bound
 
 
 def test_retired_bounds_never_exceed_the_linear_bound():
