@@ -12,9 +12,11 @@ The finite part is solved exactly: the answer is the smallest feasible
 value among the finitely many pairwise sup-distances and half-persistences.
 Feasibility of a threshold t asks for a matching in the t-threshold graph
 covering every point whose diagonal cost exceeds t on either side; by the
-Mendelsohn-Dulmage theorem it is enough to saturate each side separately,
-which is a plain maximum bipartite matching: scipy's
-maximum_bipartite_matching (Hopcroft-Karp) at every graph size.
+Mendelsohn-Dulmage theorem it is enough to saturate each side separately.
+That check is done in numpy (_saturates): the nearest partners place most
+points, greedy rounds over the distance rows place almost all of the rest,
+and an alternating breadth-first search, one vectorized step per level,
+either completes the matching or proves it impossible.
 
 Every point pays at least the smaller of its nearest-partner distance and
 its diagonal cost, so the largest such value, lb, bounds the answer from
@@ -37,8 +39,8 @@ few rows of the n1 x n2 distance matrix as possible:
 - Every point above lb has its nearest partner within lb, because
   min(nearest, diagonal) <= lb < diagonal. If the nearest partners of a
   side's points above lb are pairwise distinct, they are a matching that
-  saturates the side, and no matching is run. Only when they collide does
-  scipy match that side.
+  saturates the side, and no matching is run. Only when they collide is
+  that side matched.
 
 When lb is infeasible, the search above it reads the same rows with the
 same check. For every t >= lb this is exact:
@@ -58,35 +60,111 @@ from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import DimensionMismatch
 from .persistence import Diagram
 
 
-def _saturates(adj: np.ndarray) -> bool:
-    """True when some matching covers every row of the boolean biadjacency.
+def _saturates(rows: np.ndarray, t: float) -> bool:
+    """True when some matching in the t-graph of the distance rows covers
+    every row: row i and column j are adjacent when rows[i, j] <= t.
 
-    The CSR graph is built directly: np.nonzero lists the edges row-major
-    with sorted columns, and the cumulative row degrees are the row pointers.
+    The geometry places almost every row before any search. Each column
+    goes to the first row whose nearest partner it is. Then, in rounds,
+    each row left over takes its nearest untaken column within t; rows
+    that pick the same column go to the first of them, and the others pick
+    again. Rows with no untaken column within t are left to _augment, and
+    so are all rows left once a round places fewer than a fifth of its
+    rows: rows with equal distances keep picking one column, one placed
+    per round, where one phase of the search spreads them.
     """
-    nrows, ncols = adj.shape
+    nrows, ncols = rows.shape
+    if nrows > ncols:
+        return False
     if nrows == 0:
         return True
-    if ncols == 0:
+    if rows.min(axis=1).max() > t:  # a row without an edge
         return False
-    degrees = adj.sum(axis=1)
-    if not degrees.all():
-        return False
-    indptr = np.zeros(nrows + 1, dtype=np.int32)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.nonzero(adj)[1].astype(np.int32)
-    graph = csr_matrix(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(nrows, ncols)
-    )
-    m = maximum_bipartite_matching(graph, perm_type="column")
-    return int((m >= 0).sum()) == nrows
+    row_mate, col_mate = [-1] * nrows, [-1] * ncols
+    taken, free = [], []
+    for r, c in enumerate(rows.argmin(axis=1).tolist()):
+        if col_mate[c] < 0:
+            row_mate[r], col_mate[c] = c, r
+            taken.append(c)
+        else:
+            free.append(r)
+    stuck = False
+    sub = rows[free]
+    while free:
+        sub[:, taken] = np.inf
+        picks = zip(free, sub.argmin(axis=1).tolist(), sub.min(axis=1).tolist())
+        again, taken = [], []
+        for i, (r, c, d) in enumerate(picks):
+            if d > t:
+                stuck = True
+            elif col_mate[c] < 0:
+                row_mate[r], col_mate[c] = c, r
+                taken.append(c)
+            else:
+                again.append(i)
+        if len(taken) * 4 < len(again):
+            stuck = True
+            break
+        sub, free = sub[again], [free[i] for i in again]
+    return not stuck or _augment(rows <= t, np.array(row_mate), np.array(col_mate))
+
+
+def _augment(adj: np.ndarray, row_mate: np.ndarray, col_mate: np.ndarray) -> bool:
+    """True when the matching row_mate/col_mate of the biadjacency adj
+    extends to one covering every row.
+
+    Each phase grows alternating trees from all free rows at once,
+    breadth-first, one vectorized step per level: the rows of a level
+    reach the columns not reached before, and the mates of those columns
+    are the next level. At the first level that reaches free columns, each
+    tree augments along its path to one of them; the trees share no
+    vertex, so the paths are disjoint. A phase that reaches no free column
+    found no augmenting path, and then no matching covers every row
+    (Berge's theorem).
+    """
+    free = np.flatnonzero(row_mate < 0)
+    while len(free):
+        parent = np.full(adj.shape[1], -1)  # the row each column was reached from
+        unseen = np.ones(adj.shape[1], dtype=bool)
+        level = free
+        while True:
+            reach = adj[level]
+            reach &= unseen
+            new = np.flatnonzero(reach.any(axis=0))
+            if len(new) == 0:
+                return False
+            reach = reach[:, new]
+            pick = reach.argmax(axis=0)  # the first row of the level reaching each column
+            if level is free:
+                # the first level, whose rows are the roots: column q goes to
+                # root q mod len(free) when adjacent, so that roots with equal
+                # neighbourhoods reach different columns
+                q = np.arange(len(new))
+                spread = q % len(free)
+                pick = np.where(reach[spread, q], spread, pick)
+            parent[new] = level[pick]
+            unseen[new] = False
+            level = col_mate[new]
+            if level.min() < 0:
+                break
+        parents, mates, roots = parent.tolist(), row_mate.tolist(), set()
+        for c in new[level < 0].tolist():
+            path = []
+            while c >= 0:
+                r = parents[c]
+                path.append((r, c))
+                c = mates[r]
+            if path[-1][0] not in roots:  # one path per tree
+                roots.add(path[-1][0])
+                for r, c in path:
+                    row_mate[r], col_mate[c] = c, r
+        free = np.flatnonzero(row_mate < 0)
+    return True
 
 
 _SEED = 32  # rows per side in the first block, computed before lb is known
@@ -124,7 +202,7 @@ def _certified(rows: np.ndarray, t: float) -> bool:
     nearest = rows.argmin(axis=1).tolist()
     if len(set(nearest)) == len(nearest):
         return True
-    return _saturates(rows <= t)
+    return _saturates(rows, t)
 
 
 def _search_above(rows: list[np.ndarray], diags: tuple[np.ndarray, np.ndarray],

@@ -153,11 +153,91 @@ def test_saturates_matches_assignment_across_sizes():
             if nrows > 2 and rng.random() < 0.2:
                 adj[int(rng.integers(0, nrows))] = False
             expected = _saturates_by_assignment(adj)
-            assert _saturates(adj) == expected, (nrows, ncols, density)
+            rows = (~adj).astype(float)
+            assert _saturates(rows, 0.0) == expected, (nrows, ncols, density)
             # the row-saturation answer does not depend on the memory layout
-            assert _saturates(np.asfortranarray(adj)) == expected
+            assert _saturates(np.asfortranarray(rows), 0.0) == expected
             large += nrows * ncols > 4096
     assert large > 100
+
+
+def test_saturates_matches_assignment_on_integer_costs_with_ties():
+    # few distinct costs, so many rows share nearest partners and distances
+    # tie; every threshold from below the smallest cost to the largest
+    rng = np.random.Generator(np.random.Philox(19))
+    shapes = [(int(rng.integers(1, 13)), int(rng.integers(1, 13))) for _ in range(400)]
+    shapes += [(int(rng.integers(20, 81)), int(rng.integers(20, 101))) for _ in range(40)]
+    for nrows, ncols in shapes:
+        top = int(rng.integers(1, 6))
+        rows = rng.integers(0, top + 1, size=(nrows, ncols)).astype(float)
+        for t in range(-1, top + 1):
+            assert _saturates(rows, t) == _saturates_by_assignment(rows <= t), (nrows, ncols, t)
+
+
+def _count_augment(monkeypatch) -> list[bool]:
+    results = []
+    augment = bottleneck_module._augment
+
+    def counting(adj, row_mate, col_mate):
+        results.append(augment(adj, row_mate, col_mate))
+        return results[-1]
+
+    monkeypatch.setattr("matchdist.bottleneck._augment", counting)
+    return results
+
+
+def test_saturates_paths_on_tiny_graphs(monkeypatch):
+    searches = _count_augment(monkeypatch)
+    # greedy only: both rows are nearest to column 0, the second takes column 1
+    assert _saturates(np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
+    assert searches == []
+    # augmenting path: the second row reaches only column 0, whose row moves on
+    assert _saturates(np.array([[0.0, 1.0], [0.0, 5.0]]), 1.0)
+    assert searches == [True]
+    # Hall violation: two rows whose one neighbour is column 0
+    assert not _saturates(np.array([[0.0, 5.0, 5.0], [0.0, 5.0, 5.0]]), 1.0)
+    assert searches == [True, False]
+    # a row without an edge, more rows than columns, and empty sides
+    assert not _saturates(np.array([[0.0, 1.0], [5.0, 5.0]]), 1.0)
+    assert not _saturates(np.zeros((3, 2)), 0.0)
+    assert _saturates(np.zeros((0, 3)), 0.0)
+    assert _saturates(np.zeros((0, 0)), 0.0)
+    assert not _saturates(np.zeros((2, 0)), 0.0)
+    assert searches == [True, False]
+
+
+def test_clustered_diagrams_match_assignment_oracle(monkeypatch):
+    # 100 points uniform in [0, 1] x [5, 6] on both sides: every point costs
+    # more than 2 on the diagonal, so the answer needs a perfect matching,
+    # and the nearest partners collide on most rows
+    searches = _count_augment(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(100))
+    d1, d2 = (D(np.column_stack([rng.uniform(0, 1, 100), rng.uniform(5, 6, 100)]))
+              for _ in range(2))
+    expected = bottleneck_assignment(d1, d2)
+    assert expected < 1.0
+    assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == expected
+    assert True in searches and False in searches
+
+
+def test_repeated_points_match_assignment_oracle():
+    # many copies of one point, of the 9 points of a 3 x 3 grid, and of 20
+    # points in a cluster: rows with equal distances pick the same columns
+    rng = np.random.Generator(np.random.Philox(9))
+    locs = np.column_stack([rng.uniform(0, 1, 20), rng.uniform(5, 6, 20)])
+    for n in (40, 150):
+        grid = [np.column_stack([rng.integers(0, 3, n), rng.integers(10, 13, n)]).astype(float)
+                for _ in range(2)]
+        pairs = [(np.tile([0.0, 10.0], (n, 1)), np.tile([0.0, 10.0], (n + 1, 1))), tuple(grid),
+                 (locs[rng.integers(0, 20, n)], locs[rng.integers(0, 20, n)])]
+        for a, b in pairs:
+            d1, d2 = D(a), D(b)
+            expected = bottleneck_assignment(d1, d2)
+            assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == expected, n
+    same = np.zeros((200, 201))
+    assert _saturates(same, 0.0)
+    same[:, :2] = 1.0  # 200 equal rows, 199 columns within 0
+    assert not _saturates(same, 0.0)
 
 
 def _grid_diagram(rng: np.random.Generator, n: int) -> Diagram:
@@ -258,9 +338,9 @@ def test_answer_above_lb_matches_exhaustive_oracle():
 def _count_saturates(monkeypatch) -> list[tuple[int, int]]:
     calls = []
 
-    def counting(adj):
-        calls.append(adj.shape)
-        return _saturates(adj)
+    def counting(rows, t):
+        calls.append(rows.shape)
+        return _saturates(rows, t)
 
     monkeypatch.setattr("matchdist.bottleneck._saturates", counting)
     return calls
