@@ -7,13 +7,13 @@ monotonicity along faces. Coordinates are plain doubles throughout.
 
 Restriction and persistence read one interface, `CellComplex`: cell
 dimensions, critical sets flat in `px`/`py` with offsets, and the
-boundary and coboundary as flat (CSR) arrays. A `BiFiltration` is a
-simplicial `CellComplex`. `BiFiltration.reduced(dim)` is a smaller
-complex with the same dimension-dim diagram on every slice, built once:
-for dim 0 the vertices and the `merge_candidates` edges, for dims >= 1
-the chunk reduction, a cell complex. Both are exact only for pushes of
-their own critical points, so they are built here and handed to
-`restrict`, never implied inside persistence.
+boundary as flat (CSR) arrays, the only incidence data a complex holds.
+A `BiFiltration` is a simplicial `CellComplex`. `BiFiltration.reduced(dim)`
+is a plain `CellComplex` cut from it, with the same dimension-dim diagram
+on every slice, built once: for dim 0 the vertices and the
+`merge_candidates` edges, for dims >= 1 the chunk reduction. Both are
+exact only for pushes of their own critical points, so they are built
+here and handed to `restrict`, never implied inside persistence.
 """
 
 from __future__ import annotations
@@ -122,16 +122,6 @@ class CellComplex:
         return self.n
 
     @cached_property
-    def coboundary(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ptr, cofaces): the cofaces of cell i, ascending, are
-        `cofaces[ptr[i]:ptr[i + 1]]`. Built on first use: only persistence
-        above dimension 0 reads them."""
-        owner = np.repeat(np.arange(self.n), np.diff(self.boundary_ptr))
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.boundary_idx, minlength=self.n), out=ptr[1:])
-        return ptr, owner[np.argsort(self.boundary_idx, kind="stable")]
-
-    @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, ends): the edges with a two-vertex boundary, ascending,
         and an (len(edges), 2) int array of the two vertices of each: the
@@ -156,11 +146,9 @@ class BiFiltration(CellComplex):
         order = sorted(range(len(simplices)), key=lambda i: (len(simplices[i]), simplices[i]))
         self.simplices: list[Simplex] = [simplices[i] for i in order]
         self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self.facet_indices: list[tuple[int, ...]] = [
-            tuple(self.index[f] for f in facets(s)) for s in self.simplices
-        ]
         dims = np.array([len(s) - 1 for s in self.simplices], dtype=np.int64)
-        super().__init__(dims, [critical[i] for i in order], *_csr(self.facet_indices))
+        super().__init__(dims, [critical[i] for i in order],
+                         *_csr([[self.index[f] for f in facets(s)] for s in self.simplices]))
         # vertices come first in storage order, so a vertex's storage index
         # is its rank among the vertex ids; the edges follow as one block
         self.vertex_ids: list[int] = [s[0] for s in self.simplices[: self.vertex_count]]
@@ -203,7 +191,7 @@ class BiFiltration(CellComplex):
         xs = self.px[starts[0] : starts[-1]]
         ys = self.py[starts[0] : starts[-1]]
         order = np.lexsort((owner, ys, xs)).tolist()
-        owner, ys, facets = owner.tolist(), ys.tolist(), self.facet_indices
+        owner, ys, ends = owner.tolist(), ys.tolist(), self.edge_ends[1].tolist()
         parent = list(range(lo))  # roots point at themselves
         link = [0.0] * lo  # y of the link from a vertex to its parent
         tree = list(range(lo))  # union-find over the forest's trees
@@ -221,7 +209,7 @@ class BiFiltration(CellComplex):
 
         for step, i in enumerate(order):
             e, y = owner[i], ys[i]
-            v, u = facets[e]
+            v, u = ends[e - lo]  # every edge here has two vertices
             ru, rv = root(u), root(v)
             if ru != rv:
                 if size[ru] > size[rv]:
@@ -276,8 +264,9 @@ class BiFiltration(CellComplex):
         """A smaller complex whose restriction onto any slice has the same
         dimension-dim diagram as this one's, built on first use and kept.
 
-        For dim 0 it is the vertices and the `merge_candidates` edges. For
-        dims >= 1 it is one chunk reduction (Fugacci & Kerber,
+        It is a plain `CellComplex`, never a `BiFiltration`. For dim 0 it
+        is the vertices and the `merge_candidates` edges. For dims >= 1 it
+        is one chunk reduction (Fugacci & Kerber,
         arXiv:1812.08580) for all of them. It goes up the storage order,
         and when a cell t's current boundary holds a face s of equal grade
         it adds t's boundary to every other coface of s, which drops s
@@ -292,17 +281,21 @@ class BiFiltration(CellComplex):
         return self._h0_complex if dim == 0 else self._chunk_complex
 
     @cached_property
-    def _h0_complex(self) -> "BiFiltration":
-        # edges have only vertex faces, so the subset is closed under faces
-        keep = [*range(self.vertex_count), *self.merge_candidates.tolist()]
-        return BiFiltration([self.simplices[i] for i in keep], [self.critical[i] for i in keep])
+    def _h0_complex(self) -> CellComplex:
+        # vertices keep their storage indices, each kept edge its two ends
+        lo, edges = self.vertex_count, self.merge_candidates
+        keep = np.r_[:lo, edges]
+        ptr = np.r_[np.zeros(lo, dtype=np.int64), 2 * np.arange(len(edges) + 1)]
+        return CellComplex(self.dims[keep], [self.critical[i] for i in keep.tolist()],
+                           ptr, self.edge_ends[1][edges - lo].ravel())
 
     @cached_property
     def _chunk_complex(self) -> CellComplex:
         grade = self.critical
-        bd = [set(fs) for fs in self.facet_indices]
+        ptr, idx = self.boundary_ptr.tolist(), self.boundary_idx.tolist()
+        bd = [set(idx[ptr[t] : ptr[t + 1]]) for t in range(self.n)]
         cob: list[set[int]] = [set() for _ in range(self.n)]
-        for t, fs in enumerate(self.facet_indices):
+        for t, fs in enumerate(bd):
             for f in fs:
                 cob[f].add(t)
         alive = [True] * self.n

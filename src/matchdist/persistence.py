@@ -18,11 +18,12 @@ dimensions go upward, a k-cell that dimension k - 1 paired as a death is
 skipped, and each remaining k-cell, in reverse order, has its coboundary
 column reduced. A column is an integer bitmask over the (k + 1)-cells
 ranked in slice order, the earliest as the highest bit. All columns of a
-dimension are built at once: the flat coboundary entries are scattered
-into one packed byte buffer, a row per k-cell, and each row is read as an
-int. A column's pivot is the cofacet that kills the class the cell
-creates; a column that reduces to zero is essential. The pairs equal
-those of boundary-matrix reduction on the same order.
+dimension are built at once from the flat boundary of the (k + 1)-cells:
+each entry sets its cell's bit in its face's row of one packed byte
+buffer, and each row is read as an int. A column's pivot is the cofacet
+that kills the class the cell creates; a column that reduces to zero is
+essential. The pairs equal those of boundary-matrix reduction on the
+same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
@@ -119,7 +120,7 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
     """Flattened (cell, pivot cell) pairs and essential cells of dimension
     dim, by reduction with clearing from the negative edges."""
     K = M.complex
-    ptr, cofaces = K.coboundary
+    ptr, idx = K.boundary_ptr, K.boundary_idx
     pairs: list[int] = []
     essential: list[int] = []
     for k in range(1, dim + 1):
@@ -130,11 +131,11 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
         bit = np.empty(c - b, dtype=np.int64)
         bit[up] = np.arange(c - b - 1, -1, -1)
         by_bit = (b + up[::-1]).tolist()
-        # every column at once: row r of a packed little-endian buffer is
-        # the column of the k-cell a + r; each entry sets its bit in its row
+        # every column at once: row r of a packed little-endian buffer is the
+        # column of the k-cell a + r; a (k + 1)-cell sets its bit in its faces' rows
         width = (c - b + 7) // 8
-        at = bit[cofaces[ptr[a] : ptr[b]] - b]
-        row = np.repeat(np.arange(b - a) * width, np.diff(ptr[a : b + 1]))
+        at = np.repeat(bit, np.diff(ptr[b : c + 1]))
+        row = (idx[ptr[b] : ptr[c]] - a) * width
         buf = np.zeros((b - a) * width, dtype=np.uint8)
         np.bitwise_or.at(buf, row + (at >> 3), _ONE_BIT[at & 7])
         raw = memoryview(buf)
@@ -167,8 +168,10 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     Dimension 0 is the union-find diagram: each connected component
     contributes one essential point at its minimal vertex value. Higher
     dimensions reduce coboundary columns with clearing, starting from the
-    negative edges of the union-find.
+    negative edges of the union-find. A negative dim raises ValueError.
     """
+    if dim < 0:
+        raise ValueError("homology dimension must be non-negative")
     pairs, essential = _merge_edges(M)
     if dim > 0:
         pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)

@@ -346,5 +346,7 @@ def approximate(
 def reduction_rate(result: ApproxResult) -> float:
     """Fraction of the level-k brute force avoided: 1 - calls / 4**(k+1)
     with k the deepest level actually evaluated. The brute force evaluates
-    every center of the 4 * 4**k level-k boxes, as heatmap --depth k does."""
+    every center of the 4 * 4**k level-k boxes, as heatmap --depth k does.
+    Runs that stop at different depths are compared with different grids,
+    so a run with fewer calls can read lower: compare their `calls`."""
     return 1.0 - result.calls / math.pow(4.0, result.deepest_evaluated_level + 1)

@@ -136,7 +136,7 @@ def persistence_boundary_oracle(M: MonoFiltration, dim: int) -> Diagram:
     for j in range(K.n):
         idx = int(order[j])
         col = 0
-        for f in K.facet_indices[idx]:
+        for f in K.boundary_idx[K.boundary_ptr[idx] : K.boundary_ptr[idx + 1]]:
             col ^= 1 << int(pos_of[f])
         while col:
             low = col.bit_length() - 1

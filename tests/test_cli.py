@@ -230,6 +230,17 @@ def test_heatmap_depth_too_large(dataset, tmp_path):
     assert "depth" in err
 
 
+def test_heatmap_negative_dimension_fails_like_dist(dataset, tmp_path):
+    a, b = str(dataset / "a.txt"), str(dataset / "b.txt")
+    out = tmp_path / "neg"
+    code, _, err = run_cli(["heatmap", a, b, "--depth", "1", "--dim", "-1", "--out", str(out)])
+    dist_code, _, dist_err = run_cli(["dist", a, b, "--epsilon", "0.5", "--dim", "-1"])
+    assert code == dist_code == 1
+    assert "homology dimension must be non-negative" in err
+    assert err == dist_err
+    assert not out.exists()
+
+
 def test_heatmap_deterministic(dataset, tmp_path):
     args = lambda d: ["heatmap", str(dataset / "a.txt"), str(dataset / "b.txt"),
                       "--depth", "2", "--out", str(tmp_path / d)]

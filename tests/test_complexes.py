@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import matchdist.complexes as complexes
 from matchdist.complexes import (
+    BiFiltration,
+    CellComplex,
     lower_star,
     mono_filtration,
     normalize_pair,
@@ -175,7 +178,7 @@ def test_translated_shares_structure_without_validation(monkeypatch):
     for F, H in zip(inputs, expected):
         G = F.translated(*shift)
         _assert_same_filtration(G, H)
-        assert G.facet_indices is F.facet_indices and G.index is F.index
+        assert G.boundary_idx is F.boundary_idx and G.index is F.index
     assert calls == []
 
 
@@ -235,14 +238,15 @@ def _assert_merge_certificate(F):
     # the kept edges with a critical point <= p joins its endpoints
     kept = F.merge_candidates.tolist()
     lo = F.vertex_count
+    ends = F.edge_ends[1].tolist()  # edge e is row e - lo
     assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, lo + F.edge_count))
     for e in sorted(set(range(lo, lo + F.edge_count)) - set(kept)):
-        u, v = F.facet_indices[e]
+        u, v = ends[e - lo]
         for px, py in F.critical[e]:
             adj = {}
             for k in kept:
                 if any(qx <= px and qy <= py for qx, qy in F.critical[k]):
-                    a, b = F.facet_indices[k]
+                    a, b = ends[k - lo]
                     adj.setdefault(a, []).append(b)
                     adj.setdefault(b, []).append(a)
             reached, todo = {u}, [u]
@@ -294,19 +298,30 @@ def test_translated_carries_the_merge_candidates_over():
     _assert_merge_certificate(G)
 
 
+def _assert_same_cut(R, S):
+    assert np.array_equal(S.dims, R.dims)
+    assert np.array_equal(S.boundary_ptr, R.boundary_ptr)
+    assert np.array_equal(S.boundary_idx, R.boundary_idx)
+
+
 def test_reduced_complex_is_rebuilt_after_a_shift():
     F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
     R = F.reduced(0)
     assert F.reduced(0) is R  # built once
+    assert isinstance(R, CellComplex) and not isinstance(R, BiFiltration)
+    # the cut: every vertex at its own index, each kept edge with its two ends
     lo = F.vertex_count
     keep = [*range(lo), *F.merge_candidates.tolist()]
-    assert R.simplices == [F.simplices[i] for i in keep]
+    rows = [F.boundary_idx[F.boundary_ptr[i] : F.boundary_ptr[i + 1]].tolist() for i in keep]
+    assert R.dims.tolist() == [int(F.dims[i]) for i in keep]
+    assert R.boundary_ptr.tolist() == [0, *itertools.accumulate(len(r) for r in rows)]
+    assert R.boundary_idx.tolist() == [f for r in rows for f in r]
     assert R.critical == [F.critical[i] for i in keep]
     G = F.translated(0.5, 0.25)
     assert G.merge_candidates is F.merge_candidates
     S = G.reduced(0)
     assert S is not R
-    assert S.simplices == R.simplices
+    _assert_same_cut(R, S)
     assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)
 
 
@@ -314,24 +329,20 @@ def test_chunk_reduced_complex_is_rebuilt_after_a_shift():
     F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
     R = F.reduced(1)
     assert F.reduced(2) is R and F.reduced(1) is R  # one reduction for dims >= 1, built once
+    assert type(R) is CellComplex
     assert R.n < F.n and R.vertex_count >= 1
     G = F.translated(0.5, 0.25)
     S = G.reduced(1)
     assert S is not R
-    assert np.array_equal(S.dims, R.dims)
-    assert np.array_equal(S.boundary_ptr, R.boundary_ptr)
-    assert np.array_equal(S.boundary_idx, R.boundary_idx)
+    _assert_same_cut(R, S)
     assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)
 
 
-def test_cell_complex_coboundary_transposes_the_boundary():
+def test_cell_complex_boundary_faces_are_one_dimension_lower():
     for F in (generate_random(GenSpec(9, 14, 3, seed=8, coord_range=3)),
               generate_random_kcritical(GenSpec(9, 14, 2, seed=9, coord_range=2), 3)):
-        for K in (F, F.reduced(1)):
-            ptr, cofaces = K.coboundary
-            up = {(i, int(t)) for i in range(K.n) for t in cofaces[ptr[i] : ptr[i + 1]]}
-            bptr, faces = K.boundary_ptr, K.boundary_idx
-            down = {(int(f), t) for t in range(K.n) for f in faces[bptr[t] : bptr[t + 1]]}
-            assert up == down
-            assert all(K.dims[t] == K.dims[i] + 1 for i, t in up)
+        for K in (F, F.reduced(0), F.reduced(1)):
+            ptr, faces = K.boundary_ptr, K.boundary_idx
+            down = {(int(f), t) for t in range(K.n) for f in faces[ptr[t] : ptr[t + 1]]}
+            assert down and all(K.dims[t] == K.dims[f] + 1 for f, t in down)
             assert np.all(np.diff(K.dims) >= 0)  # one block per dimension

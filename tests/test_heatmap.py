@@ -28,6 +28,12 @@ def pair():
     return F1, F2
 
 
+def test_negative_dimension_is_rejected(pair):
+    # it used to give the dimension-0 grids
+    with pytest.raises(ValueError, match="homology dimension must be non-negative"):
+        compute_heatmap(*pair, 1, -1)
+
+
 def test_depth_zero_is_initial_centers(pair):
     F1, F2 = pair
     hm = compute_heatmap(F1, F2, 0)

@@ -84,8 +84,9 @@ def test_stability_under_perturbation(seed, eps):
     # repair monotonicity; facets precede cofaces in storage order so one
     # forward pass suffices, and the repair stays within eps of the input
     vals = noisy.copy()
-    for i, fs in enumerate(M.complex.facet_indices):
-        for j in fs:
+    ptr, faces = M.complex.boundary_ptr, M.complex.boundary_idx
+    for i in range(M.complex.n):
+        for j in faces[ptr[i] : ptr[i + 1]]:
             vals[i] = max(vals[i], vals[j])
     M2 = MonoFiltration(M.complex, vals)
     M2.check_monotone()
@@ -112,6 +113,12 @@ def test_dimension_beyond_complex_is_empty():
     )
     for dim in (3, 4):
         assert diagram(triangle, dim) == Diagram((), (), dim)
+
+
+def test_negative_dimension_is_rejected():
+    # it used to be computed as dimension 0
+    with pytest.raises(ValueError, match="homology dimension must be non-negative"):
+        diagram(path_complex(), -1)
 
 
 def _tetrahedron(filled: bool):
@@ -247,6 +254,24 @@ def test_chunk_reduced_complex_matches_boundary_oracle_on_tied_slices(seed):
     for G in (F, generate_random_kcritical(spec, int(rng.integers(2, 4))),
               lower_star(F.simplices, values)):
         _assert_chunk_reduction_exact(G, _tied_slices())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_boundary_oracle_agrees_on_each_reduced_complex_and_its_parent(seed):
+    # the oracle reads any CellComplex, so it checks the reductions with no
+    # help from the package's union-find or coboundary columns
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec = random_genspec(rng, seed, n_hi=8, m_hi=10, d_hi=3)
+    spec = GenSpec(spec.n_vertices, spec.n_maximal, spec.max_dim, seed=seed, coord_range=3)
+    F = generate_random(spec)
+    values = {v: tuple(rng.integers(0, 4, size=2).tolist()) for v in F.vertex_ids}
+    for G in (F, generate_random_kcritical(spec, int(rng.integers(2, 4))),
+              lower_star(F.simplices, values)):
+        for L in _tied_slices():
+            for d in (0, 1, 2):
+                assert (persistence_boundary_oracle(restrict(G.reduced(d), L), d)
+                        == persistence_boundary_oracle(restrict(G, L), d))
 
 
 def test_chunk_reduced_three_complexes_match_boundary_oracle():
