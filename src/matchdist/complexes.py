@@ -10,10 +10,12 @@ dimensions, critical sets flat in `px`/`py` with offsets, and the
 boundary as flat (CSR) arrays, the only incidence data a complex holds.
 A `BiFiltration` is a simplicial `CellComplex`. `BiFiltration.reduced(dim)`
 is a plain `CellComplex` cut from it, with the same dimension-dim diagram
-on every slice, built once: for dim 0 the vertices and the
-`merge_candidates` edges, for dims >= 1 the chunk reduction. Both are
-exact only for pushes of their own critical points, so they are built
-here and handed to `restrict`, never implied inside persistence.
+on every slice, built once per dim: the cells of dimension <= dim and
+only the (dim + 1)-cells whose boundaries `_span_sweep` keeps, from the
+complex itself for dim 0 (the `merge_candidates` edges) and from its
+chunk reduction for dims >= 1. Each is exact only for pushes of its own
+critical points, so it is built here and handed to `restrict`, never
+implied inside persistence.
 """
 
 from __future__ import annotations
@@ -132,6 +134,70 @@ class CellComplex:
         return edges, idx[ptr[edges, None] + np.arange(2)]
 
 
+def _span_sweep(K: CellComplex, k: int) -> np.ndarray:
+    """Storage indices, ascending, of the (k + 1)-cells of K that the
+    dimension-k diagrams need on pushes of K's critical points.
+
+    A (k + 1)-cell acts on H_k only through its boundary. It is dropped
+    when, at each of its critical points q, its boundary lies in the span
+    of the boundaries of kept cells that have a critical point <= q
+    (Lesnick & Wright, arXiv:1902.05708). A slice's value of a cell is the
+    least push of its critical points, and pushes are monotone in both
+    coordinates, so on every slice those cells enter no later than the
+    dropped one: every sublevel complex has the same k-boundaries with or
+    without it, hence the same H_k module and the same dimension-k
+    diagram, ties included.
+
+    One sweep over the critical points in (x, y, storage index) order
+    keeps a pivot-keyed basis of boundaries over the two-element field,
+    each row a bitmask over the k-cells with the largest y that went into
+    it. A point's boundary is reduced down the pivots, swapping in at a
+    row of larger y and carrying the sum of the two on, so the rows with
+    y <= y' span all swept points with y <= y' for every y'. A point that
+    reduces to zero without a swap lies in the span of swept points that
+    are <= it, and is dropped; the storage-index tie-break keeps equal
+    boundaries of one grade from justifying each other's removal. A cell
+    is kept if any of its points entered the basis.
+    """
+    a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
+    ptr, idx = K.boundary_ptr.tolist(), K.boundary_idx.tolist()
+    vecs = [sum(1 << (f - a) for f in idx[ptr[t] : ptr[t + 1]]) for t in range(b, c)]
+    starts = K.offsets[b : c + 1]
+    owner = np.repeat(np.arange(c - b), np.diff(starts))
+    xs, ys = K.px[starts[0] : starts[-1]], K.py[starts[0] : starts[-1]]
+    order = np.lexsort((owner, ys, xs)).tolist()
+    owner, ys = owner.tolist(), ys.tolist()
+    basis: dict[int, tuple[int, float]] = {}  # pivot -> (row, its y)
+    kept = [False] * (c - b)
+    for i in order:
+        v, y = vecs[owner[i]], ys[i]
+        while v:
+            p = v.bit_length() - 1
+            row = basis.get(p)
+            if row is None or row[1] > y:
+                basis[p] = (v, y)
+                kept[owner[i]] = True
+                if row is None:
+                    break
+                v, y = v ^ row[0], row[1]
+            else:
+                v ^= row[0]
+    return b + np.flatnonzero(kept)
+
+
+def _cut(K: CellComplex, k: int, keep: np.ndarray) -> CellComplex:
+    """The cells of K of dimension <= k and its (k + 1)-cells `keep`: a
+    prefix of storage and part of the next block, so every face keeps its
+    storage index and the boundary needs no remapping."""
+    cells = K.dims <= k
+    cells[keep] = True
+    sizes = np.diff(K.boundary_ptr)
+    ptr = np.zeros(np.count_nonzero(cells) + 1, dtype=np.int64)
+    np.cumsum(sizes[cells], out=ptr[1:])
+    return CellComplex(K.dims[cells], [K.critical[i] for i in np.flatnonzero(cells).tolist()],
+                       ptr, K.boundary_idx[np.repeat(cells, sizes)])
+
+
 class BiFiltration(CellComplex):
     """Validated bi-filtered simplicial complex.
 
@@ -156,138 +222,60 @@ class BiFiltration(CellComplex):
     @cached_property
     def merge_candidates(self) -> np.ndarray:
         """Storage indices, ascending, of the edges that can merge two
-        components on some slice: the edges of `reduced(0)`.
+        components on some slice: the edges of `reduced(0)`, read-only.
 
-        An edge is dropped when, for each of its critical points p, its
-        endpoints are joined by kept edges that each have a critical point
-        <= p. A slice's value of a simplex is the least push of its
-        critical points, and pushes are monotone in both coordinates, so
-        on every slice those edges enter no later than the dropped one:
-        every sublevel complex has the same components with or without it,
-        hence the same H0 module and the same dimension-0 diagram, ties
-        included. Values that are not pushes of the critical points carry
-        no such guarantee. A monotone shift of all coordinates keeps every
-        such <=, so `translated` carries the set over.
-
-        Built on first use by one sweep over the edges' critical points in
-        (x, y, storage index) order, keeping a spanning forest of the kept
-        points that is minimal in y: a point is dropped when the forest
-        path between its endpoints has no y above its own, and otherwise
-        linked in, cutting the heaviest link of the cycle it closes. The
-        forest holds only points swept earlier, so the storage-index
-        tie-break keeps three equal-grade edges of a triangle from
-        justifying each other's removal. An edge is kept if any of its
-        points is.
-
-        The forest is stored as parent pointers, with a union-find over
-        its trees (a cut on a cycle never splits one). A point joining two
-        trees costs no walk and re-roots the smaller tree; one closing a
-        cycle walks up from both endpoints in turn until the walks meet,
-        so it costs about the length of the forest path it checks.
+        They are the edges `_span_sweep` keeps at k = 0. An edge's boundary
+        u + v lies in the span of other edges' boundaries exactly when
+        those edges join u and v, since a set of such boundaries is
+        independent exactly when its edges form a forest. So an edge is
+        dropped when, at each of its critical points p, kept edges with a
+        critical point <= p join its endpoints: on every slice they enter
+        no later than it, so every sublevel complex has the same
+        components with or without it, hence the same dimension-0 diagram,
+        ties included. Values that are not pushes of the critical points
+        carry no such guarantee. In these terms the sweep holds a spanning
+        forest of the swept points that is minimal in y, and the minimax
+        path weight between two vertices is the same in every such forest,
+        so the set does not depend on which one it holds. A monotone shift
+        of all coordinates keeps every <=, so `translated` carries the set
+        over.
         """
-        lo, m = self.vertex_count, self.edge_count
-        starts = self.offsets[lo : lo + m + 1]
-        owner = np.repeat(np.arange(lo, lo + m), np.diff(starts))
-        xs = self.px[starts[0] : starts[-1]]
-        ys = self.py[starts[0] : starts[-1]]
-        order = np.lexsort((owner, ys, xs)).tolist()
-        owner, ys, ends = owner.tolist(), ys.tolist(), self.edge_ends[1].tolist()
-        parent = list(range(lo))  # roots point at themselves
-        link = [0.0] * lo  # y of the link from a vertex to its parent
-        tree = list(range(lo))  # union-find over the forest's trees
-        size = [1] * lo
-        # per vertex and walk side: the last step whose walk reached it, and
-        # the heaviest link on the way there with the vertex that holds it
-        mark_u, heavy_u, at_u = [-1] * lo, [0.0] * lo, [0] * lo
-        mark_v, heavy_v, at_v = [-1] * lo, [0.0] * lo, [0] * lo
-        kept = [False] * (lo + m)
-
-        def root(a: int) -> int:
-            while tree[a] != a:
-                tree[a] = a = tree[tree[a]]
-            return a
-
-        for step, i in enumerate(order):
-            e, y = owner[i], ys[i]
-            v, u = ends[e - lo]  # every edge here has two vertices
-            ru, rv = root(u), root(v)
-            if ru != rv:
-                if size[ru] > size[rv]:
-                    u, v, ru, rv = v, u, rv, ru
-                tree[ru] = rv
-                size[rv] += size[ru]
-            else:
-                a, h, ha = u, -np.inf, -1
-                b, g, gb = v, -np.inf, -1
-                mark_u[a], heavy_u[a], at_u[a] = step, h, ha
-                mark_v[b], heavy_v[b], at_v[b] = step, g, gb
-                while True:  # the first vertex both walks reach is the meet
-                    if parent[a] != a:
-                        if link[a] > h:
-                            h, ha = link[a], a
-                        a = parent[a]
-                        if mark_v[a] == step:
-                            g, gb = heavy_v[a], at_v[a]
-                            break
-                        mark_u[a], heavy_u[a], at_u[a] = step, h, ha
-                    if parent[b] != b:
-                        if link[b] > g:
-                            g, gb = link[b], b
-                        b = parent[b]
-                        if mark_u[b] == step:
-                            h, ha = heavy_u[b], at_u[b]
-                            break
-                        mark_v[b], heavy_v[b], at_v[b] = step, g, gb
-                if max(h, g) <= y:
-                    continue
-                # cut the heaviest link of the cycle; the endpoint below it
-                # is then at most its walk's length from its root
-                if h >= g:
-                    parent[ha] = ha
-                else:
-                    parent[gb] = gb
-                    u, v = v, u
-            # re-root u's tree at u and hang it under v
-            a, prev, w = u, v, y
-            while True:
-                up, up_w = parent[a], link[a]
-                parent[a], link[a] = prev, w
-                if up == a:
-                    break
-                a, prev, w = up, a, up_w
-            kept[e] = True
-        out = np.flatnonzero(kept)
+        out = _span_sweep(self, 0)
         out.flags.writeable = False
         return out
 
     def reduced(self, dim: int) -> CellComplex:
         """A smaller complex whose restriction onto any slice has the same
-        dimension-dim diagram as this one's, built on first use and kept.
+        dimension-dim diagram as this one's, built on first use and kept,
+        one per dim. A negative dim raises ValueError.
 
-        It is a plain `CellComplex`, never a `BiFiltration`. For dim 0 it
-        is the vertices and the `merge_candidates` edges. For dims >= 1 it
-        is one chunk reduction (Fugacci & Kerber,
-        arXiv:1812.08580) for all of them. It goes up the storage order,
-        and when a cell t's current boundary holds a face s of equal grade
-        it adds t's boundary to every other coface of s, which drops s
-        from theirs, and then drops s and t. Two cells of equal grade
-        enter together on every slice, and the elimination is a filtered
-        chain equivalence, so every slice keeps its persistence modules:
-        only the pair's zero-length interval goes, which diagrams drop
-        anyway. The grade is the whole critical set, so this is exact for
+        It is a plain `CellComplex`, never a `BiFiltration`, cut by
+        `_cut`. For dim 0 it is the vertices and the `merge_candidates`
+        edges. For dim k >= 1 it is the cells of dimension <= k of one
+        chunk reduction (Fugacci & Kerber, arXiv:1812.08580), shared by
+        every k, and the (k + 1)-cells of it that `_span_sweep` keeps.
+
+        The chunk reduction goes up the storage order, and when a cell
+        t's current boundary holds a face s of equal grade it adds t's
+        boundary to every other coface of s, which drops s from theirs,
+        and then drops s and t. Two cells of equal grade enter together
+        on every slice, and the elimination is a filtered chain
+        equivalence, so every slice keeps its persistence modules: only
+        the pair's zero-length interval goes, which diagrams drop anyway.
+        The grade is the whole critical set, so this is exact for
         k-critical inputs too. A coface r of s stays graded, since the
         faces of t enter no later than t, which enters with s, before r.
         """
-        return self._h0_complex if dim == 0 else self._chunk_complex
-
-    @cached_property
-    def _h0_complex(self) -> CellComplex:
-        # vertices keep their storage indices, each kept edge its two ends
-        lo, edges = self.vertex_count, self.merge_candidates
-        keep = np.r_[:lo, edges]
-        ptr = np.r_[np.zeros(lo, dtype=np.int64), 2 * np.arange(len(edges) + 1)]
-        return CellComplex(self.dims[keep], [self.critical[i] for i in keep.tolist()],
-                           ptr, self.edge_ends[1][edges - lo].ravel())
+        if dim < 0:
+            raise ValueError("homology dimension must be non-negative")
+        cache = self.__dict__.setdefault("_reduced", {})
+        if dim not in cache:
+            if dim == 0:
+                cache[0] = _cut(self, 0, self.merge_candidates)
+            else:
+                K = self._chunk_complex
+                cache[dim] = _cut(K, dim, _span_sweep(K, dim))
+        return cache[dim]
 
     @cached_property
     def _chunk_complex(self) -> CellComplex:
@@ -334,7 +322,7 @@ class BiFiltration(CellComplex):
         unless rounding merges two coordinates of one critical set.
         """
         out = copy.copy(self)
-        for name in ("_h0_complex", "_chunk_complex"):  # their values are unshifted
+        for name in ("_reduced", "_chunk_complex"):  # their values are unshifted
             out.__dict__.pop(name, None)
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         # a reduced critical set has x strictly rising and y strictly falling

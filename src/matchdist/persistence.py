@@ -6,8 +6,9 @@ dimension, so faces come before cofaces at equal values. Every cell of
 the complex given is read, whatever made its values; the solver hands
 persistence the smaller complex `BiFiltration.reduced(dim)`, whose
 dimension-dim diagram on every slice is the same: the vertices and the
-`merge_candidates` for dimension 0, the chunk-reduced cell complex for
-dimensions >= 1.
+`merge_candidates` for dimension 0, and for dimensions >= 1 the cells of
+dimension <= dim of the chunk-reduced cell complex with the few
+(dim + 1)-cells whose boundaries the diagram needs.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
 that order; an edge whose boundary is empty is a cycle and merges

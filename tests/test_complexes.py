@@ -24,6 +24,9 @@ from matchdist.errors import (
     NonFiniteCoordinate,
 )
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
+from matchdist.heatmap import compute_heatmap
+from matchdist.slices import Slice, SliceType
+from matchdist.solver import eval_slice
 
 
 def test_single_vertex():
@@ -327,15 +330,142 @@ def test_reduced_complex_is_rebuilt_after_a_shift():
 
 def test_chunk_reduced_complex_is_rebuilt_after_a_shift():
     F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
-    R = F.reduced(1)
-    assert F.reduced(2) is R and F.reduced(1) is R  # one reduction for dims >= 1, built once
-    assert type(R) is CellComplex
-    assert R.n < F.n and R.vertex_count >= 1
+    R = {dim: F.reduced(dim) for dim in (1, 2)}
+    assert R[1] is not R[2]  # one cut of the chunk reduction per dim
     G = F.translated(0.5, 0.25)
-    S = G.reduced(1)
-    assert S is not R
-    _assert_same_cut(R, S)
-    assert np.array_equal(S.px, R.px + 0.5) and np.array_equal(S.py, R.py + 0.25)
+    for dim in (1, 2):
+        assert F.reduced(dim) is R[dim]  # built once
+        assert type(R[dim]) is CellComplex
+        assert R[dim].n < F.n and R[dim].vertex_count >= 1
+        assert R[dim].dims.max() <= dim + 1
+        S = G.reduced(dim)
+        assert S is not R[dim]
+        _assert_same_cut(R[dim], S)
+        assert np.array_equal(S.px, R[dim].px + 0.5) and np.array_equal(S.py, R[dim].py + 0.25)
+
+
+def test_reduced_rejects_a_negative_dimension_before_building_anything():
+    F1 = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    F2 = generate_random(GenSpec(8, 12, 2, seed=6, coord_range=4))
+    before = set(F1.__dict__)
+    with pytest.raises(ValueError, match="non-negative"):
+        F1.reduced(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        eval_slice(F1, F2, Slice(0.5, 1.0, SliceType.FLAT_X), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        compute_heatmap(F1, F2, 1, -1)
+    assert set(F1.__dict__) == before and set(F2.__dict__) == before
+    assert "_chunk_complex" not in before and "_reduced" not in before
+
+
+def _f2_rank(rows: list[list[int]], width: int) -> int:
+    # Gaussian elimination on a boolean matrix, one row per boundary
+    M = np.zeros((len(rows), width), dtype=bool)
+    for i, r in enumerate(rows):
+        M[i, r] = True
+    rank = 0
+    for col in range(width):
+        hit = np.flatnonzero(M[rank:, col])
+        if not len(hit):
+            continue
+        M[[rank, rank + hit[0]]] = M[[rank + hit[0], rank]]
+        others = M[:, col].copy()
+        others[rank] = False
+        M[others] ^= M[rank]
+        rank += 1
+    return rank
+
+
+def _block(K, dim):
+    ptr, idx = K.boundary_ptr, K.boundary_idx
+    return [(K.critical[c], tuple(idx[ptr[c] : ptr[c + 1]].tolist()))
+            for c in np.flatnonzero(K.dims == dim).tolist()]
+
+
+def _assert_relation_certificate(F, k):
+    # reduced(k) is the chunk complex's cells of dimension <= k, unchanged,
+    # plus some of its (k + 1)-cells; at every critical point q of each
+    # dropped one, an F2 rank shows its boundary in the span of the
+    # boundaries of kept cells with a critical point <= q
+    K, R = F._chunk_complex, F.reduced(k)
+    lo = int(np.count_nonzero(K.dims <= k))
+    assert R.dims.tolist() == K.dims[:lo].tolist() + [k + 1] * (R.n - lo)
+    assert R.critical[:lo] == K.critical[:lo]
+    assert np.array_equal(R.boundary_ptr[: lo + 1], K.boundary_ptr[: lo + 1])
+    assert np.array_equal(R.boundary_idx[: R.boundary_ptr[lo]], K.boundary_idx[: K.boundary_ptr[lo]])
+    kept, every = _block(R, k + 1), _block(K, k + 1)
+    dropped = list(every)
+    for cell in kept:  # kept is a sub-multiset of the block
+        dropped.remove(cell)
+    for grade, bd in dropped:
+        for qx, qy in grade:
+            span = [b for g, b in kept if any(x <= qx and y <= qy for x, y in g)]
+            assert _f2_rank(span + [bd], lo) == _f2_rank(span, lo), (grade, bd, (qx, qy))
+    return len(dropped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_dropped_cell_has_a_rank_certificate(seed):
+    # integer coordinates in [0, 3]: many tied grades
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = int(rng.integers(4, 9))
+    d = int(rng.integers(2, 4))
+    m = min(int(rng.integers(3, 14)), comb(n, d + 1))
+    spec = GenSpec(n, m, d, seed=seed, coord_range=3)
+    F = generate_random(spec)
+    values = {v: tuple(rng.integers(0, 4, size=2).tolist()) for v in F.vertex_ids}
+    for G in (F, generate_random_kcritical(spec, int(rng.integers(2, 4))),
+              lower_star(F.simplices, values)):
+        for k in (1, 2):
+            _assert_relation_certificate(G, k)
+
+
+def test_rank_certificate_covers_dense_complexes():
+    # random 3-complexes on 7 vertices, so that both dims drop many cells
+    rng = np.random.Generator(np.random.Philox(903))
+    dropped = {1: 0, 2: 0}
+    for seed in range(6):
+        spec = GenSpec(7, 25, 3, seed=900 + seed, coord_range=3)
+        F = generate_random(spec)
+        values = {v: tuple(rng.integers(0, 4, size=2).tolist()) for v in F.vertex_ids}
+        for G in (F, generate_random_kcritical(spec, 2), lower_star(F.simplices, values)):
+            for k in (1, 2):
+                dropped[k] += _assert_relation_certificate(G, k)
+    assert dropped[1] > 100 and dropped[2] > 20
+
+
+def test_equal_grade_cells_with_equal_boundaries_keep_the_lower_index():
+    # eliminating the diagonals (0, 2) and (1, 3) with the triangles
+    # (0, 1, 2) and (0, 1, 3) leaves (0, 2, 3) and (1, 2, 3) with the same
+    # boundary, the square, at the same grade
+    crit = {(0,): (0, 0), (1,): (0, 0), (2,): (0, 0), (3,): (0, 0),
+            (0, 1): (1, 0), (1, 2): (1, 0), (2, 3): (1, 0), (0, 3): (1, 0),
+            (0, 2): (1, 1), (1, 3): (1, 1), (0, 1, 2): (1, 1), (0, 1, 3): (1, 1),
+            (0, 2, 3): (2, 2), (1, 2, 3): (2, 2)}
+    F = validate_bifiltration(list(crit), [[p] for p in crit.values()])
+    K = F._chunk_complex
+    ptr, idx = K.boundary_ptr, K.boundary_idx
+    tri = np.flatnonzero(K.dims == 2).tolist()
+    assert len(tri) == 2
+    assert idx[ptr[tri[0]] : ptr[tri[0] + 1]].tolist() == idx[ptr[tri[1]] : ptr[tri[1] + 1]].tolist()
+    assert complexes._span_sweep(K, 1).tolist() == [tri[0]]
+    assert F.reduced(1).n == tri[0] + 1
+
+
+def test_h1_pair_keeps_a_few_of_its_triangles():
+    K = generate_random(GenSpec(30, 1200, 2, seed=30))
+    rng = np.random.Generator(np.random.Philox(31))
+    chunk, kept = [], []
+    for _ in range(2):
+        values = {v: (float(rng.integers(0, 1000, endpoint=True)),
+                      float(rng.integers(0, 1000, endpoint=True))) for v in K.vertex_ids}
+        F = lower_star(K.simplices, values)
+        # reduced(2) keeps every triangle of the chunk reduction
+        chunk.append(int(np.count_nonzero(F.reduced(2).dims == 2)))
+        kept.append(int(np.count_nonzero(F.reduced(1).dims == 2)))
+    assert int(np.count_nonzero(K.dims == 2)) == 1200
+    assert chunk == [821, 828] and kept == [46, 74]
 
 
 def test_cell_complex_boundary_faces_are_one_dimension_lower():
