@@ -8,7 +8,7 @@ the slice-parameter space, with three interchangeable bound rules.
 """
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, Reference, bound_C, bound_G, bound_L, variation_filtration
+from .bounds import BoundKind, Reference, bound_C, bound_G, bound_L
 from .complexes import (
     BiFiltration,
     CellComplex,
@@ -74,7 +74,6 @@ __all__ = [
     "restrict",
     "subdivide",
     "validate_bifiltration",
-    "variation_filtration",
     "weighted_push",
 ]
 

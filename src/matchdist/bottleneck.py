@@ -39,14 +39,15 @@ few rows of the n1 x n2 distance matrix as possible:
 - Every point above lb has its nearest partner within lb, because
   min(nearest, diagonal) <= lb < diagonal. If the nearest partners of a
   side's points above lb are pairwise distinct, they are a matching that
-  saturates the side, and no matching is run. Only when they collide is
-  that side matched.
+  saturates the side: the first step of _saturates places every row, and
+  the greedy rounds and the search run only when they collide.
 
 When lb is infeasible, the search above it reads the same rows with the
 same check. For every t >= lb this is exact:
 
 - a point costing more than t costs more than lb, so its row was computed;
-- its nearest partner lies within lb <= t, so the certificate still holds;
+- its nearest partner lies within lb <= t, so distinct nearest partners
+  still saturate its side;
 - feasibility above lb changes only at an entry of these rows or at a
   diagonal cost, so those are the whole candidate set.
 
@@ -193,18 +194,6 @@ def _lb_of(rows: np.ndarray, diag: np.ndarray) -> float:
     return float(np.minimum(rows.min(axis=1), diag[: len(rows)]).max())
 
 
-def _certified(rows: np.ndarray, t: float) -> bool:
-    """True when some matching in the t-graph saturates every row.
-
-    Every row's nearest partner is within t, so nearest partners that are
-    pairwise distinct already form such a matching.
-    """
-    nearest = rows.argmin(axis=1).tolist()
-    if len(set(nearest)) == len(nearest):
-        return True
-    return _saturates(rows, t)
-
-
 def _search_above(rows: list[np.ndarray], diags: tuple[np.ndarray, np.ndarray],
                   feasible: Callable[[float], bool], lb: float) -> float:
     """The smallest feasible candidate above an infeasible lb.
@@ -246,7 +235,7 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
 
     def feasible(t: float) -> bool:
         # exact for t >= lb: the rows of the points above t are computed
-        return all(_certified(rows[s][: _above(diags[s], t)], t) for s in (0, 1))
+        return all(_saturates(rows[s][: _above(diags[s], t)], t) for s in (0, 1))
 
     return lb if feasible(lb) else _search_above(rows, diags, feasible, lb)
 

@@ -72,7 +72,7 @@ import numpy as np
 
 from .complexes import BiFiltration
 from .errors import InvalidLevel
-from .slices import ParamBox, Slice, SliceType, center, pair_extents, push_at, weighted_push
+from .slices import ParamBox, Slice, SliceType, pair_extents, push_at, weighted_push
 
 _LEVEL_TOL = 1e-12
 
@@ -173,14 +173,6 @@ def bounds_from_reference(
     per_ref = [list(map(partial(_capped, r), A1, B1, A2, B2))
                for r, (A1, B1), (A2, B2) in zip(refs, rf1, rf2)]
     return [min(col) for col in zip(*per_ref)]
-
-
-def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
-    """Maximal variation over B of all critical values against its center,
-    the larger of their rise and fall; for multi-critical simplices it
-    bounds the min-push variation above."""
-    [(rise, fall)] = _rise_fall(F.px, F.py, [B], [center(B)])
-    return max(rise[0], fall[0])
 
 
 def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:

@@ -1,8 +1,7 @@
 """Command line front end.
 
 Subcommands: dist (approximate the matching distance of two inputs),
-heatmap (distance grids over slice space), gen (random bi-filtrations),
-bench (compare the three bound rules over a directory of inputs).
+heatmap (distance grids over slice space), gen (random bi-filtrations).
 
 Exit codes: 0 success, 1 usage or input errors, 2 non-converged runs.
 Timing is printed to stderr so stdout stays deterministic for fixed
@@ -13,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from .bounds import BoundKind
 from .complexes import normalize_pair
-from .errors import EmptyDataset, MatchdistError
+from .errors import MatchdistError
 from .generators import GenSpec, generate_random
 from .heatmap import compute_heatmap, write_heatmap_csvs
 from .io import format_diagram, load_bifiltration, write_bifiltration, write_trace_csv
@@ -113,63 +111,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    files = sorted(Path(args.dataset).glob("*.txt"))
-    filts = [(p, load_bifiltration(p)) for p in files]
-    pairs = []
-    for i in range(len(filts)):
-        for j in range(i + 1, len(filts)):
-            if args.same_size_only and filts[i][1].vertex_count != filts[j][1].vertex_count:
-                continue
-            pairs.append((filts[i], filts[j]))
-    if not pairs:
-        raise EmptyDataset(f"no usable pairs in {args.dataset}")
-
-    header = ["fileA", "fileB", "bound", "calls", "time_ms", "delta",
-              "deepest_evaluated_level", "reduction_rate"]
-    rows: list[list[str]] = []
-    by_pair: list[dict[str, tuple[int, float]]] = []
-    print("\t".join(header))
-    for (pa, fa), (pb, fb) in pairs:
-        F1, F2, _ = normalize_pair(fa, fb)
-        per_bound: dict[str, tuple[int, float]] = {}
-        for key in ("g", "c", "l"):
-            cfg = SolverConfig(
-                epsilon=args.epsilon,
-                mode="relative" if args.relative else "absolute",
-                bound_kind=BoundKind(key),
-                homology_dim=args.dim,
-            )
-            t0 = time.perf_counter()
-            res = approximate(F1, F2, cfg)
-            ms = (time.perf_counter() - t0) * 1000.0
-            per_bound[key] = (res.calls, ms)
-            row = [pa.name, pb.name, key, str(res.calls), f"{ms:.3f}",
-                   repr(res.delta), str(res.deepest_evaluated_level),
-                   repr(reduction_rate(res))]
-            rows.append(row)
-            print("\t".join(row))
-        by_pair.append(per_bound)
-
-    def summary(name: str, vals: list[float]) -> str:
-        avg = sum(vals) / len(vals)
-        return f"{name} avg {avg:.3f} min {min(vals):.3f} max {max(vals):.3f}"
-
-    print(summary("calls_ratio_G/C", [p["g"][0] / p["c"][0] for p in by_pair]))
-    print(summary("calls_ratio_C/L", [p["c"][0] / p["l"][0] for p in by_pair]))
-    print(summary("time_ratio_G/C", [p["g"][1] / p["c"][1] for p in by_pair]))
-    print(summary("time_ratio_C/L", [p["c"][1] / p["l"][1] for p in by_pair]))
-
-    if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="matchdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,15 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coord-range", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="compare the three bounds over a dataset directory")
-    p.add_argument("dataset")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--relative", action="store_true")
-    p.add_argument("--dim", type=int, default=0)
-    p.add_argument("--same-size-only", action="store_true")
-    p.add_argument("--out", default=None, help="also write rows to this CSV")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -198,6 +198,49 @@ def _cut(K: CellComplex, k: int, keep: np.ndarray) -> CellComplex:
                        ptr, K.boundary_idx[np.repeat(cells, sizes)])
 
 
+def _chunk_complex(F: CellComplex) -> CellComplex:
+    """The chunk reduction of F (Fugacci & Kerber, arXiv:1812.08580).
+
+    It goes up the storage order, and when a cell t's current boundary
+    holds a face s of equal grade it adds t's boundary to every other
+    coface of s, which drops s from theirs, and then drops s and t. Two
+    cells of equal grade enter together on every slice, and the
+    elimination is a filtered chain equivalence, so every slice keeps its
+    persistence modules: only the pair's zero-length interval goes, which
+    diagrams drop anyway. The grade is the whole critical set, so this is
+    exact for k-critical inputs too. A coface r of s stays graded, since
+    the faces of t enter no later than t, which enters with s, before r.
+    """
+    grade = F.critical
+    ptr, idx = F.boundary_ptr.tolist(), F.boundary_idx.tolist()
+    bd = [set(idx[ptr[t] : ptr[t + 1]]) for t in range(F.n)]
+    cob: list[set[int]] = [set() for _ in range(F.n)]
+    for t, fs in enumerate(bd):
+        for f in fs:
+            cob[f].add(t)
+    alive = [True] * F.n
+    for t in range(F.n):  # t is alive: a face dies at a later coface's turn
+        g, tb = grade[t], bd[t]
+        s = min((f for f in tb if grade[f] == g), default=None)
+        if s is None:
+            continue
+        for r in cob[s] - {t}:
+            bd[r] ^= tb
+            for f in tb:
+                cob[f] ^= {r}
+        for f in bd[s]:
+            cob[f].discard(s)
+        for f in tb:
+            cob[f].discard(t)
+        for r in cob[t]:
+            bd[r].discard(t)
+        alive[s] = alive[t] = False
+    keep = [i for i in range(F.n) if alive[i]]
+    new = {c: j for j, c in enumerate(keep)}
+    bds = [sorted(new[f] for f in bd[c]) for c in keep]
+    return CellComplex(F.dims[keep], [F.critical[i] for i in keep], *_csr(bds))
+
+
 class BiFiltration(CellComplex):
     """Validated bi-filtered simplicial complex.
 
@@ -251,20 +294,9 @@ class BiFiltration(CellComplex):
 
         It is a plain `CellComplex`, never a `BiFiltration`, cut by
         `_cut`. For dim 0 it is the vertices and the `merge_candidates`
-        edges. For dim k >= 1 it is the cells of dimension <= k of one
-        chunk reduction (Fugacci & Kerber, arXiv:1812.08580), shared by
-        every k, and the (k + 1)-cells of it that `_span_sweep` keeps.
-
-        The chunk reduction goes up the storage order, and when a cell
-        t's current boundary holds a face s of equal grade it adds t's
-        boundary to every other coface of s, which drops s from theirs,
-        and then drops s and t. Two cells of equal grade enter together
-        on every slice, and the elimination is a filtered chain
-        equivalence, so every slice keeps its persistence modules: only
-        the pair's zero-length interval goes, which diagrams drop anyway.
-        The grade is the whole critical set, so this is exact for
-        k-critical inputs too. A coface r of s stays graded, since the
-        faces of t enter no later than t, which enters with s, before r.
+        edges. For dim k >= 1 it is the cells of dimension <= k of the
+        chunk reduction `_chunk_complex`, which is not kept, and the
+        (k + 1)-cells of it that `_span_sweep` keeps.
         """
         if dim < 0:
             raise ValueError("homology dimension must be non-negative")
@@ -273,40 +305,9 @@ class BiFiltration(CellComplex):
             if dim == 0:
                 cache[0] = _cut(self, 0, self.merge_candidates)
             else:
-                K = self._chunk_complex
+                K = _chunk_complex(self)
                 cache[dim] = _cut(K, dim, _span_sweep(K, dim))
         return cache[dim]
-
-    @cached_property
-    def _chunk_complex(self) -> CellComplex:
-        grade = self.critical
-        ptr, idx = self.boundary_ptr.tolist(), self.boundary_idx.tolist()
-        bd = [set(idx[ptr[t] : ptr[t + 1]]) for t in range(self.n)]
-        cob: list[set[int]] = [set() for _ in range(self.n)]
-        for t, fs in enumerate(bd):
-            for f in fs:
-                cob[f].add(t)
-        alive = [True] * self.n
-        for t in range(self.n):  # t is alive: a face dies at a later coface's turn
-            g, tb = grade[t], bd[t]
-            s = min((f for f in tb if grade[f] == g), default=None)
-            if s is None:
-                continue
-            for r in cob[s] - {t}:
-                bd[r] ^= tb
-                for f in tb:
-                    cob[f] ^= {r}
-            for f in bd[s]:
-                cob[f].discard(s)
-            for f in tb:
-                cob[f].discard(t)
-            for r in cob[t]:
-                bd[r].discard(t)
-            alive[s] = alive[t] = False
-        keep = [i for i in range(self.n) if alive[i]]
-        new = {c: j for j, c in enumerate(keep)}
-        bds = [sorted(new[f] for f in bd[c]) for c in keep]
-        return CellComplex(self.dims[keep], [self.critical[i] for i in keep], *_csr(bds))
 
     def __repr__(self) -> str:
         return (
@@ -322,8 +323,7 @@ class BiFiltration(CellComplex):
         unless rounding merges two coordinates of one critical set.
         """
         out = copy.copy(self)
-        for name in ("_reduced", "_chunk_complex"):  # their values are unshifted
-            out.__dict__.pop(name, None)
+        out.__dict__.pop("_reduced", None)  # its complexes are unshifted
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         # a reduced critical set has x strictly rising and y strictly falling
         strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)

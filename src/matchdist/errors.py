@@ -48,6 +48,3 @@ class InfeasibleSpec(MatchdistError):
 class DepthTooLarge(MatchdistError):
     """Heatmap depth exceeds the supported maximum."""
 
-
-class EmptyDataset(MatchdistError):
-    """Benchmark directory contains no usable input pairs."""

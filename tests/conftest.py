@@ -71,6 +71,14 @@ def variation_point(px: float, py: float, B: ParamBox) -> float:
     return float(max(rise[0], fall[0]))
 
 
+def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
+    """Largest variation over B of all critical values of F against the
+    center slice of B, the larger of their rise and fall; for
+    multi-critical simplices it bounds the min-push variation above."""
+    [(rise, fall)] = _rise_fall(F.px, F.py, [B], [center(B)])
+    return max(rise[0], fall[0])
+
+
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:
     """Per-point largest |push(corner) - push(ref)| over the four corners
     of B, one weighted_push per corner: the rule the L bound uses, written

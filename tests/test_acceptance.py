@@ -21,12 +21,13 @@ from conftest import (
     random_diagram,
     random_genspec,
     scaled_copy,
+    variation_filtration,
     variation_point,
     weighted_push_grid,
     wpush_geometric,
 )
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L, variation_filtration
+from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L
 from matchdist.complexes import mono_filtration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, diagram

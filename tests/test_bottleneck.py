@@ -502,26 +502,29 @@ def test_high_rows_exclude_points_costing_exactly_lb():
 
 
 def test_distinct_nearest_partners_certify_lb_without_matching(monkeypatch):
-    calls = _count_saturates(monkeypatch)
+    searches = _count_augment(monkeypatch)
     d1, d2 = D([(0.0, 4.0), (1.0, 6.0)]), D([(0.25, 4.0), (1.0, 6.5)])
     assert _lb_and_candidates(d1, d2)[0] == 0.5
     assert bottleneck_brute(d1, d2) == 0.5
     assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == 0.5
-    assert calls == []
+    assert searches == []
 
 
 def test_colliding_nearest_partners_with_a_matching_at_lb(monkeypatch):
     # both points of d1 are nearest to (0, 10); (0.25, 10.5) can still take
-    # (1, 11) at lb = 0.75
+    # (1, 11) at lb = 0.75: one check at lb, each side once, and one search,
+    # on d1's side, whose nearest partners collide
     calls = _count_saturates(monkeypatch)
+    searches = _count_augment(monkeypatch)
     d1, d2 = D([(0.0, 10.25), (0.25, 10.5)]), D([(0.0, 10.0), (1.0, 11.0)])
     assert _lb_and_candidates(d1, d2)[0] == 0.75
     assert bottleneck_brute(d1, d2) == 0.75
     assert bottleneck_distance(d1, d2) == 0.75
-    assert calls == [(2, 2)]
+    assert calls == [(2, 2), (2, 2)]
     calls.clear()
     assert bottleneck_distance(d2, d1) == 0.75
-    assert calls == [(2, 2)]
+    assert calls == [(2, 2), (2, 2)]
+    assert searches == [True, True]
 
 
 def test_colliding_nearest_partners_without_a_matching_at_lb(monkeypatch):

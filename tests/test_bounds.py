@@ -11,6 +11,7 @@ from conftest import (
     grid_slices,
     random_box,
     shift_capped_bound,
+    variation_filtration,
     variation_point,
     weighted_push_grid,
 )
@@ -22,7 +23,6 @@ from matchdist.bounds import (
     bound_G,
     bound_L,
     bounds_from_reference,
-    variation_filtration,
 )
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import lower_star, validate_bifiltration

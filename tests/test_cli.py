@@ -250,29 +250,6 @@ def test_heatmap_deterministic(dataset, tmp_path):
         assert f.read_bytes() == (tmp_path / "h2" / f.name).read_bytes()
 
 
-def test_bench_two_files(dataset, tmp_path):
-    out_csv = tmp_path / "bench.csv"
-    code, out, _ = run_cli(["bench", str(dataset), "--epsilon", "0.5", "--relative",
-                            "--out", str(out_csv)])
-    assert code == 0
-    lines = out.splitlines()
-    data_rows = [l for l in lines if l.startswith("a.txt")]
-    assert len(data_rows) == 3  # one pair, three bounds
-    assert any(l.startswith("calls_ratio_G/C") for l in lines)
-    # reduction rate column is consistent with calls and level
-    for row in data_rows:
-        cells = row.split("\t")
-        calls, lvl, rate = int(cells[3]), int(cells[6]), float(cells[7])
-        assert rate == 1.0 - calls / 4.0 ** (lvl + 1)
-    assert out_csv.read_text().splitlines()[0].startswith("fileA,fileB,bound")
-
-
-def test_bench_empty_dataset(tmp_path):
-    code, _, err = run_cli(["bench", str(tmp_path), "--epsilon", "0.5"])
-    assert code == 1
-    assert "no usable pairs" in err
-
-
 def test_dist_dim1_dump_diagrams_match_boundary_oracle(tmp_path):
     from conftest import persistence_boundary_oracle
     from matchdist.complexes import normalize_pair

@@ -330,7 +330,9 @@ def test_reduced_complex_is_rebuilt_after_a_shift():
 
 def test_chunk_reduced_complex_is_rebuilt_after_a_shift():
     F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    before = set(F.__dict__)
     R = {dim: F.reduced(dim) for dim in (1, 2)}
+    assert set(F.__dict__) - before == {"_reduced"}  # only the cuts are kept
     assert R[1] is not R[2]  # one cut of the chunk reduction per dim
     G = F.translated(0.5, 0.25)
     for dim in (1, 2):
@@ -355,7 +357,7 @@ def test_reduced_rejects_a_negative_dimension_before_building_anything():
     with pytest.raises(ValueError, match="non-negative"):
         compute_heatmap(F1, F2, 1, -1)
     assert set(F1.__dict__) == before and set(F2.__dict__) == before
-    assert "_chunk_complex" not in before and "_reduced" not in before
+    assert "_reduced" not in before
 
 
 def _f2_rank(rows: list[list[int]], width: int) -> int:
@@ -387,7 +389,7 @@ def _assert_relation_certificate(F, k):
     # plus some of its (k + 1)-cells; at every critical point q of each
     # dropped one, an F2 rank shows its boundary in the span of the
     # boundaries of kept cells with a critical point <= q
-    K, R = F._chunk_complex, F.reduced(k)
+    K, R = complexes._chunk_complex(F), F.reduced(k)
     lo = int(np.count_nonzero(K.dims <= k))
     assert R.dims.tolist() == K.dims[:lo].tolist() + [k + 1] * (R.n - lo)
     assert R.critical[:lo] == K.critical[:lo]
@@ -444,7 +446,7 @@ def test_equal_grade_cells_with_equal_boundaries_keep_the_lower_index():
             (0, 2): (1, 1), (1, 3): (1, 1), (0, 1, 2): (1, 1), (0, 1, 3): (1, 1),
             (0, 2, 3): (2, 2), (1, 2, 3): (2, 2)}
     F = validate_bifiltration(list(crit), [[p] for p in crit.values()])
-    K = F._chunk_complex
+    K = complexes._chunk_complex(F)
     ptr, idx = K.boundary_ptr, K.boundary_idx
     tri = np.flatnonzero(K.dims == 2).tolist()
     assert len(tri) == 2

@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import scaled_copy
-from matchdist.bounds import variation_filtration
+from conftest import scaled_copy, variation_filtration
 from matchdist.complexes import validate_bifiltration
 from matchdist.errors import DepthTooLarge
 from matchdist.generators import GenSpec, generate_random

@@ -42,7 +42,7 @@ def test_dist_runs_without_scipy(tmp_path, monkeypatch):
                          "--seed", str(seed), "--out", str(tmp_path / f"{seed}.txt")]) == 0
     args = ["dist", str(tmp_path / "1.txt"), str(tmp_path / "2.txt"),
             "--epsilon", "0.5", "--relative"]
-    # the pair has colliding nearest partners, so the run reaches the matcher
+    # every feasibility check of the run goes through the numpy matcher
     calls = []
 
     def counting(rows, t):
