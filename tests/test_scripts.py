@@ -51,6 +51,25 @@ def test_bound_comparison_script(tmp_path, capsys):
         assert rate == 1.0 - calls / 4.0 ** (lvl + 1)
 
 
+def test_bound_comparison_one_pair(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    code = load_script("bound_comparison").run(
+        ["--pairs", "1", "--vertices", "8", "--maximal-factor", "2", "--epsilon", "0.5",
+         "--out", str(out)]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    data_rows = [l for l in lines if l.startswith("rnd_000.txt")]
+    assert len(data_rows) == 3  # one pair, three bounds
+    assert any(l.startswith("calls_ratio_G/C") for l in lines)
+    # reduction rate column is consistent with calls and level
+    for row in data_rows:
+        cells = row.split("\t")
+        calls, lvl, rate = int(cells[3]), int(cells[6]), float(cells[7])
+        assert rate == 1.0 - calls / 4.0 ** (lvl + 1)
+    assert out.read_text().splitlines()[0].startswith("fileA,fileB,bound")
+
+
 def test_bound_comparison_rejects_zero_pairs(capsys):
     with pytest.raises(SystemExit) as exc:
         load_script("bound_comparison").run(["--pairs", "0"])
