@@ -7,8 +7,8 @@ A_i (how far above its reference value a critical value can go) and a
 fall B_i (how far below):
 
 * local linear: exact per-point rise and fall against a reference slice,
-  maximized over all critical values in one vectorized scan; linear time
-  in the number of critical values. On non-negative points a push is
+  maximized over the distinct critical values in one vectorized scan;
+  linear time in their number. On non-negative points a push is
   nondecreasing in lam and nonincreasing in mu, so over a box it is
   largest at (lam_max, mu_min) and smallest at (lam_min, mu_max):
   A = max(hi - c) and B = max(c - lo) over the points, both at least 0.
@@ -51,30 +51,36 @@ min(d + v1 + v2, max(h1 + v1, h2 + v2, e + v1 + v2)), and it is never
 larger than that for A_i, B_i <= v_i, so the shift only tightens.
 
 The two-corner rule holds against any reference slice, in the box or
-not. bound_L bounds one box against its own center. bounds_from_reference
-bounds boxes of one slice type, such as the four children of a split,
-against several evaluated slices at once and keeps the smallest bound per
-box; the solver passes the split box's center and the centers of its two
-nearest evaluated ancestors. The corner pushes do not depend on the
-reference, so they are computed once per filtration for all the boxes;
-each reference then adds one weighted push per filtration and the scans
-max(hi - c) and max(c - lo).
+not. box_bound makes one pass over boxes of one slice type: the four
+children of a split, or one level-0 box. Per filtration, one push_at call
+gives the pushes at the two corners and the center of every box and at
+the evaluated reference slices, and one scan each gives the rises and the
+falls of every box against every reference and against its own center.
+The first give the boxes' pre-bounds, the smallest over the references;
+the solver passes the split box's center and the centers of its two
+nearest evaluated ancestors. The second give a box's own bound once its
+center is evaluated, capped_bound with that record, with no second scan.
+A maximum over a multiset is the maximum over its distinct values, so
+the scans read each filtration's distinct critical points
+(BiFiltration.distinct_points): a lower-star filtration repeats a
+vertex's value in every simplex it is the largest vertex of. bound_L,
+bound_C, bound_G and bounds_from_reference are views of the pass.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import BiFiltration
 from .errors import InvalidLevel
-from .slices import ParamBox, Slice, SliceType, pair_extents, push_at, weighted_push
+from .slices import ParamBox, Slice, SliceType, pair_extents, push_at
 
 _LEVEL_TOL = 1e-12
+INF = float("inf")
 
 
 class Reference(NamedTuple):
@@ -89,7 +95,7 @@ class Reference(NamedTuple):
     e: float
 
 
-def _capped(ref: Reference, A1: float, B1: float, A2: float, B2: float) -> float:
+def capped_bound(ref: Reference, A1: float, B1: float, A2: float, B2: float) -> float:
     """min(d + S, max(h1 + (A1 + B1) / 2, h2 + (A2 + B2) / 2, e + S)),
     S = max(A1 + B2, A2 + B1, ((A1 + B1) + (A2 + B2)) / 2): the bound over a
     box whose critical values rise by at most A_i and fall by at most B_i
@@ -102,11 +108,9 @@ def _capped(ref: Reference, A1: float, B1: float, A2: float, B2: float) -> float
     numbers, too few for numpy's per-call cost to pay off.
     """
     m1, m2 = (A1 + B1) / 2.0, (A2 + B2) / 2.0
-
-    def plus_S(x: float) -> float:
-        return max(x + A1 + B2, x + B1 + A2, x + m1 + m2)
-
-    return min(plus_S(ref.d), max(ref.h1 + m1, ref.h2 + m2, plus_S(ref.e)))
+    d, e = ref.d, ref.e
+    return min(max(d + A1 + B2, d + B1 + A2, d + m1 + m2),
+               max(ref.h1 + m1, ref.h2 + m2, e + A1 + B2, e + B1 + A2, e + m1 + m2))
 
 
 class BoundKind(enum.Enum):
@@ -118,9 +122,12 @@ class BoundKind(enum.Enum):
         return self.value
 
 
-def _corner_pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox]) -> tuple[np.ndarray, np.ndarray]:
-    """The pushes at (lam_max, mu_min) and at (lam_min, mu_max) of boxes of
-    one slice type, a row per box, from one push_at call each.
+def _pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox], refs: Sequence[Slice]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, own, at): the pushes of the points (xs, ys) at the corners
+    (lam_max, mu_min) and (lam_min, mu_max) and at the center of each of
+    the k boxes, (k, n) each, and at the r slices refs, (r, n), all from
+    one push_at call; boxes and refs share one slice type.
 
     Requires xs, ys >= 0 (approximate enforces it): the push is then
     largest at the first corner and smallest at the second, so against a
@@ -128,57 +135,55 @@ def _corner_pushes(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox]) -> tup
     over all four corners bit for bit.
     """
     stype = boxes[0].stype
-    if any(B.stype is not stype for B in boxes):
-        raise ValueError("boxes must share one slice type")
-    lam_max, mu_min, lam_min, mu_max = np.array(
-        [(B.lam_max, B.mu_min, B.lam_min, B.mu_max) for B in boxes]
-    ).T[:, :, None]
-    return push_at(xs, ys, lam_max, mu_min, stype), push_at(xs, ys, lam_min, mu_max, stype)
+    if any(B.stype is not stype for B in boxes) or any(L.stype is not stype for L in refs):
+        raise ValueError("boxes and references must share one slice type")
+    k = len(boxes)
+    lam, mu = np.array([(B.lam_max, B.mu_min) for B in boxes] + [(B.lam_min, B.mu_max) for B in boxes]
+                       + [((B.lam_min + B.lam_max) / 2.0, (B.mu_min + B.mu_max) / 2.0) for B in boxes]
+                       + [(L.lam, L.mu) for L in refs]).T[:, :, None]
+    P = push_at(xs, ys, lam, mu, stype)
+    return P[:k], P[k : 2 * k], P[2 * k : 3 * k], P[3 * k :]
 
 
-def _rise_fall(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox], refs: Sequence[Slice]) -> list[tuple[list, list]]:
-    """How far the points (xs, ys) rise and fall over each box against
-    ref: (max(hi - c), max(c - lo)) over the points, each at least 0, as
-    two lists over the boxes per reference.
-
-    The corner pushes do not depend on the reference, so they are computed
-    once; each reference adds one weighted push and the two scans.
-    Scanning one reference at a time keeps every temporary as small as the
-    corner pushes.
+def _rise_fall(xs: np.ndarray, ys: np.ndarray, boxes: list[ParamBox],
+               refs: Sequence[Slice]) -> tuple[np.ndarray, np.ndarray]:
+    """How far the points (xs, ys) rise and fall over each of the k boxes,
+    max(hi - c) and max(c - lo) over the points, each at least 0: two
+    (1 + r, k) arrays, row 0 against each box's own center slice and row j
+    against refs[j - 1]. The corner pushes do not depend on the reference,
+    so one scan each gives the rises and the falls against all r.
     """
-    hi, lo = _corner_pushes(xs, ys, boxes)
-    out = []
-    for L in refs:
-        c = weighted_push(xs, ys, L)
-        out.append(((hi - c).max(axis=1, initial=0.0).tolist(), (c - lo).max(axis=1, initial=0.0).tolist()))
-    return out
+    hi, lo, own, at = _pushes(xs, ys, boxes, refs)
+    at = at[:, None]
+    rise = np.vstack(((hi - own).max(axis=1, initial=0.0), (hi - at).max(axis=2, initial=0.0)))
+    fall = np.vstack(((own - lo).max(axis=1, initial=0.0), (at - lo).max(axis=2, initial=0.0)))
+    return rise, fall
 
 
-def bounds_from_reference(
-    F1: BiFiltration,
-    F2: BiFiltration,
-    boxes: list[ParamBox],
-    refs: Sequence[Reference],
-) -> list[float]:
-    """L bound of each box against the evaluated slices refs: the smallest
-    over the references of the capped bound with the rise and fall of F1
-    and of F2 over the box against that reference. A reference need not
-    lie in the box; one reference gives the plain two-corner rule.
-    """
-    if not boxes:
-        return []
+RiseFall = tuple[float, float, float, float]
+
+
+class BoundPass(NamedTuple):
+    """box_bound's result, one entry per box. pre is the smallest bound
+    against the evaluated references, inf under C and G or without a
+    reference. rise_fall is (A1, B1, A2, B2) over the box against its own
+    center slice: capped_bound with the record of that center is the
+    box's own bound."""
+
+    pre: list[float]
+    rise_fall: list[RiseFall]
+
+
+def _pass_L(F1: BiFiltration, F2: BiFiltration, boxes: list[ParamBox],
+            refs: Sequence[Reference]) -> BoundPass:
     slices = [r.slice for r in refs]
-    rf1 = _rise_fall(F1.px, F1.py, boxes, slices)
-    rf2 = _rise_fall(F2.px, F2.py, boxes, slices)
-    per_ref = [list(map(partial(_capped, r), A1, B1, A2, B2))
-               for r, (A1, B1), (A2, B2) in zip(refs, rf1, rf2)]
-    return [min(col) for col in zip(*per_ref)]
-
-
-def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Local linear bound against ref, the record of B's center: the
-    two-corner rule of bounds_from_reference for the one box B."""
-    return bounds_from_reference(F1, F2, [B], [ref])[0]
+    # (1 + r, k, 4): the rise and fall of both filtrations per box, against
+    # its own center and then against each reference
+    rf = np.stack((*_rise_fall(*F1.distinct_points, boxes, slices),
+                   *_rise_fall(*F2.distinct_points, boxes, slices)), axis=-1).tolist()
+    pre = [min((capped_bound(r, *row[i]) for r, row in zip(refs, rf[1:])), default=INF)
+           for i in range(len(boxes))]
+    return BoundPass(pre, [tuple(q) for q in rf[0]])
 
 
 def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
@@ -194,23 +199,10 @@ def _vbar_constant(B: ParamBox, X: float, Y: float) -> float:
     return 0.5 * (B.dmu + Y * B.dlam)  # steep x
 
 
-def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Local constant bound against ref, the record of B's center: the
-    per-type closed form vbar, point-independent, as the rise and the
-    fall of both filtrations."""
-    X, Y, _ = pair_extents(F1, F2)
-    vbar = _vbar_constant(B, X, Y)
-    return _capped(ref, vbar, vbar, vbar, vbar)
-
-
-def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Global bound against ref, the record of B's center: g = C * 2**-level
-    with C = max{X, Y} for both filtrations.
-
-    Only valid for boxes produced by initial_boxes/subdivide, whose lam
-    width is exactly 2**-level and whose mu height is at most C * 2**-level.
-    """
-    _, _, C = pair_extents(F1, F2)
+def _g_global(B: ParamBox, C: float) -> float:
+    """g = C * 2**-level. Only valid for boxes produced by
+    initial_boxes/subdivide, whose lam width is exactly 2**-level and whose
+    mu height is at most C * 2**-level."""
     g = C * 2.0 ** (-B.level)
     if B.dlam != 2.0 ** (-B.level):
         raise InvalidLevel(
@@ -220,15 +212,64 @@ def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> 
         raise InvalidLevel(
             f"mu height {B.dmu} exceeds C * 2**-level = {g}"
         )
-    return _capped(ref, g, g, g, g)
+    return g
 
 
 def box_bound(
-    kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference
-) -> float:
-    """Dispatch to the configured bound rule; ref is the record of B's center."""
-    if kind is BoundKind.GLOBAL:
-        return bound_G(F1, F2, B, ref)
+    kind: BoundKind,
+    F1: BiFiltration,
+    F2: BiFiltration,
+    boxes: list[ParamBox],
+    refs: Sequence[Reference] = (),
+) -> BoundPass:
+    """One bound pass over boxes of one slice type under rule kind: each
+    box's pre-bound against the evaluated slices refs and its rise and
+    fall against its own center. The solver makes one pass per split,
+    over the children, and one per level-0 box.
+
+    Under L a reference need not lie in the box; one reference gives the
+    plain two-corner rule. C and G take their closed forms as the rise and
+    the fall of both filtrations and bound nothing before an evaluation.
+    """
+    if kind is BoundKind.LOCAL_LINEAR:
+        return _pass_L(F1, F2, boxes, refs) if boxes else BoundPass([], [])
+    X, Y, C = pair_extents(F1, F2)
     if kind is BoundKind.LOCAL_CONSTANT:
-        return bound_C(F1, F2, B, ref)
-    return bound_L(F1, F2, B, ref)
+        v = [_vbar_constant(B, X, Y) for B in boxes]
+    else:
+        v = [_g_global(B, C) for B in boxes]
+    return BoundPass([INF] * len(boxes), [(x, x, x, x) for x in v])
+
+
+def bounds_from_reference(
+    F1: BiFiltration,
+    F2: BiFiltration,
+    boxes: list[ParamBox],
+    refs: Sequence[Reference],
+) -> list[float]:
+    """L bound of each box against the evaluated slices refs, the smallest
+    over them; inf for every box when refs is empty."""
+    return box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, refs).pre
+
+
+def _own_bound(kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    return capped_bound(ref, *box_bound(kind, F1, F2, [B]).rise_fall[0])
+
+
+def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Local linear bound against ref, the record of B's center: the
+    exact rise and fall of both filtrations over B."""
+    return _own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
+
+
+def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Local constant bound against ref, the record of B's center: the
+    per-type closed form vbar, point-independent, as the rise and the
+    fall of both filtrations."""
+    return _own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
+
+
+def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
+    """Global bound against ref, the record of B's center: g = C * 2**-level
+    with C = max{X, Y} for both filtrations."""
+    return _own_bound(BoundKind.GLOBAL, F1, F2, B, ref)

@@ -287,6 +287,19 @@ class BiFiltration(CellComplex):
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys): the distinct critical points of all cells, in
+        lexicographic order, read-only; the points the L bound scans. A
+        maximum over a multiset is the maximum over its distinct values,
+        and a lower-star filtration repeats a vertex's value in every
+        simplex it is the largest vertex of. `translated` drops them."""
+        pts = np.unique(np.column_stack((self.px, self.py)), axis=0)
+        out = pts[:, 0].copy(), pts[:, 1].copy()
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def reduced(self, dim: int) -> CellComplex:
         """A smaller complex whose restriction onto any slice has the same
         dimension-dim diagram as this one's, built on first use and kept,
@@ -323,7 +336,9 @@ class BiFiltration(CellComplex):
         unless rounding merges two coordinates of one critical set.
         """
         out = copy.copy(self)
-        out.__dict__.pop("_reduced", None)  # its complexes are unshifted
+        # its complexes and points are unshifted
+        out.__dict__.pop("_reduced", None)
+        out.__dict__.pop("distinct_points", None)
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         # a reduced critical set has x strictly rising and y strictly falling
         strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)

@@ -14,13 +14,18 @@ gives a bounds.Reference record, (slice, d, h1, h2, e), read off the two
 diagrams the distance was computed from; bounds.py explains how every
 bound rule caps the stability bound by the trivial matching with it.
 
-Under the local linear bound a split first bounds each child against the
-evaluated center slices of the box and of its two nearest ancestors, with
-their records, and keeps the smallest of these pre-bounds
-(bounds.bounds_from_reference). The inherited bound already holds each
-ancestor's bound, but over the whole ancestor box; the same center bounds
-the smaller child more tightly. A child whose pre-bound already meets the
-threshold retires without an evaluation.
+Each split makes one bound pass over its four children
+(bounds.box_bound), and each level-0 box a pass of its own. Under the
+local linear bound the pass bounds each child against the evaluated
+center slices of the box and of its two nearest ancestors, with their
+records, and keeps the smallest of these pre-bounds. The inherited bound
+already holds each ancestor's bound, but over the whole ancestor box; the
+same center bounds the smaller child more tightly. A child whose
+pre-bound already meets the threshold retires without an evaluation. The
+same pass gives each child's rise and fall against its own center, so an
+evaluated child's own bound is bounds.capped_bound with its record, with
+no second scan of the critical values; under C and G the pass gives the
+closed forms and no pre-bound.
 One heap holds the queue: bfs pops it in queue order, priority pops the
 largest bound first.
 
@@ -42,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bottleneck import bottleneck_distance, essential_distance, half_persistence
-from .bounds import BoundKind, Reference, bounds_from_reference, box_bound
+from .bounds import BoundKind, Reference, RiseFall, box_bound, capped_bound
 from .complexes import BiFiltration
 from .errors import InvalidConfig
 from .persistence import diagram
@@ -299,18 +304,19 @@ def approximate(
     # orders the heap and it pops first in, first out
     heap: list[tuple[float, int, ParamBox, float, _Refs]] = []
 
-    def push(box: ParamBox, inherited: float, in_flight: float, ancestors: _Refs) -> None:
+    def push(box: ParamBox, inherited: float, in_flight: float, ancestors: _Refs,
+             rise_fall: RiseFall) -> None:
         # in_flight covers this box and its unqueued siblings in the trace
         ref = st.do_eval(box, in_flight)
-        own = box_bound(cfg.bound_kind, F1, F2, box, ref)
-        eff = min(own, inherited)
+        eff = min(capped_bound(ref, *rise_fall), inherited)
         refs = (ref,) + ancestors[: REFERENCES - 1]
         # each push makes exactly one evaluation, so calls is a rising seq
         heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, refs))
         st.cover.add(eff)
 
     for b in initial_boxes(F1, F2):
-        push(b, INF, INF, ())
+        [rise_fall] = box_bound(cfg.bound_kind, F1, F2, [b]).rise_fall
+        push(b, INF, INF, (), rise_fall)
 
     while heap:
         if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
@@ -327,16 +333,13 @@ def approximate(
         else:
             children = subdivide(box)
             st.deepest_level = max(st.deepest_level, box.level + 1)
-            if prebound:
-                pre = bounds_from_reference(F1, F2, children, refs)
-                bounds = [min(p, eff) for p in pre]
-            else:
-                bounds = [eff] * len(children)
+            pre, rise_fall = box_bound(cfg.bound_kind, F1, F2, children, refs)
+            bounds = [min(p, eff) for p in pre]
             for i, child in enumerate(children):
                 if prebound and bounds[i] <= st.threshold:
                     st.retired.append((child, bounds[i]))
                 else:
-                    push(child, bounds[i], max(bounds[i:]), refs)
+                    push(child, bounds[i], max(bounds[i:]), refs, rise_fall[i])
     if heap:
         # stopped by the budget or a stall: every queued box stays open
         st.unresolved.extend((b, e) for _, _, b, e, _ in heap)

@@ -22,7 +22,6 @@ from matchdist.slices import (
     ParamBox,
     Slice,
     SliceType,
-    center,
     pair_extents,
     weighted_push,
 )
@@ -67,16 +66,16 @@ def weighted_push_grid(
 def variation_point(px: float, py: float, B: ParamBox) -> float:
     """The package's per-point variation rule (corners against the center
     slice of B) for one point: the larger of its rise and fall."""
-    [(rise, fall)] = _rise_fall(np.array([px]), np.array([py]), [B], [center(B)])
-    return float(max(rise[0], fall[0]))
+    rise, fall = _rise_fall(np.array([px]), np.array([py]), [B], [])
+    return float(max(rise[0, 0], fall[0, 0]))
 
 
 def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     """Largest variation over B of all critical values of F against the
     center slice of B, the larger of their rise and fall; for
     multi-critical simplices it bounds the min-push variation above."""
-    [(rise, fall)] = _rise_fall(F.px, F.py, [B], [center(B)])
-    return max(rise[0], fall[0])
+    rise, fall = _rise_fall(F.px, F.py, [B], [])
+    return float(max(rise[0, 0], fall[0, 0]))
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:

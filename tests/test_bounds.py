@@ -16,13 +16,16 @@ from conftest import (
     weighted_push_grid,
 )
 from matchdist.bounds import (
+    BoundKind,
     Reference,
-    _corner_pushes,
+    _pushes,
     _vbar_constant,
     bound_C,
     bound_G,
     bound_L,
     bounds_from_reference,
+    box_bound,
+    capped_bound,
 )
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import lower_star, validate_bifiltration
@@ -119,7 +122,7 @@ def test_two_corner_rule_equals_four_corner_max():
             # against the center, as bound_L scans, and against a slice
             # outside the box, as an ancestor's center can be
             refs = [center(B), Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, stype)]
-            hi, lo = _corner_pushes(xs, ys, [B])
+            hi, lo, _, _ = _pushes(xs, ys, [B], [])
             for ref in refs:
                 c = weighted_push(xs, ys, ref)
                 assert np.array_equal(np.maximum(hi[0] - c, c - lo[0]),
@@ -214,6 +217,59 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
         assert bounds_from_reference(F1, F2, [B], [ref]) == [pytest.approx(want, rel=1e-12, abs=1e-12)]
     with pytest.raises(ValueError):  # boxes of one slice type
         bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
+
+
+def test_no_reference_bounds_nothing():
+    F1 = generate_random(GenSpec(8, 12, 1, seed=51))
+    F2 = generate_random(GenSpec(8, 12, 1, seed=52))
+    boxes = subdivide(initial_boxes(F1, F2)[1])
+    assert bounds_from_reference(F1, F2, boxes, []) == [math.inf] * 4
+    for kind in BoundKind:  # the solver's pass over a level-0 box
+        assert box_bound(kind, F1, F2, boxes).pre == [math.inf] * 4
+
+
+@pytest.mark.parametrize("kind", ["1-critical", "k-critical", "lower-star"])
+def test_one_pass_equals_the_per_box_rule(kind):
+    # the pass over a split's children (or one level-0 box) against 0-3
+    # references, at levels 0-6 of all four slice types, against the rule
+    # applied to one box and one reference at a time over every critical
+    # value, repeated ones included: the same floats, not nearly the same
+    rng = np.random.Generator(np.random.Philox(1515))
+    F1, F2 = _one_complex_pairs(72)[kind]
+    if kind == "lower-star":
+        assert F1.distinct_points[0].size < F1.px.size
+    X, Y, C = pair_extents(F1, F2)
+    for top in initial_boxes(F1, F2):
+        chain = [top]
+        for _ in range(6):
+            chain.append(subdivide(chain[-1])[int(rng.integers(0, 4))])
+        for level in range(7):
+            boxes = subdivide(chain[level - 1]) if level else [top]
+            # the nearest ancestors' centers, after a slice outside the top
+            # box at odd levels
+            slices = [center(A) for A in chain[level - 1 :: -1]] if level else []
+            if level % 2:
+                slices.insert(0, Slice(float(rng.uniform(0.0, 1.0)), top.mu_max + 1.0, top.stype))
+            refs = [eval_reference(F1, F2, L, 0) for L in slices[: level % 4]]
+            got = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, refs)
+            for B, pre, rise_fall in zip(boxes, got.pre, got.rise_fall):
+                def rf(L):
+                    return (*four_corner_rise_fall(F1.px, F1.py, B, L),
+                            *four_corner_rise_fall(F2.px, F2.py, B, L))
+                assert pre == min((capped_bound(r, *rf(r.slice)) for r in refs), default=math.inf)
+                assert pre == pytest.approx(min(
+                    (shift_capped_bound(r, rf(r.slice)[:2], rf(r.slice)[2:]) for r in refs),
+                    default=math.inf), rel=1e-12, abs=1e-12)
+                assert rise_fall == rf(center(B))
+                own = eval_reference(F1, F2, center(B), 0)
+                assert bound_L(F1, F2, B, own) == capped_bound(own, *rf(center(B)))
+                vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
+                assert bound_C(F1, F2, B, own) == symmetric_bound(own, vbar, vbar)
+                assert bound_G(F1, F2, B, own) == symmetric_bound(own, g, g)
+            for rule, v in ((BoundKind.LOCAL_CONSTANT, lambda B: _vbar_constant(B, X, Y)),
+                            (BoundKind.GLOBAL, lambda B: C * 2.0 ** -B.level)):
+                assert box_bound(rule, F1, F2, boxes, refs) == (
+                    [math.inf] * len(boxes), [(v(B),) * 4 for B in boxes])
 
 
 def _record_oracle(F1, F2, L: Slice, dim: int) -> Reference:

@@ -301,6 +301,26 @@ def test_translated_carries_the_merge_candidates_over():
     _assert_merge_certificate(G)
 
 
+def test_distinct_points_are_rebuilt_after_a_shift():
+    # a lower-star filtration repeats each vertex's value in the simplices
+    # it is the largest vertex of; a shift must not keep the old points
+    K = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    rng = np.random.Generator(np.random.Philox(5))
+    F = lower_star(K.simplices, {v: tuple(rng.integers(-3, 4, size=2).tolist()) for v in K.vertex_ids})
+    assert "distinct_points" not in F.__dict__  # built on first use
+    xs, ys = F.distinct_points
+    assert F.distinct_points[0] is xs and not xs.flags.writeable
+    assert xs.size < F.px.size
+    assert list(zip(xs.tolist(), ys.tolist())) == sorted(set(zip(F.px.tolist(), F.py.tolist())))
+    G = F.translated(0.5, 0.25)
+    assert np.array_equal(G.distinct_points[0], xs + 0.5)
+    assert np.array_equal(G.distinct_points[1], ys + 0.25)
+    H, _, (vx, vy) = normalize_pair(F, F)
+    assert vx > 0.0 and vy > 0.0
+    assert np.array_equal(H.distinct_points[0], xs + vx)
+    assert np.array_equal(H.distinct_points[1], ys + vy)
+
+
 def _assert_same_cut(R, S):
     assert np.array_equal(S.dims, R.dims)
     assert np.array_equal(S.boundary_ptr, R.boundary_ptr)
