@@ -21,9 +21,9 @@ either completes the matching or proves it impossible.
 Every point pays at least the smaller of its nearest-partner distance and
 its diagonal cost, so the largest such value, lb, bounds the answer from
 below, and it is itself a candidate. On slice diagrams lb is almost always
-the answer: it was in all but 24 of the 3,318 calls the four workloads of
-bench/ make. So lb, and the feasibility check at lb, are computed from as
-few rows of the n1 x n2 distance matrix as possible:
+the answer: it was in all but 14 of the 1,858 calls the four workloads of
+bench/ make at seed 0. So lb, and the feasibility check at lb, are
+computed from as few rows of the n1 x n2 distance matrix as possible:
 
 - Each side is sorted by falling diagonal cost. A point whose diagonal
   cost is at most the running lb cannot raise lb, and the check at lb

@@ -12,10 +12,9 @@ A `BiFiltration` is a simplicial `CellComplex`. `BiFiltration.reduced(dim)`
 is a plain `CellComplex` cut from it, with the same dimension-dim diagram
 on every slice, built once per dim: the cells of dimension <= dim and
 only the (dim + 1)-cells whose boundaries `_span_sweep` keeps, from the
-complex itself for dim 0 (the `merge_candidates` edges) and from its
-chunk reduction for dims >= 1. Each is exact only for pushes of its own
-critical points, so it is built here and handed to `restrict`, never
-implied inside persistence.
+complex itself for dim 0 and from its chunk reduction for dims >= 1.
+Each is exact only for pushes of its own critical points, so it is built
+here and handed to `restrict`, never implied inside persistence.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ class CellComplex:
 
         self.max_x = float(self.px.max()) if self.n else 0.0
         self.max_y = float(self.py.max()) if self.n else 0.0
-        self.c_max = max(self.max_x, self.max_y)
 
     def __len__(self) -> int:
         return self.n
@@ -158,6 +156,12 @@ def _span_sweep(K: CellComplex, k: int) -> np.ndarray:
     are <= it, and is dropped; the storage-index tie-break keeps equal
     boundaries of one grade from justifying each other's removal. A cell
     is kept if any of its points entered the basis.
+
+    At k = 0 a set of edge boundaries is independent exactly when its
+    edges form a forest, so the basis is a spanning forest of the swept
+    points that is minimal in y. The minimax path weight between two
+    vertices is the same in every such forest, so the kept edges do not
+    depend on which one the sweep holds.
     """
     a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
     ptr, idx = K.boundary_ptr.tolist(), K.boundary_idx.tolist()
@@ -263,31 +267,6 @@ class BiFiltration(CellComplex):
         self.vertex_ids: list[int] = [s[0] for s in self.simplices[: self.vertex_count]]
 
     @cached_property
-    def merge_candidates(self) -> np.ndarray:
-        """Storage indices, ascending, of the edges that can merge two
-        components on some slice: the edges of `reduced(0)`, read-only.
-
-        They are the edges `_span_sweep` keeps at k = 0. An edge's boundary
-        u + v lies in the span of other edges' boundaries exactly when
-        those edges join u and v, since a set of such boundaries is
-        independent exactly when its edges form a forest. So an edge is
-        dropped when, at each of its critical points p, kept edges with a
-        critical point <= p join its endpoints: on every slice they enter
-        no later than it, so every sublevel complex has the same
-        components with or without it, hence the same dimension-0 diagram,
-        ties included. Values that are not pushes of the critical points
-        carry no such guarantee. In these terms the sweep holds a spanning
-        forest of the swept points that is minimal in y, and the minimax
-        path weight between two vertices is the same in every such forest,
-        so the set does not depend on which one it holds. A monotone shift
-        of all coordinates keeps every <=, so `translated` carries the set
-        over.
-        """
-        out = _span_sweep(self, 0)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys): the distinct critical points of all cells, in
         lexicographic order, read-only; the points the L bound scans. A
@@ -306,20 +285,18 @@ class BiFiltration(CellComplex):
         one per dim. A negative dim raises ValueError.
 
         It is a plain `CellComplex`, never a `BiFiltration`, cut by
-        `_cut`. For dim 0 it is the vertices and the `merge_candidates`
-        edges. For dim k >= 1 it is the cells of dimension <= k of the
-        chunk reduction `_chunk_complex`, which is not kept, and the
-        (k + 1)-cells of it that `_span_sweep` keeps.
+        `_cut`: the cells of dimension <= dim and the (dim + 1)-cells that
+        `_span_sweep` keeps, of this complex for dim 0 and of its chunk
+        reduction `_chunk_complex`, which is not kept, for dims >= 1. Dim 0
+        skips the chunk reduction, which on `generate_random` inputs drops
+        few cells or none yet adds to the build's time and memory.
         """
         if dim < 0:
             raise ValueError("homology dimension must be non-negative")
         cache = self.__dict__.setdefault("_reduced", {})
         if dim not in cache:
-            if dim == 0:
-                cache[0] = _cut(self, 0, self.merge_candidates)
-            else:
-                K = _chunk_complex(self)
-                cache[dim] = _cut(K, dim, _span_sweep(K, dim))
+            K = self if dim == 0 else _chunk_complex(self)
+            cache[dim] = _cut(K, dim, _span_sweep(K, dim))
         return cache[dim]
 
     def __repr__(self) -> str:

@@ -5,10 +5,10 @@ ordered by (value, storage index) ascending; storage order goes up by
 dimension, so faces come before cofaces at equal values. Every cell of
 the complex given is read, whatever made its values; the solver hands
 persistence the smaller complex `BiFiltration.reduced(dim)`, whose
-dimension-dim diagram on every slice is the same: the vertices and the
-`merge_candidates` for dimension 0, and for dimensions >= 1 the cells of
-dimension <= dim of the chunk-reduced cell complex with the few
-(dim + 1)-cells whose boundaries the diagram needs.
+dimension-dim diagram on every slice is the same: the cells of dimension
+<= dim with the few (dim + 1)-cells whose boundaries the diagram needs,
+cut from the complex itself for dimension 0 and from its chunk reduction
+for dimensions >= 1.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
 that order; an edge whose boundary is empty is a cycle and merges
@@ -46,8 +46,9 @@ from .complexes import MonoFiltration
 class Diagram:
     """Finite (birth, death) points plus essential births, made canonical.
 
-    A finite point with death < birth or a nan coordinate, or a nan
-    essential birth, raises ValueError.
+    A point given in `finite` with death +inf is essential, and is kept as
+    its birth in `essential`. A finite point with death < birth or a nan or
+    -inf coordinate, or a nan essential birth, raises ValueError.
     """
 
     finite: np.ndarray
@@ -58,10 +59,17 @@ class Diagram:
         pts = np.asarray(self.finite, dtype=np.float64)
         pts = pts.reshape(len(pts), 2)  # (0, 2) when empty; other shapes raise
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-        ess = np.sort(np.asarray(self.essential, dtype=np.float64))
-        # nan sorts last; "not >=" also catches a nan in either coordinate
-        if not (pts[:, 1] >= pts[:, 0]).all() or (len(ess) and np.isnan(ess[-1])):
-            raise ValueError("diagram points need death >= birth and no nan")
+        # "not >=" also catches a nan in either coordinate; births ascend,
+        # so with death >= birth a -inf shows in the first birth
+        if not (pts[:, 1] >= pts[:, 0]).all() or (len(pts) and pts[0, 0] == -np.inf):
+            raise ValueError("diagram points need -inf < birth <= death and no nan")
+        ess = np.asarray(self.essential, dtype=np.float64)
+        if len(pts) and pts[:, 1].max() == np.inf:
+            ess = np.append(ess, pts[pts[:, 1] == np.inf, 0])
+            pts = pts[pts[:, 1] < np.inf]
+        ess = np.sort(ess)
+        if len(ess) and np.isnan(ess[-1]):  # nan sorts last
+            raise ValueError("essential births need no nan")
         pts.flags.writeable = ess.flags.writeable = False
         object.__setattr__(self, "finite", pts)
         object.__setattr__(self, "essential", ess)

@@ -114,6 +114,8 @@ class SolverConfig:
             raise InvalidConfig("epsilon must be positive and finite")
         if self.mode not in ("absolute", "relative"):
             raise InvalidConfig(f"unknown mode {self.mode!r}")
+        if not isinstance(self.bound_kind, BoundKind):
+            raise InvalidConfig(f"bound_kind {self.bound_kind!r} is not a BoundKind")
         if self.traversal not in ("bfs", "priority"):
             raise InvalidConfig(f"unknown traversal {self.traversal!r}")
         if self.budget_ms is not None:

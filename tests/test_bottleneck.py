@@ -58,6 +58,14 @@ def test_infinite_essential_births():
         assert f(D(essential=[1.0, inf]), D(essential=[inf])) == inf  # counts differ
 
 
+def test_infinite_deaths_in_finite_are_essential():
+    # a (birth, inf) row is an essential point: it is matched by birth
+    inf = math.inf
+    assert bottleneck_distance(D([(1.0, inf)]), D([(2.0, inf)])) == 1.0
+    assert bottleneck_distance(D([(1.0, inf)]), D(essential=[2.0])) == 1.0
+    assert bottleneck_distance(D([(1.0, inf), (0.0, 4.0)]), D([(0.0, 4.0)], [1.5])) == 0.5
+
+
 def test_half_persistence():
     assert half_persistence(D()) == 0.0
     assert half_persistence(D([(0.0, 1.0), (2.0, 5.0), (3.0, 4.0)], [0.0])) == 1.5

@@ -283,3 +283,55 @@ def test_dist_dim1_dump_diagrams_match_boundary_oracle(tmp_path):
         assert text == format_diagram(D, comment[2:])
         points += len(D)
     assert points > 0
+
+
+# stdout of `dist` on the CI's two input pairs, recorded once; a change
+# meant to keep every output must keep these bytes
+GOLDEN_DIST = {
+    "gen-l": (
+        "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 19\n"
+        "deepest_level 3\ndeepest_evaluated_level 2\nreduction_rate 0.703125\nconverged yes\n"
+    ),
+    "gen-c": (
+        "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 192\n"
+        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate 0.25\nconverged yes\n"
+    ),
+    "gen-g": (
+        "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 340\n"
+        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate -0.328125\nconverged yes\n"
+    ),
+    "lowerstar": (
+        "delta 1.2999999999999998\nrho 1.0\nresidual_upper 1.2999999999999998\n"
+        "rel_error 0.2999999999999998\ncalls 582\ndeepest_level 6\n"
+        "deepest_evaluated_level 5\nreduction_rate 0.85791015625\nconverged yes\n"
+    ),
+}
+
+
+def _lowerstar_triangle_square(path, values):
+    # a filled triangle and a hollow square on vertices 0-5
+    cells = ["0", "1", "2", "3", "4", "5", "0 1", "0 2", "1 2", "2 3", "3 4", "4 5",
+             "2 5", "0 1 2"]
+    path.write_text("\n".join(["lowerstar", "6 14", *values, *cells]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIST))
+def test_dist_stdout_matches_recorded_output(tmp_path, case):
+    if case == "lowerstar":
+        paths = [
+            _lowerstar_triangle_square(tmp_path / "a.txt", ["0 0", "3 1", "1 4", "5 2", "2 6", "6 5"]),
+            _lowerstar_triangle_square(tmp_path / "b.txt", ["1 0", "2 2", "0 3", "4 4", "3 5", "5 6"]),
+        ]
+        flags = ["--dim", "1", "--epsilon", "0.3", "--relative", "--traversal", "priority"]
+    else:
+        paths = []
+        for seed in (1, 2):
+            p = tmp_path / f"s{seed}.txt"
+            run_cli(["gen", "--vertices", "12", "--maximal", "20", "--dim", "1",
+                     "--seed", str(seed), "--out", str(p)])
+            paths.append(str(p))
+        flags = ["--epsilon", "0.5", "--relative", "--bound", case[-1]]
+    code, out, _ = run_cli(["dist", *paths, *flags])
+    assert code == 0
+    assert out == GOLDEN_DIST[case]

@@ -32,7 +32,7 @@ from matchdist.solver import eval_slice
 def test_single_vertex():
     F = validate_bifiltration([[0]], [[(1.0, 2.0)]])
     assert F.n == 1
-    assert F.max_x == 1.0 and F.max_y == 2.0 and F.c_max == 2.0
+    assert F.max_x == 1.0 and F.max_y == 2.0
 
 
 def test_monotonicity_violation():
@@ -152,7 +152,7 @@ def _assert_same_filtration(G, H):
     assert G.simplices == H.simplices and G.critical == H.critical
     assert np.array_equal(G.px, H.px) and np.array_equal(G.py, H.py)
     assert np.array_equal(G.offsets, H.offsets)
-    assert (G.max_x, G.max_y, G.c_max) == (H.max_x, H.max_y, H.c_max)
+    assert (G.max_x, G.max_y) == (H.max_x, H.max_y)
     assert G.one_critical == H.one_critical
 
 
@@ -239,7 +239,7 @@ def test_storage_sorted_by_dimension_then_vertices():
 def _assert_merge_certificate(F):
     # brute force: at each critical point p of a dropped edge, a BFS over
     # the kept edges with a critical point <= p joins its endpoints
-    kept = F.merge_candidates.tolist()
+    kept = complexes._span_sweep(F, 0).tolist()
     lo = F.vertex_count
     ends = F.edge_ends[1].tolist()  # edge e is row e - lo
     assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, lo + F.edge_count))
@@ -277,28 +277,18 @@ def test_equal_grade_triangle_keeps_two_of_its_edges():
     # each edge is joined by the other two, but not all three may go
     simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
     F = validate_bifiltration(simplices, [[(0.0, 0.0)]] * 3 + [[(1.0, 1.0)]] * 3)
-    assert F.merge_candidates.tolist() == [3, 4]
+    assert complexes._span_sweep(F, 0).tolist() == [3, 4]
     # a two-point critical set needs a path at each of its points
     G = validate_bifiltration(simplices, [[(0.0, 0.0)]] * 3 + [[(1.0, 1.0)]] * 2
                               + [[(0.0, 2.0), (2.0, 0.0)]])
-    assert G.merge_candidates.tolist() == [3, 4, 5]
+    assert complexes._span_sweep(G, 0).tolist() == [3, 4, 5]
     _assert_merge_certificate(G)
 
 
 def test_c7_pair_keeps_under_60_percent_of_its_edges():
     for seed in (7000, 7100):
         F = generate_random(GenSpec(100, 400, 1, seed=seed))
-        assert len(F.merge_candidates) < 0.6 * F.edge_count
-
-
-def test_translated_carries_the_merge_candidates_over():
-    F = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
-    assert "merge_candidates" not in F.__dict__  # built on first use
-    kept = F.merge_candidates
-    assert not kept.flags.writeable
-    G = F.translated(0.1, -7.3)
-    assert G.merge_candidates is kept
-    _assert_merge_certificate(G)
+        assert F.reduced(0).edge_count < 0.6 * F.edge_count
 
 
 def test_distinct_points_are_rebuilt_after_a_shift():
@@ -334,14 +324,13 @@ def test_reduced_complex_is_rebuilt_after_a_shift():
     assert isinstance(R, CellComplex) and not isinstance(R, BiFiltration)
     # the cut: every vertex at its own index, each kept edge with its two ends
     lo = F.vertex_count
-    keep = [*range(lo), *F.merge_candidates.tolist()]
+    keep = [*range(lo), *complexes._span_sweep(F, 0).tolist()]
     rows = [F.boundary_idx[F.boundary_ptr[i] : F.boundary_ptr[i + 1]].tolist() for i in keep]
     assert R.dims.tolist() == [int(F.dims[i]) for i in keep]
     assert R.boundary_ptr.tolist() == [0, *itertools.accumulate(len(r) for r in rows)]
     assert R.boundary_idx.tolist() == [f for r in rows for f in r]
     assert R.critical == [F.critical[i] for i in keep]
     G = F.translated(0.5, 0.25)
-    assert G.merge_candidates is F.merge_candidates
     S = G.reduced(0)
     assert S is not R
     _assert_same_cut(R, S)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import persistence_boundary_oracle, random_genspec
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.complexes import MonoFiltration, lower_star, mono_filtration, validate_bifiltration
+from matchdist.complexes import MonoFiltration, _span_sweep, lower_star, mono_filtration, validate_bifiltration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
@@ -204,7 +204,7 @@ def _disjoint_union(F, G):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
+def test_dim0_over_reduced_complex_matches_every_edge_on_tied_slices(seed):
     # integer coordinates in [0, 4] and slices at lam in {0, 0.5, 1} and
     # integer mu: many simplices share a value on every slice
     rng = np.random.Generator(np.random.Philox(seed))
@@ -212,10 +212,7 @@ def test_dim0_over_merge_candidates_matches_every_edge_on_tied_slices(seed):
     spec = GenSpec(spec.n_vertices, spec.n_maximal, spec.max_dim, seed=seed, coord_range=4)
     F = generate_random(spec)
     K = generate_random_kcritical(spec, int(rng.integers(2, 4)))
-    kept = F.merge_candidates  # built before the shift, which carries it over
-    shifted = F.translated(0.5, 0.25)
-    assert shifted.merge_candidates is kept
-    complexes = [F, K, _disjoint_union(F, K), shifted,
+    complexes = [F, K, _disjoint_union(F, K), F.translated(0.5, 0.25),
                  validate_bifiltration([[0], [1], [2]], [[(1, 3)], [(0, 4)], [(2, 2), (3, 0)]])]
     for G in complexes:
         for t in SLICE_TYPES:
@@ -314,10 +311,10 @@ def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
 
 
 def test_hand_built_values_keep_every_edge_in_dim0():
-    # the candidates of an equal-grade triangle drop edge (1, 2), which is
-    # sound for pushes of its critical points but not for arbitrary values
+    # relation pruning of an equal-grade triangle drops edge (1, 2), which
+    # is sound for pushes of its critical points but not for arbitrary values
     K = mono_filtration([[0], [1], [2], [0, 1], [0, 2], [1, 2]], [0, 0, 0, 1, 1, 1])
-    assert K.complex.merge_candidates.tolist() == [3, 4]
+    assert _span_sweep(K.complex, 0).tolist() == [3, 4]
     M = MonoFiltration(K.complex, [0.0, 0.0, 0.0, 5.0, 5.0, 1.0])
     D = diagram(M, 0)
     assert D == persistence_boundary_oracle(M, 0)
@@ -355,10 +352,15 @@ def test_diagram_canonical_form():
 
 def test_diagram_rejects_points_below_the_diagonal_and_nan():
     # such points used to sit at bottleneck distance 0 from the empty diagram
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for finite, essential in (([(3.0, 1.0)], []), ([(nan, 1.0)], []), ([(1.0, nan)], []),
-                              ([(0.0, 1.0), (2.0, 1.5)], [0.0]), ([], [nan]), ([], [1.0, nan, 0.0])):
+                              ([(0.0, 1.0), (2.0, 1.5)], [0.0]), ([], [nan]), ([], [1.0, nan, 0.0]),
+                              ([(-inf, 1.0)], []), ([(-inf, -inf)], []), ([(0.0, 1.0), (-inf, inf)], [])):
         with pytest.raises(ValueError):
             Diagram(finite, essential, 0)
-    # a point on the diagonal and an infinite death are well formed
-    assert len(Diagram([(1.0, 1.0), (0.0, float("inf"))], [], 0)) == 2
+    # a point on the diagonal and an infinite death are well formed; the
+    # infinite death makes its point essential
+    D = Diagram([(1.0, 1.0), (0.0, inf)], [], 0)
+    assert len(D) == 2
+    assert D == Diagram([(1.0, 1.0)], [0.0], 0)
+    assert Diagram([(2.0, inf), (0.5, 1.0)], [3.0, 1.0], 0).essential.tolist() == [1.0, 2.0, 3.0]

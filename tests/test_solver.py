@@ -36,6 +36,10 @@ def test_config_validation():
         SolverConfig(epsilon=0.1, traversal="dfs").validate()
     with pytest.raises(InvalidConfig):
         SolverConfig(epsilon=0.1, mode="nearest").validate()
+    # a bound rule's letter is not a BoundKind, and box_bound would read it as G
+    for kind in ("l", "c", "g", None):
+        with pytest.raises(InvalidConfig):
+            SolverConfig(epsilon=0.1, bound_kind=kind).validate()
     # a non-finite epsilon, and a budget that is not >= 0, are refused;
     # an infinite budget means no budget
     for eps in (math.inf, math.nan, -math.inf):
