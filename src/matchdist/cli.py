@@ -20,9 +20,7 @@ from .errors import MatchdistError
 from .generators import GenSpec, generate_random
 from .heatmap import compute_heatmap, write_heatmap_csvs
 from .io import format_diagram, load_bifiltration, write_bifiltration, write_trace_csv
-from .persistence import diagram
-from .slices import restrict
-from .solver import ApproxResult, SolverConfig, approximate, reduction_rate
+from .solver import ApproxResult, SolverConfig, _diagrams, approximate, reduction_rate
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -79,12 +77,13 @@ def cmd_dist(args) -> int:
 
 
 def _dump_best_diagrams(F1, F2, res: ApproxResult, dim: int, shift, out_dir: Path) -> None:
-    """Diagrams of both inputs, in the shifted frame, at the slice realizing rho."""
+    """Diagrams of both inputs, in the shifted frame, at the slice realizing
+    rho: the two the solver compared there, each of its complex's
+    `reduced(dim)`."""
     best = res.best_slice
     out_dir.mkdir(parents=True, exist_ok=True)
     comment = f"slice type={best.stype.value} lam={best.lam!r} mu={best.mu!r} {_shift_note(shift)}"
-    for name, F in (("f1_diagram.txt", F1), ("f2_diagram.txt", F2)):
-        D = diagram(restrict(F, best), dim)
+    for name, D in zip(("f1_diagram.txt", "f2_diagram.txt"), _diagrams(F1, F2, best, dim)):
         (out_dir / name).write_text(format_diagram(D, comment), encoding="utf-8")
 
 

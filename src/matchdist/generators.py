@@ -102,12 +102,7 @@ def _random_values(
 def generate_random(spec: GenSpec) -> BiFiltration:
     """Random 1-critical bi-filtration; identical specs give identical
     output."""
-    spec.validate()
-    rng = _rng(spec.seed)
-    maximal = _sample_maximal(rng, spec)
-    values = _random_values(rng, maximal, spec.coord_range)
-    simplices = sorted(values, key=lambda s: (len(s), s))
-    return validate_bifiltration(simplices, [[values[s]] for s in simplices])
+    return generate_random_kcritical(spec, 1)
 
 
 def generate_random_kcritical(spec: GenSpec, k: int) -> BiFiltration:

@@ -14,6 +14,7 @@ through-origin slice sits at the center.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,8 +59,12 @@ class HeatmapGrid:
 def compute_heatmap(
     F1: BiFiltration, F2: BiFiltration, depth: int, dim: int = 0
 ) -> HeatmapGrid:
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError("depth must be a non-negative integer") from None
     if depth < 0:
-        raise ValueError("depth must be non-negative")
+        raise ValueError("depth must be a non-negative integer")
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds maximum {MAX_DEPTH}")
     n = 2**depth

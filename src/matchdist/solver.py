@@ -34,12 +34,19 @@ any ancestor ("inherited"); a box's certified bound is the minimum of its
 own bound and the inherited one. This keeps the reported global upper
 bound monotone non-increasing and lets fully certified subtrees retire
 without rescanning critical values.
+
+The run's record is its ApproxResult: approximate creates it first and
+appends each evaluation to its trace and each disposed-of box to its
+retired or unresolved list as it goes. The bracket (rho, the threshold
+and the unresolved bounds), the call count and the depths are read off
+that record, not kept beside it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -124,7 +131,12 @@ class SolverConfig:
             # inf means no budget; nan is not a budget
             if not (self.budget_ms >= 0):
                 raise InvalidConfig("budget must be non-negative")
-        if self.homology_dim < 0:
+        # operator.index takes ints and numpy's integers, not 1.0 or "1"
+        try:
+            dim = operator.index(self.homology_dim)
+        except TypeError:
+            raise InvalidConfig("homology dimension must be an integer") from None
+        if dim < 0:
             raise InvalidConfig("homology dimension must be non-negative")
 
 
@@ -158,36 +170,71 @@ class TraceRow:
     elapsed_ms: float
     rho: float
     upper: float
-    rel_error: float
     box: ParamBox
+
+    @property
+    def rel_error(self) -> float:
+        """Guaranteed relative error (upper - rho) / rho after this call."""
+        return _rel_error(self.rho, self.upper)
 
 
 @dataclass
 class ApproxResult:
-    """Outcome of a solver run.
+    """The record of a solver run, filled in while it runs.
 
-    delta is the returned approximation: rho in absolute mode, (1 + eps) *
-    rho rounded down in relative mode, or the honest residual upper bound
-    when the run did not converge. residual_upper always upper-bounds the
-    true matching distance. best_slice is the evaluated slice at which rho
-    was attained. trace holds one row per evaluation, in call order.
+    trace holds one row per evaluation, in call order; retired_boxes and
+    unresolved_boxes hold every box the run disposed of, with its certified
+    bound. rho is the largest evaluated distance and best_slice the
+    evaluated slice that attained it. The bracket, counts and depths below
+    are read off this record.
     """
 
-    delta: float
-    rho: float
-    residual_upper: float
-    calls: int
-    deepest_level: int
-    deepest_evaluated_level: int
-    not_converged: bool
     epsilon: float
     mode: str
     bound_kind: BoundKind
-    elapsed_ms: float
+    rho: float = 0.0
+    best_slice: Optional[Slice] = None
+    elapsed_ms: float = 0.0
     trace: list[TraceRow] = field(default_factory=list)
     retired_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
     unresolved_boxes: list[tuple[ParamBox, float]] = field(default_factory=list)
-    best_slice: Optional[Slice] = None
+
+    @property
+    def calls(self) -> int:
+        """Slice evaluations, one per trace row."""
+        return len(self.trace)
+
+    @property
+    def deepest_evaluated_level(self) -> int:
+        return max((r.box.level for r in self.trace), default=0)
+
+    @property
+    def deepest_level(self) -> int:
+        """Deepest level of any box the run made. Every child of a split
+        is either evaluated or retired unevaluated by its pre-bound, so no
+        box is deeper than those in the trace and the retired boxes."""
+        return max(self.deepest_evaluated_level,
+                   max((b.level for b, _ in self.retired_boxes), default=0))
+
+    @property
+    def not_converged(self) -> bool:
+        """A budget, a stall or the level cap left boxes open."""
+        return bool(self.unresolved_boxes)
+
+    @property
+    def residual_upper(self) -> float:
+        """Upper bound on the true matching distance: the final threshold,
+        or the largest bound of an unresolved box above it."""
+        return max([_threshold(self.rho, self), *(e for _, e in self.unresolved_boxes)])
+
+    @property
+    def delta(self) -> float:
+        """The returned approximation: rho for a converged absolute run,
+        else residual_upper, which is (1 + eps) * rho rounded down for a
+        converged relative run."""
+        if self.mode == "absolute" and not self.not_converged:
+            return self.rho
+        return self.residual_upper
 
     @property
     def rel_error(self) -> float:
@@ -216,74 +263,6 @@ class _MaxTracker:
         return -self._heap[0] if self._heap else -INF
 
 
-class _RunState:
-    def __init__(self, F1, F2, cfg: SolverConfig):
-        self.F1, self.F2, self.cfg = F1, F2, cfg
-        self.rho = 0.0
-        # rho changes only on a new maximum, so the threshold is kept here
-        self.threshold = _threshold(0.0, cfg)
-        self.best_slice: Optional[Slice] = None
-        self.calls = 0
-        self.deepest_level = 0
-        self.deepest_evaluated_level = 0
-        self.trace: list[TraceRow] = []
-        self.retired: list[tuple[ParamBox, float]] = []
-        self.unresolved: list[tuple[ParamBox, float]] = []
-        self.t0 = time.perf_counter()
-        self.cover = _MaxTracker()
-
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0
-
-    def do_eval(self, box: ParamBox, in_flight_cover: float) -> Reference:
-        L = center(box)
-        ref = eval_reference(self.F1, self.F2, L, self.cfg.homology_dim)
-        self.calls += 1
-        if ref.d > self.rho or self.best_slice is None:
-            self.rho = ref.d
-            self.threshold = _threshold(ref.d, self.cfg)
-            self.best_slice = L
-        self.deepest_evaluated_level = max(self.deepest_evaluated_level, box.level)
-        upper = max(self.threshold, self.cover.max(), in_flight_cover)
-        self.trace.append(TraceRow(self.calls, self.elapsed_ms(), self.rho, upper,
-                                   _rel_error(self.rho, upper), box))
-        return ref
-
-    def finish(self) -> ApproxResult:
-        cfg = self.cfg
-        if self.unresolved:
-            residual = delta = max(self.threshold, *(e for _, e in self.unresolved))
-        else:
-            residual = self.threshold
-            delta = self.rho if cfg.mode == "absolute" else self.threshold
-        return ApproxResult(
-            delta=delta,
-            rho=self.rho,
-            residual_upper=residual,
-            calls=self.calls,
-            deepest_level=self.deepest_level,
-            deepest_evaluated_level=self.deepest_evaluated_level,
-            not_converged=bool(self.unresolved),
-            epsilon=cfg.epsilon,
-            mode=cfg.mode,
-            bound_kind=cfg.bound_kind,
-            elapsed_ms=self.elapsed_ms(),
-            trace=self.trace,
-            retired_boxes=self.retired,
-            unresolved_boxes=self.unresolved,
-            best_slice=self.best_slice,
-        )
-
-    def stalled(self, box: ParamBox) -> bool:
-        # the relative rule compares against (1 + eps) * rho = 0 while rho
-        # is exactly zero, so no box would ever be pruned
-        return (
-            self.cfg.mode == "relative"
-            and self.rho == 0.0
-            and box.level >= ZERO_STALL_LEVEL
-        )
-
-
 def approximate(
     F1: BiFiltration, F2: BiFiltration, cfg: SolverConfig | None = None
 ) -> ApproxResult:
@@ -297,7 +276,8 @@ def approximate(
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    st = _RunState(F1, F2, cfg)
+    res = ApproxResult(cfg.epsilon, cfg.mode, cfg.bound_kind)
+    trace, retired, unresolved = res.trace, res.retired_boxes, res.unresolved_boxes
     by_bound = cfg.traversal == "priority"
     prebound = cfg.bound_kind is BoundKind.LOCAL_LINEAR
     # entries are (key, seq, box, eff, refs) with refs the records of the
@@ -305,47 +285,64 @@ def approximate(
     # box's own first; bfs keys every entry 0.0, so the rising seq alone
     # orders the heap and it pops first in, first out
     heap: list[tuple[float, int, ParamBox, float, _Refs]] = []
+    # rho changes only on a new maximum, so the threshold is kept with it
+    threshold = _threshold(0.0, cfg)
+    cover = _MaxTracker()
+    t0 = time.perf_counter()
+
+    def elapsed_ms() -> float:
+        return (time.perf_counter() - t0) * 1000.0
 
     def push(box: ParamBox, inherited: float, in_flight: float, ancestors: _Refs,
              rise_fall: RiseFall) -> None:
-        # in_flight covers this box and its unqueued siblings in the trace
-        ref = st.do_eval(box, in_flight)
+        nonlocal threshold
+        L = center(box)
+        ref = eval_reference(F1, F2, L, cfg.homology_dim)
+        if ref.d > res.rho or res.best_slice is None:
+            res.rho, res.best_slice = ref.d, L
+            threshold = _threshold(ref.d, cfg)
+        # in_flight covers this box and its unqueued siblings
+        call = len(trace) + 1
+        trace.append(TraceRow(call, elapsed_ms(), res.rho,
+                              max(threshold, cover.max(), in_flight), box))
         eff = min(capped_bound(ref, *rise_fall), inherited)
         refs = (ref,) + ancestors[: REFERENCES - 1]
-        # each push makes exactly one evaluation, so calls is a rising seq
-        heapq.heappush(heap, (-eff if by_bound else 0.0, st.calls, box, eff, refs))
-        st.cover.add(eff)
+        # each push makes exactly one evaluation, so call is a rising seq
+        heapq.heappush(heap, (-eff if by_bound else 0.0, call, box, eff, refs))
+        cover.add(eff)
 
     for b in initial_boxes(F1, F2):
         [rise_fall] = box_bound(cfg.bound_kind, F1, F2, [b]).rise_fall
         push(b, INF, INF, (), rise_fall)
 
     while heap:
-        if cfg.budget_ms is not None and st.elapsed_ms() >= cfg.budget_ms:
+        if cfg.budget_ms is not None and elapsed_ms() >= cfg.budget_ms:
             break
         _, _, box, eff, refs = heapq.heappop(heap)
-        st.cover.remove(eff)
-        if eff <= st.threshold:
-            st.retired.append((box, eff))
-        elif st.stalled(box):
-            st.unresolved.append((box, eff))
+        cover.remove(eff)
+        if eff <= threshold:
+            retired.append((box, eff))
+        elif cfg.mode == "relative" and res.rho == 0.0 and box.level >= ZERO_STALL_LEVEL:
+            # the relative rule compares against (1 + eps) * rho = 0 while
+            # rho is exactly zero, so no box would ever be pruned
+            unresolved.append((box, eff))
             break
         elif box.level >= MAX_LEVEL:
-            st.unresolved.append((box, eff))
+            unresolved.append((box, eff))
         else:
             children = subdivide(box)
-            st.deepest_level = max(st.deepest_level, box.level + 1)
             pre, rise_fall = box_bound(cfg.bound_kind, F1, F2, children, refs)
             bounds = [min(p, eff) for p in pre]
             for i, child in enumerate(children):
-                if prebound and bounds[i] <= st.threshold:
-                    st.retired.append((child, bounds[i]))
+                if prebound and bounds[i] <= threshold:
+                    retired.append((child, bounds[i]))
                 else:
                     push(child, bounds[i], max(bounds[i:]), refs, rise_fall[i])
     if heap:
         # stopped by the budget or a stall: every queued box stays open
-        st.unresolved.extend((b, e) for _, _, b, e, _ in heap)
-    return st.finish()
+        unresolved.extend((b, e) for _, _, b, e, _ in heap)
+    res.elapsed_ms = elapsed_ms()
+    return res
 
 
 def reduction_rate(result: ApproxResult) -> float:

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import io as stdio
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -285,25 +287,44 @@ def test_dist_dim1_dump_diagrams_match_boundary_oracle(tmp_path):
     assert points > 0
 
 
-# stdout of `dist` on the CI's two input pairs, recorded once; a change
-# meant to keep every output must keep these bytes
+# stdout of `dist` on the CI's two input pairs, recorded once, with its
+# exit code and the SHA-256 of the --trace CSV without its elapsed_ms
+# column (rows joined by newlines); a change meant to keep every output
+# must keep these bytes
+_GEN_FLAGS = ["--epsilon", "0.5", "--relative"]
 GOLDEN_DIST = {
     "gen-l": (
+        [*_GEN_FLAGS, "--bound", "l"], 0,
         "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 19\n"
-        "deepest_level 3\ndeepest_evaluated_level 2\nreduction_rate 0.703125\nconverged yes\n"
+        "deepest_level 3\ndeepest_evaluated_level 2\nreduction_rate 0.703125\nconverged yes\n",
+        "1a1b10e40dae9899f0220614846ba5d9714d4c6fc1cb23437945768478f61e1a",
     ),
     "gen-c": (
+        [*_GEN_FLAGS, "--bound", "c"], 0,
         "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 192\n"
-        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate 0.25\nconverged yes\n"
+        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate 0.25\nconverged yes\n",
+        "6173b9dd108acb90a19d270667d3001f5343c36bb2d7eac06e60769cd394933b",
     ),
     "gen-g": (
+        [*_GEN_FLAGS, "--bound", "g"], 0,
         "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 340\n"
-        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate -0.328125\nconverged yes\n"
+        "deepest_level 3\ndeepest_evaluated_level 3\nreduction_rate -0.328125\nconverged yes\n",
+        "a6459a8e6b2e7e9c1c9658fa7813f8d4eebea3a0352fc75735ff2ac6d3763a47",
+    ),
+    # the four level-0 evaluations, then the budget stops the run
+    "gen-budget0": (
+        [*_GEN_FLAGS, "--traversal", "priority", "--budget-ms", "0"], 2,
+        "delta 992.5\nrho 330.0\nresidual_upper 992.5\nrel_error 2.007575757575758\n"
+        "calls 4\ndeepest_level 0\ndeepest_evaluated_level 0\nreduction_rate 0.0\n"
+        "converged no\n",
+        "817bec20db7b1b45030ab1b62ffd6bbeb8ce71bf64adc5d26a5ee04a8e95674e",
     ),
     "lowerstar": (
+        ["--dim", "1", "--epsilon", "0.3", "--relative", "--traversal", "priority"], 0,
         "delta 1.2999999999999998\nrho 1.0\nresidual_upper 1.2999999999999998\n"
         "rel_error 0.2999999999999998\ncalls 582\ndeepest_level 6\n"
-        "deepest_evaluated_level 5\nreduction_rate 0.85791015625\nconverged yes\n"
+        "deepest_evaluated_level 5\nreduction_rate 0.85791015625\nconverged yes\n",
+        "ac31c24e443f0fb17534565ba52764b0db8e34e948a04e41b2acae7e6690c9bc",
     ),
 }
 
@@ -323,7 +344,6 @@ def test_dist_stdout_matches_recorded_output(tmp_path, case):
             _lowerstar_triangle_square(tmp_path / "a.txt", ["0 0", "3 1", "1 4", "5 2", "2 6", "6 5"]),
             _lowerstar_triangle_square(tmp_path / "b.txt", ["1 0", "2 2", "0 3", "4 4", "3 5", "5 6"]),
         ]
-        flags = ["--dim", "1", "--epsilon", "0.3", "--relative", "--traversal", "priority"]
     else:
         paths = []
         for seed in (1, 2):
@@ -331,7 +351,14 @@ def test_dist_stdout_matches_recorded_output(tmp_path, case):
             run_cli(["gen", "--vertices", "12", "--maximal", "20", "--dim", "1",
                      "--seed", str(seed), "--out", str(p)])
             paths.append(str(p))
-        flags = ["--epsilon", "0.5", "--relative", "--bound", case[-1]]
-    code, out, _ = run_cli(["dist", *paths, *flags])
-    assert code == 0
-    assert out == GOLDEN_DIST[case]
+    flags, exit_code, stdout, trace_sha = GOLDEN_DIST[case]
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(["dist", *paths, *flags, "--trace", str(trace)])
+    assert code == exit_code
+    assert out == stdout
+    with open(trace, newline="", encoding="utf-8") as f:
+        rows = [row[:1] + row[2:] for row in csv.reader(f)]
+    assert rows[0][:2] == ["call", "rho"]
+    assert len(rows) - 1 == int(dict(line.split() for line in out.splitlines())["calls"])
+    text = "\n".join(",".join(row) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == trace_sha

@@ -77,6 +77,13 @@ def test_negative_coordinates_are_refused_as_by_approximate(pair):
             compute_heatmap(G1, G2, 0)
 
 
+def test_depth_must_be_a_non_negative_integer(pair):
+    for depth in (1.0, 1.5, "1", None, -1):
+        with pytest.raises(ValueError, match="depth must be a non-negative integer"):
+            compute_heatmap(*pair, depth)
+    assert compute_heatmap(*pair, np.int64(0)).depth == 0
+
+
 def test_depth_cap():
     F = generate_random(GenSpec(3, 2, 1, seed=1))
     with pytest.raises(DepthTooLarge):

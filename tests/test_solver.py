@@ -3,14 +3,16 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import dmatch_sampled, grid_slices, scaled_copy
 from matchdist import solver
 from matchdist.bounds import BoundKind, bound_L, bounds_from_reference
+from matchdist.complexes import lower_star, normalize_pair
 from matchdist.errors import InvalidConfig
 from matchdist.generators import GenSpec, generate_random
-from matchdist.slices import SLICE_TYPES, center, pair_extents, subdivide
+from matchdist.slices import SLICE_TYPES, center, initial_boxes, pair_extents, subdivide
 from matchdist.solver import (
     ApproxResult,
     SolverConfig,
@@ -49,6 +51,11 @@ def test_config_validation():
         with pytest.raises(InvalidConfig):
             SolverConfig(traversal="priority", budget_ms=budget).validate()
     SolverConfig(traversal="priority", budget_ms=math.inf).validate()
+    # a dimension must be an integer, numpy's included
+    for dim in (1.0, 1.5, "1", None):
+        with pytest.raises(InvalidConfig, match="homology dimension"):
+            SolverConfig(homology_dim=dim).validate()
+    SolverConfig(homology_dim=np.int64(0)).validate()
 
 
 def test_identical_absolute_is_zero():
@@ -290,11 +297,20 @@ def test_converged_relative_runs_report_at_most_epsilon():
 
 
 def test_reduction_rate_examples():
-    r = ApproxResult(0, 0, 0, calls=4, deepest_level=0, deepest_evaluated_level=0,
-                     not_converged=False, epsilon=0.1, mode="absolute",
-                     bound_kind=BoundKind.LOCAL_LINEAR, elapsed_ms=0.0)
+    # calls and the deepest evaluated level are read off the trace: the
+    # four level-0 rows, then four rows per level down a chain to level 3;
+    # a row's other fields do not enter
+    def rows(boxes):
+        return [solver.TraceRow(0, 0.0, 0.0, 0.0, b) for b in boxes]
+
+    F1, _ = small_pair()
+    boxes = initial_boxes(F1, F1)
+    r = ApproxResult(0.1, "absolute", BoundKind.LOCAL_LINEAR, trace=rows(boxes))
     assert reduction_rate(r) == 0.0
-    r.calls, r.deepest_evaluated_level = 16, 3
+    for _ in range(3):
+        boxes = subdivide(boxes[0])
+        r.trace += rows(boxes)
+    assert (r.calls, r.deepest_evaluated_level) == (16, 3)
     assert reduction_rate(r) == 0.9375
 
 
@@ -310,3 +326,46 @@ def test_bound_kinds_all_converge_and_order_statistically():
             calls[kind] += res.calls
     assert calls[BoundKind.LOCAL_LINEAR] <= calls[BoundKind.LOCAL_CONSTANT]
     assert calls[BoundKind.LOCAL_CONSTANT] <= calls[BoundKind.GLOBAL]
+
+
+def _summary(res):
+    return (res.delta, res.rho, res.residual_upper, res.calls, res.deepest_level,
+            res.deepest_evaluated_level, res.not_converged)
+
+
+def _invariance_pair(dim, seed):
+    """Two dim-0 inputs of GenSpec(8, 12, 1); for dim 1, two sets of
+    lower-star vertex values on the complex of GenSpec(7, 9, 2), since two
+    independent 2-complexes mostly differ in H1 and are infinitely apart."""
+    if dim == 0:
+        return [generate_random(GenSpec(8, 12, 1, seed=s, coord_range=10))
+                for s in (seed, seed + 50)]
+    K = generate_random(GenSpec(7, 9, 2, seed=seed, coord_range=10))
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [lower_star(K.simplices, dict(zip(K.vertex_ids, rng.integers(0, 11, (K.vertex_count, 2)))))
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_solver_is_symmetric_shift_invariant_and_scales_exactly(dim):
+    # the matching distance is symmetric, invariant under a common shift
+    # and scales with the coordinates; with the same boxes, bounds and
+    # thresholds the solver's bracket, counts and depths do too: exactly,
+    # since the shift is undone by normalize_pair and the scale is 4
+    configs = [SolverConfig(epsilon=0.5, mode="relative", homology_dim=dim),
+               SolverConfig(epsilon=0.5, mode="relative", traversal="priority",
+                            homology_dim=dim),
+               SolverConfig(epsilon=1.0, homology_dim=dim)]
+    for seed in range(10):
+        F1, F2, _ = normalize_pair(*_invariance_pair(dim, seed))
+        G1, G2, _ = normalize_pair(F1.translated(3, 5), F2.translated(3, 5))
+        for cfg in configs:
+            res = approximate(F1, F2, cfg)
+            assert res.rho < math.inf
+            assert _summary(approximate(F2, F1, cfg)) == _summary(res)
+            assert _summary(approximate(G1, G2, cfg)) == _summary(res)
+            if cfg.mode == "relative":
+                big = approximate(scaled_copy(F1, 0.25), scaled_copy(F2, 0.25), cfg)
+                assert (big.delta, big.rho, big.residual_upper) == (
+                    4 * res.delta, 4 * res.rho, 4 * res.residual_upper)
+                assert _summary(big)[3:] == _summary(res)[3:]
