@@ -8,7 +8,7 @@ the slice-parameter space, with three interchangeable bound rules.
 """
 
 from .bottleneck import bottleneck_distance
-from .bounds import BoundKind, Reference, bound_C, bound_G, bound_L
+from .bounds import BoundKind, Reference
 from .complexes import (
     BiFiltration,
     CellComplex,
@@ -56,9 +56,6 @@ __all__ = [
     "SolverConfig",
     "approximate",
     "bottleneck_distance",
-    "bound_C",
-    "bound_G",
-    "bound_L",
     "center",
     "compute_heatmap",
     "diagram",

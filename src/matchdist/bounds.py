@@ -63,8 +63,7 @@ center is evaluated, capped_bound with that record, with no second scan.
 A maximum over a multiset is the maximum over its distinct values, so
 the scans read each filtration's distinct critical points
 (BiFiltration.distinct_points): a lower-star filtration repeats a
-vertex's value in every simplex it is the largest vertex of. bound_L,
-bound_C, bound_G and bounds_from_reference are views of the pass.
+vertex's value in every simplex it is the largest vertex of.
 """
 
 from __future__ import annotations
@@ -239,37 +238,3 @@ def box_bound(
     else:
         v = [_g_global(B, C) for B in boxes]
     return BoundPass([INF] * len(boxes), [(x, x, x, x) for x in v])
-
-
-def bounds_from_reference(
-    F1: BiFiltration,
-    F2: BiFiltration,
-    boxes: list[ParamBox],
-    refs: Sequence[Reference],
-) -> list[float]:
-    """L bound of each box against the evaluated slices refs, the smallest
-    over them; inf for every box when refs is empty."""
-    return box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, refs).pre
-
-
-def _own_bound(kind: BoundKind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    return capped_bound(ref, *box_bound(kind, F1, F2, [B]).rise_fall[0])
-
-
-def bound_L(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Local linear bound against ref, the record of B's center: the
-    exact rise and fall of both filtrations over B."""
-    return _own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
-
-
-def bound_C(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Local constant bound against ref, the record of B's center: the
-    per-type closed form vbar, point-independent, as the rise and the
-    fall of both filtrations."""
-    return _own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
-
-
-def bound_G(F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref: Reference) -> float:
-    """Global bound against ref, the record of B's center: g = C * 2**-level
-    with C = max{X, Y} for both filtrations."""
-    return _own_bound(BoundKind.GLOBAL, F1, F2, B, ref)

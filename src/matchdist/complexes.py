@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +49,19 @@ def canonical_simplex(vertices: Iterable[int]) -> Simplex:
     if len(set(vs)) != len(vs):
         raise ValueError(f"duplicate vertex in simplex {vs}")
     return vs
+
+
+def homology_dim(dim) -> int:
+    """dim as an int, the one check of a homology dimension: operator.index
+    takes ints and numpy's integers, not 1.0 or "1"; a non-integer or a
+    negative dim raises ValueError."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ValueError("homology dimension must be an integer") from None
+    if dim < 0:
+        raise ValueError("homology dimension must be non-negative")
+    return dim
 
 
 def facets(simplex: Simplex) -> list[Simplex]:
@@ -282,7 +296,7 @@ class BiFiltration(CellComplex):
     def reduced(self, dim: int) -> CellComplex:
         """A smaller complex whose restriction onto any slice has the same
         dimension-dim diagram as this one's, built on first use and kept,
-        one per dim. A negative dim raises ValueError.
+        one per dim. A non-integer or negative dim raises ValueError.
 
         It is a plain `CellComplex`, never a `BiFiltration`, cut by
         `_cut`: the cells of dimension <= dim and the (dim + 1)-cells that
@@ -291,8 +305,7 @@ class BiFiltration(CellComplex):
         skips the chunk reduction, which on `generate_random` inputs drops
         few cells or none yet adds to the build's time and memory.
         """
-        if dim < 0:
-            raise ValueError("homology dimension must be non-negative")
+        dim = homology_dim(dim)
         cache = self.__dict__.setdefault("_reduced", {})
         if dim not in cache:
             K = self if dim == 0 else _chunk_complex(self)

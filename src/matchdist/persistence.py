@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import MonoFiltration
+from .complexes import MonoFiltration, homology_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +177,10 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     Dimension 0 is the union-find diagram: each connected component
     contributes one essential point at its minimal vertex value. Higher
     dimensions reduce coboundary columns with clearing, starting from the
-    negative edges of the union-find. A negative dim raises ValueError.
+    negative edges of the union-find. A non-integer or negative dim
+    raises ValueError.
     """
-    if dim < 0:
-        raise ValueError("homology dimension must be non-negative")
+    dim = homology_dim(dim)
     pairs, essential = _merge_edges(M)
     if dim > 0:
         pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)

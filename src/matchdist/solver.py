@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -55,7 +54,7 @@ from typing import Optional
 
 from .bottleneck import bottleneck_distance, essential_distance, half_persistence
 from .bounds import BoundKind, Reference, RiseFall, box_bound, capped_bound
-from .complexes import BiFiltration
+from .complexes import BiFiltration, homology_dim
 from .errors import InvalidConfig
 from .persistence import diagram
 from .slices import ParamBox, Slice, center, initial_boxes, restrict, subdivide
@@ -131,13 +130,10 @@ class SolverConfig:
             # inf means no budget; nan is not a budget
             if not (self.budget_ms >= 0):
                 raise InvalidConfig("budget must be non-negative")
-        # operator.index takes ints and numpy's integers, not 1.0 or "1"
         try:
-            dim = operator.index(self.homology_dim)
-        except TypeError:
-            raise InvalidConfig("homology dimension must be an integer") from None
-        if dim < 0:
-            raise InvalidConfig("homology dimension must be non-negative")
+            homology_dim(self.homology_dim)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
 
 
 def _rel_error(rho: float, upper: float) -> float:
@@ -319,8 +315,10 @@ def approximate(
         if cfg.budget_ms is not None and elapsed_ms() >= cfg.budget_ms:
             break
         _, _, box, eff, refs = heapq.heappop(heap)
-        cover.remove(eff)
+        # a box leaves the cover once retired or split; one left at the
+        # level cap stays in every later row's upper
         if eff <= threshold:
+            cover.remove(eff)
             retired.append((box, eff))
         elif cfg.mode == "relative" and res.rho == 0.0 and box.level >= ZERO_STALL_LEVEL:
             # the relative rule compares against (1 + eps) * rho = 0 while
@@ -330,6 +328,7 @@ def approximate(
         elif box.level >= MAX_LEVEL:
             unresolved.append((box, eff))
         else:
+            cover.remove(eff)
             children = subdivide(box)
             pre, rise_fall = box_bound(cfg.bound_kind, F1, F2, children, refs)
             bounds = [min(p, eff) for p in pre]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matchdist.bounds import _rise_fall
+from matchdist.bounds import _rise_fall, box_bound, capped_bound
 from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
 from matchdist.persistence import Diagram
 from matchdist.slices import (
@@ -76,6 +76,11 @@ def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     multi-critical simplices it bounds the min-push variation above."""
     rise, fall = _rise_fall(F.px, F.py, [B], [])
     return float(max(rise[0, 0], fall[0, 0]))
+
+
+def own_bound(kind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref) -> float:
+    """B's bound under rule kind against ref, the record of B's center."""
+    return capped_bound(ref, *box_bound(kind, F1, F2, [B]).rise_fall[0])
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:

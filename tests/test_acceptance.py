@@ -17,6 +17,7 @@ from conftest import (
     diagram_shifted,
     dmatch_sampled,
     grid_slices,
+    own_bound,
     persistence_boundary_oracle,
     random_diagram,
     random_genspec,
@@ -27,7 +28,7 @@ from conftest import (
     wpush_geometric,
 )
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.bounds import BoundKind, bound_C, bound_G, bound_L
+from matchdist.bounds import BoundKind
 from matchdist.complexes import mono_filtration
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, diagram
@@ -115,9 +116,9 @@ def test_c3_bound_chain():
     checked = 0
     for F1, F2, B in boxes[:: max(1, step)][:200]:
         ref = eval_reference(F1, F2, center(B), 0)
-        l = bound_L(F1, F2, B, ref)
-        c = bound_C(F1, F2, B, ref)
-        g = bound_G(F1, F2, B, ref)
+        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
+        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
+        g = own_bound(BoundKind.GLOBAL, F1, F2, B, ref)
         assert l <= c <= g
         for L in grid_slices(B, 5):
             assert eval_slice(F1, F2, L, 0) <= l + 1e-9

@@ -9,6 +9,7 @@ from conftest import (
     four_corner_rise_fall,
     four_corner_variation,
     grid_slices,
+    own_bound,
     random_box,
     shift_capped_bound,
     variation_filtration,
@@ -20,10 +21,6 @@ from matchdist.bounds import (
     Reference,
     _pushes,
     _vbar_constant,
-    bound_C,
-    bound_G,
-    bound_L,
-    bounds_from_reference,
     box_bound,
     capped_bound,
 )
@@ -119,7 +116,7 @@ def test_two_corner_rule_equals_four_corner_max():
                                  rng.uniform(0, 8, 8), [0.0, 0.0, 3.0]])
             ys = np.concatenate([rng.uniform(0, 8, 32), *(y for _, y in on_lines),
                                  rng.uniform(0, 8, 8), below, [0.0, 3.0, 0.0]])
-            # against the center, as bound_L scans, and against a slice
+            # against the center, as a box's own bound scans, and against a slice
             # outside the box, as an ancestor's center can be
             refs = [center(B), Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, stype)]
             hi, lo, _, _ = _pushes(xs, ys, [B], [])
@@ -134,7 +131,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
     for stype in SLICE_TYPES:
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
         ref = eval_reference(F1, F2, center(B), 0)
-        pre = bounds_from_reference(F1, F2, subdivide(B), [ref])
+        pre = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, subdivide(B), [ref]).pre
         want = [shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, child, ref.slice),
                                    four_corner_rise_fall(F2.px, F2.py, child, ref.slice))
                 for child in subdivide(B)]
@@ -144,7 +141,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
     flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
     ref = eval_reference(F1, F2, center(flat), 0)
-    assert bounds_from_reference(F1, F2, [flat] * 4, [ref]) == [ref.d] * 4
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [flat] * 4, [ref]).pre == [ref.d] * 4
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -172,13 +169,13 @@ def test_any_reference_slice_gives_a_sound_bound(kcritical):
             for L_ref in (center(B), corner, Slice(lam, mu, stype)):
                 ref = eval_reference(F1, F2, L_ref, 0)
                 finite += np.isfinite(ref.d)
-                [bound] = bounds_from_reference(F1, F2, [B], [ref])
+                [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
                 for L in grid_slices(B, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert finite > 0
     point = ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)  # zero variation
     ref = eval_reference(F1, F2, center(point), 0)
-    assert bounds_from_reference(F1, F2, [point], [ref]) == [ref.d]
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [point], [ref]).pre == [ref.d]
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -200,32 +197,35 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
             outside = Slice(float(rng.uniform(0.0, 1.0)), 25.0, stype)
             refs = [eval_reference(F1, F2, L, 0)
                     for L in [center(A) for A in ancestors[::-1]] + [outside]]
-            multi = bounds_from_reference(F1, F2, children, refs)
-            single = [bounds_from_reference(F1, F2, children, [r]) for r in refs]
+            multi = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, children, refs).pre
+            single = [box_bound(BoundKind.LOCAL_LINEAR, F1, F2, children, [r]).pre
+                      for r in refs]
             assert multi == [min(col) for col in zip(*single)]
             tighter += sum(m < s for m, s in zip(multi, single[0]))
             for child, bound in zip(children, multi):
                 for L in grid_slices(child, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert tighter > 0  # an ancestor's center beat the parent's for some child
-    assert bounds_from_reference(F1, F2, [], refs) == []
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [], refs).pre == []
     # against the box's own center, the rule is the capped four-corner scan
     for B in children:
         ref = eval_reference(F1, F2, center(B), 0)
         want = shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, B, ref.slice),
                                   four_corner_rise_fall(F2.px, F2.py, B, ref.slice))
-        assert bounds_from_reference(F1, F2, [B], [ref]) == [pytest.approx(want, rel=1e-12, abs=1e-12)]
+        assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre == [
+            pytest.approx(want, rel=1e-12, abs=1e-12)]
     with pytest.raises(ValueError):  # boxes of one slice type
-        bounds_from_reference(F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
+        box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
 
 
 def test_no_reference_bounds_nothing():
     F1 = generate_random(GenSpec(8, 12, 1, seed=51))
     F2 = generate_random(GenSpec(8, 12, 1, seed=52))
     boxes = subdivide(initial_boxes(F1, F2)[1])
-    assert bounds_from_reference(F1, F2, boxes, []) == [math.inf] * 4
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, []).pre == [math.inf] * 4
     for kind in BoundKind:  # the solver's pass over a level-0 box
         assert box_bound(kind, F1, F2, boxes).pre == [math.inf] * 4
+        assert box_bound(kind, F1, F2, []) == ([], [])  # no boxes, an empty pass
 
 
 @pytest.mark.parametrize("kind", ["1-critical", "k-critical", "lower-star"])
@@ -262,10 +262,12 @@ def test_one_pass_equals_the_per_box_rule(kind):
                     default=math.inf), rel=1e-12, abs=1e-12)
                 assert rise_fall == rf(center(B))
                 own = eval_reference(F1, F2, center(B), 0)
-                assert bound_L(F1, F2, B, own) == capped_bound(own, *rf(center(B)))
+                assert (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, own)
+                        == capped_bound(own, *rf(center(B))))
                 vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
-                assert bound_C(F1, F2, B, own) == symmetric_bound(own, vbar, vbar)
-                assert bound_G(F1, F2, B, own) == symmetric_bound(own, g, g)
+                assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, own)
+                        == symmetric_bound(own, vbar, vbar))
+                assert own_bound(BoundKind.GLOBAL, F1, F2, B, own) == symmetric_bound(own, g, g)
             for rule, v in ((BoundKind.LOCAL_CONSTANT, lambda B: _vbar_constant(B, X, Y)),
                             (BoundKind.GLOBAL, lambda B: C * 2.0 ** -B.level)):
                 assert box_bound(rule, F1, F2, boxes, refs) == (
@@ -330,15 +332,16 @@ def test_trivial_matching_cap_is_sound(dim):
                     assert ref == _record_oracle(F1, F2, L_ref, dim)
                     rf1, rf2 = (four_corner_rise_fall(F.px, F.py, B, L_ref) for F in (F1, F2))
                     (A1, B1), (A2, B2) = rf1, rf2
-                    [bound] = bounds_from_reference(F1, F2, [B], [ref])
+                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
                     assert bound == pytest.approx(shift_capped_bound(ref, rf1, rf2), rel=1e-12, abs=1e-12)
                     assert d_max <= bound + 1e-9
                     capped += bound < ref.d + max(A1 + B2, A2 + B1, (A1 + B1 + A2 + B2) / 2)
                     checked += 1
                 ref = eval_reference(F1, F2, center(B), dim)
                 vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
-                l, c, g_bound = (bound_L(F1, F2, B, ref), bound_C(F1, F2, B, ref),
-                                 bound_G(F1, F2, B, ref))
+                l, c, g_bound = (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref),
+                                 own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref),
+                                 own_bound(BoundKind.GLOBAL, F1, F2, B, ref))
                 assert l == pytest.approx(shift_capped_bound(
                     ref, *(four_corner_rise_fall(F.px, F.py, B, ref.slice) for F in (F1, F2))),
                     rel=1e-12, abs=1e-12)
@@ -373,7 +376,8 @@ def test_common_shift_bound_dominates_the_distance(seed, kind, dim):
                        float(rng.choice([B.mu_min, B.mu_max])), B.stype)
         outside = Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, B.stype)
         for L_ref in (center(B), corner, outside):
-            [bound] = bounds_from_reference(F1, F2, [B], [eval_reference(F1, F2, L_ref, dim)])
+            ref = eval_reference(F1, F2, L_ref, dim)
+            [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
             assert d_max <= bound + 1e-9
 
 
@@ -399,7 +403,7 @@ def test_common_shift_never_loosens_the_symmetric_rule(dim):
                     ref = eval_reference(F1, F2, L_ref, dim)
                     v1, v2 = (float(four_corner_variation(F.px, F.py, B, L_ref).max())
                               for F in (F1, F2))
-                    [bound] = bounds_from_reference(F1, F2, [B], [ref])
+                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
                     assert bound <= symmetric_bound(ref, v1, v2)
                     if L_ref is low and v1 > 0 and v2 > 0:
                         assert math.isfinite(ref.d)
@@ -432,42 +436,49 @@ def _uncapped(B: ParamBox, d: float) -> Reference:
 def test_bound_L_examples():
     F1, F2 = _pair()
     B = ParamBox(0.5, 0.5, 7.0, 7.0, SliceType.FLAT_X, 7)  # degenerate
-    assert bound_L(F1, F2, B, _uncapped(B, 0.25)) == 0.25
-    assert bound_L(F1, F2, B, Reference(center(B), 0.25, 0.125, 0.0625, 0.0)) == 0.125
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, _uncapped(B, 0.25)) == 0.25
+    ref = Reference(center(B), 0.25, 0.125, 0.0625, 0.0)
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref) == 0.125
     B2 = ParamBox(0.0, 0.5, 0.0, 50.0, SliceType.FLAT_Y, 1)
     # a filtration against itself: d = e = 0, so the bound is the spread
     # A + B of its critical values, the rise plus the fall
     rise, fall = four_corner_rise_fall(F1.px, F1.py, B2, center(B2))
     assert 0.0 < rise + fall < 2.0 * variation_filtration(F1, B2)
-    assert bound_L(F1, F1, B2, eval_reference(F1, F1, center(B2))) == rise + fall
+    ref = eval_reference(F1, F1, center(B2))
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F1, B2, ref) == rise + fall
 
 
 def test_bound_C_formula():
     F1 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
     B = ParamBox(0.25, 0.75, 0.4, 0.6, SliceType.FLAT_Y, 1)
     # vbar = (dmu + X * dlam) / 2 = (0.2 + 2 * 0.5) / 2 = 0.6
-    assert bound_C(F1, F1, B, _uncapped(B, 0.0)) == pytest.approx(1.2, abs=1e-12)
+    assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, B, _uncapped(B, 0.0))
+            == pytest.approx(1.2, abs=1e-12))
     # the cap adds vbar to h1 and 2 vbar to e: max(1.0 + 0.6, 0.6, 1.2) < 0.5 + 1.2
-    assert bound_C(F1, F1, B, Reference(center(B), 0.5, 1.0, 0.0, 0.0)) == pytest.approx(1.6, abs=1e-12)
+    ref = Reference(center(B), 0.5, 1.0, 0.0, 0.0)
+    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, B, ref) == pytest.approx(1.6, abs=1e-12)
     degenerate = ParamBox(0.5, 0.5, 0.3, 0.3, SliceType.STEEP_X, 4)
-    assert bound_C(F1, F1, degenerate, _uncapped(degenerate, 0.7)) == 0.7
+    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, degenerate,
+                     _uncapped(degenerate, 0.7)) == 0.7
 
 
 def test_bound_G_level_and_errors():
     F1 = validate_bifiltration([[0]], [[(1.0, 1.0)]])
     B = ParamBox(0.0, 0.125, 0.0, 0.125, SliceType.STEEP_Y, 3)
-    assert bound_G(F1, F1, B, _uncapped(B, 0.0)) == 0.25  # 2 * 1 * 2**-3
+    assert own_bound(BoundKind.GLOBAL, F1, F1, B, _uncapped(B, 0.0)) == 0.25  # 2 * 1 * 2**-3
     # the cap: max(0.25 + 0.125, 0.125, 0.25) < 0.5 + 0.25
-    assert bound_G(F1, F1, B, Reference(center(B), 0.5, 0.25, 0.0, 0.0)) == 0.375
+    ref = Reference(center(B), 0.5, 0.25, 0.0, 0.0)
+    assert own_bound(BoundKind.GLOBAL, F1, F1, B, ref) == 0.375
     B0 = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 0)
     F2 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
-    assert bound_G(F2, F2, B0, _uncapped(B0, 0.5)) == pytest.approx(0.5 + 4.0, abs=0)
+    assert (own_bound(BoundKind.GLOBAL, F2, F2, B0, _uncapped(B0, 0.5))
+            == pytest.approx(0.5 + 4.0, abs=0))
     bad = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        bound_G(F1, F1, bad, _uncapped(bad, 0.0))
+        own_bound(BoundKind.GLOBAL, F1, F1, bad, _uncapped(bad, 0.0))
     bad = ParamBox(0.0, 0.125, 0.0, 0.9, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        bound_G(F1, F1, bad, _uncapped(bad, 0.0))
+        own_bound(BoundKind.GLOBAL, F1, F1, bad, _uncapped(bad, 0.0))
 
 
 def _subdivision_boxes(F1, F2, depth=3):
@@ -485,9 +496,9 @@ def test_bound_chain_on_subdivision_boxes():
     F1, F2 = _pair()
     for B in _subdivision_boxes(F1, F2):
         ref = eval_reference(F1, F2, center(B), 0)
-        l = bound_L(F1, F2, B, ref)
-        c = bound_C(F1, F2, B, ref)
-        g = bound_G(F1, F2, B, ref)
+        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
+        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
+        g = own_bound(BoundKind.GLOBAL, F1, F2, B, ref)
         assert l <= c <= g
 
 
@@ -498,7 +509,7 @@ def test_bounds_dominate_sampled_slices(seed):
     F1, F2 = _pair(int(rng.integers(0, 1000)), int(rng.integers(1000, 2000)), n=5, m=5)
     boxes = _subdivision_boxes(F1, F2, depth=2)
     B = boxes[int(rng.integers(0, len(boxes)))]
-    l = bound_L(F1, F2, B, eval_reference(F1, F2, center(B), 0))
+    l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, eval_reference(F1, F2, center(B), 0))
     for L in grid_slices(B, 5):
         assert eval_slice(F1, F2, L, 0) <= l + 1e-9
 

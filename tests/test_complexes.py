@@ -25,6 +25,7 @@ from matchdist.errors import (
 )
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.heatmap import compute_heatmap
+from matchdist.persistence import diagram
 from matchdist.slices import Slice, SliceType
 from matchdist.solver import eval_slice
 
@@ -367,6 +368,27 @@ def test_reduced_rejects_a_negative_dimension_before_building_anything():
         compute_heatmap(F1, F2, 1, -1)
     assert set(F1.__dict__) == before and set(F2.__dict__) == before
     assert "_reduced" not in before
+
+
+def test_a_non_integer_dimension_is_rejected_before_building_anything():
+    # 1.0 used to build reduced(1.0) and fail in persistence with a
+    # TypeError, and 0.0 ran as dimension 0 under a cache key of its own
+    F1 = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
+    F2 = generate_random(GenSpec(8, 12, 2, seed=6, coord_range=4))
+    M = mono_filtration([[0], [1], [0, 1]], [0.0, 0.0, 1.0])
+    for dim in (1.0, 0.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="homology dimension must be an integer"):
+            compute_heatmap(F1, F2, 0, dim)
+        with pytest.raises(ValueError, match="homology dimension must be an integer"):
+            eval_slice(F1, F2, Slice(0.5, 1.0, SliceType.FLAT_X), dim)
+        with pytest.raises(ValueError, match="homology dimension must be an integer"):
+            diagram(M, dim)
+        with pytest.raises(ValueError, match="homology dimension must be an integer"):
+            F1.reduced(dim)
+        assert "_reduced" not in F1.__dict__ and "_reduced" not in F2.__dict__
+    # numpy's integers are integers, and share the int's cache entry
+    assert F1.reduced(np.int64(1)) is F1.reduced(1)
+    assert diagram(M, np.int64(0)) == diagram(M, 0)
 
 
 def _f2_rank(rows: list[list[int]], width: int) -> int:

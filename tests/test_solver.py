@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dmatch_sampled, grid_slices, scaled_copy
+from conftest import dmatch_sampled, grid_slices, own_bound, scaled_copy
 from matchdist import solver
-from matchdist.bounds import BoundKind, bound_L, bounds_from_reference
+from matchdist.bounds import BoundKind, box_bound
 from matchdist.complexes import lower_star, normalize_pair
 from matchdist.errors import InvalidConfig
 from matchdist.generators import GenSpec, generate_random
@@ -119,6 +119,20 @@ def test_level_cap_absolute():
         assert res.deepest_level <= cap
 
 
+def test_boxes_left_at_the_level_cap_stay_in_the_trace_upper(monkeypatch):
+    # a box left unresolved at MAX_LEVEL still bounds the distance, so every
+    # row's upper counts it; only under priority do evaluations follow it
+    monkeypatch.setattr(solver, "MAX_LEVEL", 2)
+    F1, F2, _ = normalize_pair(*(generate_random(GenSpec(12, 20, 1, seed=s)) for s in (1, 2)))
+    for traversal in ("bfs", "priority"):
+        res = approximate(F1, F2, SolverConfig(epsilon=0.01, traversal=traversal))
+        assert res.unresolved_boxes and {b.level for b, _ in res.unresolved_boxes} == {2}
+        uppers = [r.upper for r in res.trace]
+        assert uppers == sorted(uppers, reverse=True)
+        assert min(uppers) >= max(e for _, e in res.unresolved_boxes)
+        assert uppers[-1] >= res.residual_upper
+
+
 @pytest.mark.parametrize("traversal", ["bfs", "priority"])
 def test_terminal_boxes_cover_initial_boxes(traversal):
     F1, F2 = small_pair(61, 62)
@@ -160,7 +174,8 @@ def test_pruned_boxes_are_sound():
 def _parent_center_prebound(F1, F2, box, parent):
     """The L bound of box against its parent's center alone, the first
     reference of its pre-bound."""
-    [bound] = bounds_from_reference(F1, F2, [box], [eval_reference(F1, F2, center(parent))])
+    ref = eval_reference(F1, F2, center(parent))
+    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [box], [ref]).pre
     return bound
 
 
@@ -179,7 +194,8 @@ def test_retired_bounds_never_exceed_the_linear_bound():
             evaluated = {r.box for r in res.trace}
             for box, eff in res.retired_boxes:
                 if box in evaluated:
-                    assert eff <= bound_L(F1, F2, box, eval_reference(F1, F2, center(box)))
+                    own = eval_reference(F1, F2, center(box))
+                    assert eff <= own_bound(BoundKind.LOCAL_LINEAR, F1, F2, box, own)
                     continue
                 assert eff <= res.residual_upper
                 assert eff <= _parent_center_prebound(F1, F2, box, parent_of[box])
