@@ -14,7 +14,9 @@ on every slice, built once per dim: the cells of dimension <= dim and
 only the (dim + 1)-cells whose boundaries `_span_sweep` keeps, from the
 complex itself for dim 0 and from its chunk reduction for dims >= 1.
 Each is exact only for pushes of its own critical points, so it is built
-here and handed to `restrict`, never implied inside persistence.
+here and handed to `restrict`, never implied inside persistence. What
+persistence needs of a complex whatever its values, its components and
+the layout of its coboundary columns, is `CellComplex.persistence_plan`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import copy
 import itertools
 import operator
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,6 +146,64 @@ class CellComplex:
         lo, ptr, idx = self.vertex_count, self.boundary_ptr, self.boundary_idx
         edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + self.edge_count + 1]) == 2)
         return edges, idx[ptr[edges, None] + np.arange(2)]
+
+    def persistence_plan(self, k: int) -> ComponentPlan | CoboundaryPlan:
+        """What persistence reads of this complex in dimension k, whatever
+        its values: a `ComponentPlan` for k = 0 and a `CoboundaryPlan` for
+        k >= 1, built on first use and kept, one per k. It depends on the
+        cells and their boundaries only, so `translated` copies share it."""
+        cache = self.__dict__.setdefault("_plans", {})
+        if k not in cache:
+            cache[k] = _component_plan(self) if k == 0 else _coboundary_plan(self, k)
+        return cache[k]
+
+
+class ComponentPlan(NamedTuple):
+    """The connected components of the `edge_ends` graph: the components
+    left after a union-find over every edge, on any values."""
+
+    merges: int  # vertex count minus component count: the merges to make
+    vertices: np.ndarray  # the vertices, grouped by component
+    starts: np.ndarray  # where each component begins in `vertices`
+
+
+class CoboundaryPlan(NamedTuple):
+    """The layout of the packed coboundary columns of the k-cells: row r of
+    a buffer of (b - a) * width bytes is the column of the k-cell a + r, and
+    boundary entry i sets the bit of (k + 1)-cell b + owner[i] in the row
+    at byte offset row[i]."""
+
+    a: int  # the k-cells are [a, b)
+    b: int  # the (k + 1)-cells are [b, c)
+    c: int
+    width: int  # bytes per column, one bit per (k + 1)-cell
+    owner: np.ndarray
+    row: np.ndarray
+
+
+def _component_plan(K: CellComplex) -> ComponentPlan:
+    parent = list(range(K.vertex_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in K.edge_ends[1].tolist():
+        u, v = root(u), root(v)
+        parent[max(u, v)] = min(u, v)
+    labels = np.array([root(v) for v in range(K.vertex_count)], dtype=np.int64)
+    vertices = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[vertices], prepend=-1))
+    return ComponentPlan(K.vertex_count - len(starts), vertices, starts)
+
+
+def _coboundary_plan(K: CellComplex, k: int) -> CoboundaryPlan:
+    a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
+    ptr = K.boundary_ptr
+    width = (c - b + 7) // 8
+    owner = np.repeat(np.arange(c - b), np.diff(ptr[b : c + 1]))
+    return CoboundaryPlan(a, b, c, width, owner, (K.boundary_idx[ptr[b] : ptr[c]] - a) * width)
 
 
 def _span_sweep(K: CellComplex, k: int) -> np.ndarray:
@@ -339,10 +399,12 @@ class BiFiltration(CellComplex):
 
 
 class MonoFiltration:
-    """One real value per cell of a shared complex.
+    """One finite real value per cell of a shared complex.
 
     Persistence reads every cell of the complex, whatever made the
     values; to compute it on fewer, restrict a `BiFiltration.reduced`.
+    A nan or infinite value raises ValueError: a cell that never enters,
+    or enters before everything, has no place in a diagram's points.
     """
 
     def __init__(self, complex: CellComplex, values: np.ndarray):
@@ -350,6 +412,8 @@ class MonoFiltration:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.shape != (complex.n,):
             raise ValueError("one value per simplex required")
+        if not np.isfinite(self.values).all():
+            raise ValueError("filtration values must be finite")
 
     def check_monotone(self) -> None:
         """Raise MonotonicityViolation unless faces enter no later than cofaces."""

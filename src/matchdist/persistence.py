@@ -10,9 +10,19 @@ dimension-dim diagram on every slice is the same: the cells of dimension
 cut from the complex itself for dimension 0 and from its chunk reduction
 for dimensions >= 1.
 
+What does not depend on the values is planned once per complex and
+dimension, `CellComplex.persistence_plan`: for dimension 0 the connected
+components of the edge graph and so the number of merges, V minus the
+component count; for each k >= 1 the block bounds of the k- and
+(k + 1)-cells, the byte width of a column and, per boundary entry, its
+(k + 1)-cell and its face's row in the column buffer. A slice only sorts
+its values and fills that layout.
+
 Dimension 0 is one union-find pass with the elder rule over the edges in
-that order; an edge whose boundary is empty is a cycle and merges
-nothing. Dimensions k >= 1 clear with its negative edges, the ones that
+that order, on vertices relabelled by the rank of their values; it stops
+after the plan's merges, and the essential births are the components'
+minima. An edge whose boundary is empty is a cycle and merges nothing.
+Dimensions k >= 1 clear with its negative edges, the ones that
 merge two components, and reduce the coboundary matrix over the
 two-element field with clearing (Chen & Kerber's twist, as in Ripser):
 dimensions go upward, a k-cell that dimension k - 1 paired as a death is
@@ -30,7 +40,10 @@ Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
 `finite` is an (n, 2) float64 array with rows in lexicographic (birth,
 death) order, `essential` a sorted float64 array, both read-only: the
-one form that the bottleneck and the dumps read.
+one form that the bottleneck and the dumps read. `Diagram(...)` checks
+and sorts any points into that form. `diagram` builds it directly: a
+MonoFiltration's values are finite, and a pair's death is never below
+its birth, so its points need only the mask, one lexsort and one sort.
 """
 
 from __future__ import annotations
@@ -87,26 +100,32 @@ class Diagram:
         return len(self.finite) + len(self.essential)
 
 
-def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
-    """Union-find over all edges in cell order, with the elder rule.
+def _merge_edges(M: MonoFiltration) -> tuple[np.ndarray, list[int]]:
+    """Union-find over the edges in cell order, with the elder rule.
 
-    When an edge merges two components the younger one dies: larger birth
-    value, ties broken in favour of the smaller creator-vertex id. A root
-    is always its component's creator vertex, and vertex storage indices
-    rise with the ids, so births and creators are known before the loop.
-    An edge with an empty boundary is a cycle and merges nothing. Returns
-    the merges as flattened (dying root, merging edge) pairs, and the
-    roots of the components left at the end.
+    Vertices are relabelled by their rank in a stable argsort of their
+    values, so a component's birth is the value of its smallest label and
+    of two roots the elder is the smaller label: the larger birth value
+    dies, and of two equal births the vertex later in storage order. A
+    root is always its component's smallest label. An edge with an empty
+    boundary is a cycle and merges nothing. The loop stops after the
+    plan's merge count, once the components are those of the whole graph.
+    Returns, per merge in order, the dying root's vertex and the merging
+    edge.
     """
     K = M.complex
-    vals = M.values.tolist()
+    vorder = np.argsort(M.values[: K.vertex_count], kind="stable")
+    rank = np.empty_like(vorder)
+    rank[vorder] = np.arange(K.vertex_count)
     edges, ends = K.edge_ends
     order = np.argsort(M.values[edges], kind="stable")
-    vs, us = ends[order].T.tolist()
+    us, vs = rank[ends[order]].T.tolist()
     parent = list(range(K.vertex_count))
 
-    merges: list[int] = []  # dying root, merging edge, flattened
-    for e, v, u in zip(edges[order].tolist(), vs, us):
+    left = K.persistence_plan(0).merges
+    dying: list[int] = []  # ranks
+    merging: list[int] = []
+    for e, u, v in zip(edges[order].tolist(), us, vs):
         # find both roots, halving the paths on the way
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -114,11 +133,15 @@ def _merge_edges(M: MonoFiltration) -> tuple[list[int], list[int]]:
             parent[v] = v = parent[parent[v]]
         if u == v:
             continue
-        if vals[u] > vals[v] or (vals[u] == vals[v] and u < v):
+        if u > v:
             u, v = v, u
         parent[v] = u  # v is the younger root
-        merges += (v, e)
-    return merges, [v for v in range(K.vertex_count) if parent[v] == v]
+        dying.append(v)
+        merging.append(e)
+        left -= 1
+        if not left:
+            break
+    return vorder[dying], merging
 
 
 # _ONE_BIT[b] is a byte with only bit b set
@@ -129,22 +152,18 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
     """Flattened (cell, pivot cell) pairs and essential cells of dimension
     dim, by reduction with clearing from the negative edges."""
     K = M.complex
-    ptr, idx = K.boundary_ptr, K.boundary_idx
     pairs: list[int] = []
     essential: list[int] = []
     for k in range(1, dim + 1):
-        # the k-cells are [a, b), the (k + 1)-cells [b, c)
-        a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
+        a, b, c, width, owner, row = K.persistence_plan(k)
         up = np.argsort(M.values[b:c], kind="stable")
         # bit p of a column stands for the (k + 1)-cell by_bit[p]: earlier is higher
         bit = np.empty(c - b, dtype=np.int64)
         bit[up] = np.arange(c - b - 1, -1, -1)
         by_bit = (b + up[::-1]).tolist()
-        # every column at once: row r of a packed little-endian buffer is the
-        # column of the k-cell a + r; a (k + 1)-cell sets its bit in its faces' rows
-        width = (c - b + 7) // 8
-        at = np.repeat(bit, np.diff(ptr[b : c + 1]))
-        row = (idx[ptr[b] : ptr[c]] - a) * width
+        # every column at once: each boundary entry sets its cell's bit in
+        # its face's row of one packed little-endian buffer
+        at = bit[owner]
         buf = np.zeros((b - a) * width, dtype=np.uint8)
         np.bitwise_or.at(buf, row + (at >> 3), _ONE_BIT[at & 7])
         raw = memoryview(buf)
@@ -171,6 +190,22 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
     return pairs, essential
 
 
+def _trusted_diagram(ends: np.ndarray, essential: np.ndarray, dim: int) -> Diagram:
+    """The Diagram of persistence's own pairs, built without Diagram's
+    checks. ends holds (birth, death) rows with birth <= death, essential
+    the essential births, all finite: MonoFiltration admits finite values
+    only, and essential classes never reach ends."""
+    pts = ends[ends[:, 1] > ends[:, 0]]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    ess = np.sort(essential)
+    pts.flags.writeable = ess.flags.writeable = False
+    D = object.__new__(Diagram)
+    object.__setattr__(D, "finite", pts)
+    object.__setattr__(D, "essential", ess)
+    object.__setattr__(D, "homology_dimension", dim)
+    return D
+
+
 def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     """Persistence diagram of M in homology dimension dim.
 
@@ -181,8 +216,11 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     raises ValueError.
     """
     dim = homology_dim(dim)
-    pairs, essential = _merge_edges(M)
-    if dim > 0:
-        pairs, essential = _coboundary_pairs(M, set(pairs[1::2]), dim)
-    ends = M.values[pairs].reshape(-1, 2)  # (birth, death) rows
-    return Diagram(ends[ends[:, 1] > ends[:, 0]], M.values[essential], dim)
+    vals = M.values
+    dying, merging = _merge_edges(M)
+    if dim == 0:
+        comps = M.complex.persistence_plan(0)
+        births = np.minimum.reduceat(vals[comps.vertices], comps.starts)
+        return _trusted_diagram(np.column_stack((vals[dying], vals[merging])), births, 0)
+    pairs, essential = _coboundary_pairs(M, set(merging), dim)
+    return _trusted_diagram(vals[pairs].reshape(-1, 2), vals[essential], dim)

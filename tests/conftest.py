@@ -15,7 +15,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from matchdist.bounds import _rise_fall, box_bound, capped_bound
-from matchdist.complexes import BiFiltration, MonoFiltration, validate_bifiltration
+from matchdist.complexes import BiFiltration, MonoFiltration, lower_star, validate_bifiltration
+from matchdist.generators import GenSpec, generate_random
 from matchdist.persistence import Diagram
 from matchdist.slices import (
     SLICE_TYPES,
@@ -288,6 +289,16 @@ def random_diagram(rng: np.random.Generator, max_pts: int = 4, dim: int = 0) -> 
         finite.append((b, d))
     essential = [int(rng.integers(0, 9)) / 4.0 for _ in range(n_ess)]
     return Diagram(finite, essential, dim)
+
+
+def h1_sides() -> list[BiFiltration]:
+    """The benchmark's `h1` pair at seed 0: one random 2-complex with two
+    sets of integer vertex values in [0, 1000]^2, not normalized."""
+    K = generate_random(GenSpec(30, 1200, 2, seed=30))
+    rng = np.random.Generator(np.random.Philox(31))
+    return [lower_star(K.simplices, {v: (float(rng.integers(0, 1000, endpoint=True)),
+                                         float(rng.integers(0, 1000, endpoint=True)))
+                                     for v in K.vertex_ids}) for _ in range(2)]
 
 
 def random_genspec(rng: np.random.Generator, seed: int, n_hi: int = 9, m_hi: int = 7,

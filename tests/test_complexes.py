@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import h1_sides
 import matchdist.complexes as complexes
 from matchdist.complexes import (
     BiFiltration,
@@ -487,17 +488,12 @@ def test_equal_grade_cells_with_equal_boundaries_keep_the_lower_index():
 
 
 def test_h1_pair_keeps_a_few_of_its_triangles():
-    K = generate_random(GenSpec(30, 1200, 2, seed=30))
-    rng = np.random.Generator(np.random.Philox(31))
     chunk, kept = [], []
-    for _ in range(2):
-        values = {v: (float(rng.integers(0, 1000, endpoint=True)),
-                      float(rng.integers(0, 1000, endpoint=True))) for v in K.vertex_ids}
-        F = lower_star(K.simplices, values)
+    for F in h1_sides():
         # reduced(2) keeps every triangle of the chunk reduction
         chunk.append(int(np.count_nonzero(F.reduced(2).dims == 2)))
         kept.append(int(np.count_nonzero(F.reduced(1).dims == 2)))
-    assert int(np.count_nonzero(K.dims == 2)) == 1200
+        assert int(np.count_nonzero(F.dims == 2)) == 1200
     assert chunk == [821, 828] and kept == [46, 74]
 
 

@@ -3,12 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import persistence_boundary_oracle, random_genspec
+from conftest import h1_sides, persistence_boundary_oracle, random_genspec
+from matchdist import complexes
 from matchdist.bottleneck import bottleneck_distance
-from matchdist.complexes import MonoFiltration, _span_sweep, lower_star, mono_filtration, validate_bifiltration
+from matchdist.complexes import (
+    MonoFiltration,
+    _span_sweep,
+    lower_star,
+    mono_filtration,
+    normalize_pair,
+    validate_bifiltration,
+)
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.persistence import Diagram, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
+from matchdist.solver import SolverConfig, approximate
 
 
 def path_complex():
@@ -35,7 +44,9 @@ def test_zero_persistence_pair_discarded():
 
 
 def test_elder_rule_tie_breaking():
-    # equal births: the component created by the smaller vertex id dies
+    # equal births: the union-find labels vertices by the rank of their
+    # value, ties in storage order, and the larger label dies, here vertex
+    # 1; either root dying gives the same point
     M = mono_filtration([[0], [1], [0, 1]], [0.5, 0.5, 1.0])
     assert diagram(M, 0) == Diagram([(0.5, 1.0)], [0.5], 0)
 
@@ -288,6 +299,20 @@ def test_chunk_reduced_three_complexes_match_boundary_oracle():
     assert eliminated > 0 and nontrivial > 0
 
 
+def _assert_canonical(M, dim):
+    D = diagram(M, dim)
+    assert D == persistence_boundary_oracle(M, dim)
+    assert D == Diagram(D.finite, D.essential, dim)  # the checked constructor agrees
+    for arr in (D.finite, D.essential):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+    pts = D.finite
+    assert pts.shape == (len(pts), 2) and np.isfinite(pts).all() and np.isfinite(D.essential).all()
+    assert (pts[:, 1] > pts[:, 0]).all()
+    assert np.lexsort((pts[:, 1], pts[:, 0])).tolist() == list(range(len(pts)))
+    assert (np.diff(D.essential) >= 0).all()
+    return D
+
+
 def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
     # lower star on a triangle whose vertex values rise along 0, 1, 2:
     # eliminating vertex 1 with edge (0, 1) turns the boundary of edge
@@ -304,7 +329,8 @@ def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
         assert R.edge_ends[0].tolist() == []
         for L in _tied_slices():  # dim 0 too: the union-find skips the cycle
             for dim in (0, 1, 2):
-                assert diagram(restrict(R, L), dim) == persistence_boundary_oracle(restrict(F, L), dim)
+                D = _assert_canonical(restrict(R, L), dim)
+                assert D == persistence_boundary_oracle(restrict(F, L), dim)
     L = Slice(0.5, 1.0, SLICE_TYPES[0])
     assert diagram(restrict(hollow.reduced(1), L), 1) == Diagram([], [2.0], 1)
     assert diagram(restrict(filled.reduced(1), L), 1) == Diagram([(2.0, 3.0)], [], 1)
@@ -364,3 +390,114 @@ def test_diagram_rejects_points_below_the_diagonal_and_nan():
     assert len(D) == 2
     assert D == Diagram([(1.0, 1.0)], [0.0], 0)
     assert Diagram([(2.0, inf), (0.5, 1.0)], [3.0, 1.0], 0).essential.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_mono_filtration_rejects_non_finite_values():
+    # the path 0-1-2 with edges (0, 1) and (1, 2); with each of these a
+    # diagram used to come out wrong, or fail only by accident
+    K = mono_filtration([[0], [1], [2], [0, 1], [1, 2]], [0, 1, 2, 3, 4]).complex
+    nan, inf = float("nan"), float("inf")
+    for values in ([0, nan, 2, 3, 4],  # lost the point (1, 3)
+                   [0, 1, 2, -inf, 4],  # dropped the merge at -inf as below the diagonal
+                   [nan, 1, 2, 3, 4],  # raised only as an essential birth
+                   [0, 1, 2, 3, inf]):  # turned the merge at inf into an essential birth
+        with pytest.raises(ValueError, match="filtration values must be finite"):
+            MonoFiltration(K, values)
+    assert diagram(MonoFiltration(K, [0, 1, 2, 3, 4]), 0) == Diagram([(1, 3), (2, 4)], [0], 0)
+
+
+def _with_isolated_vertices(F, count):
+    first = max(F.vertex_ids) + 1
+    return validate_bifiltration(F.simplices + [(first + i,) for i in range(count)],
+                                 F.critical + [[(float(i % 4), float(3 - i % 4))] for i in range(count)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_persistence_output_is_canonical(seed):
+    # integer coordinates and tied slices, disconnected complexes with
+    # isolated vertices, and chunk-reduced complexes
+    rng = np.random.Generator(np.random.Philox(seed))
+    spec = random_genspec(rng, seed, n_hi=8, m_hi=10, d_hi=2)
+    spec = GenSpec(spec.n_vertices, spec.n_maximal, spec.max_dim, seed=seed, coord_range=4)
+    F = generate_random(spec)
+    G = _with_isolated_vertices(_disjoint_union(F, generate_random_kcritical(spec, 2)), 3)
+    for K in (F, G, G.reduced(0), G.reduced(1), G.reduced(2)):
+        for L in _tied_slices()[::2]:
+            M = restrict(K, L)
+            for dim in (0, 1, 2):
+                _assert_canonical(M, dim)
+
+
+def _count_plan_builds(monkeypatch):
+    builds = []
+    for name in ("_component_plan", "_coboundary_plan"):
+        build = getattr(complexes, name)
+
+        def counted(K, *k, _build=build):
+            builds.append((id(K), k[0] if k else 0))
+            return _build(K, *k)
+
+        monkeypatch.setattr(complexes, name, counted)
+    return builds
+
+
+def test_plan_is_built_once_per_complex_and_dimension(monkeypatch):
+    builds = _count_plan_builds(monkeypatch)
+    F1, F2, _ = normalize_pair(*h1_sides())
+    res = approximate(F1, F2, SolverConfig(epsilon=0.3, mode="relative", homology_dim=1,
+                                           traversal="priority"))
+    assert res.calls == 52
+    # two diagrams per evaluation, each reading dims 0 and 1 of one reduced complex
+    assert sorted(builds) == sorted((id(F.reduced(1)), k) for F in (F1, F2) for k in (0, 1))
+    assert "_plans" not in F1.__dict__ and "_plans" not in F2.__dict__
+
+
+def test_plan_is_structural_and_shared_by_translated_copies():
+    rng = np.random.Generator(np.random.Philox(404))
+    slices = _tied_slices()[::3]
+    for i in range(6):
+        spec = GenSpec(8, 12, 2, seed=40_400 + i, coord_range=4)
+        F = _with_isolated_vertices(generate_random_kcritical(spec, 2), 2)
+        for L in slices:  # build F's plans first
+            diagram(restrict(F, L), 2)
+        vx, vy = (float(x) for x in rng.integers(1, 4, size=2))
+        G = F.translated(vx, vy)
+        fresh = validate_bifiltration(F.simplices, [[(x + vx, y + vy) for x, y in c] for c in F.critical])
+        assert all(G.persistence_plan(k) is F.persistence_plan(k) for k in (0, 1, 2))
+        for L in slices:
+            for dim in (0, 1, 2):
+                D = diagram(restrict(fresh, L), dim)
+                assert diagram(restrict(G, L), dim) == D
+                assert diagram(restrict(G.reduced(dim), L), dim) == D
+                assert diagram(restrict(fresh.reduced(dim), L), dim) == D
+
+
+def test_dim0_essential_births_are_the_component_minima():
+    F = generate_random(GenSpec(6, 5, 1, seed=3, coord_range=4))
+    G = _with_isolated_vertices(_disjoint_union(F, generate_random(GenSpec(5, 4, 1, seed=4, coord_range=4))), 2)
+    # components by a search over the edges
+    adj = {v: set() for v in range(G.vertex_count)}
+    for s in G.simplices:
+        if len(s) == 2:
+            u, v = (G.index[(x,)] for x in s)
+            adj[u].add(v)
+            adj[v].add(u)
+    comps, seen = [], set()
+    for v in adj:
+        if v not in seen:
+            comp, todo = set(), [v]
+            while todo:
+                w = todo.pop()
+                if w not in comp:
+                    comp.add(w)
+                    todo.extend(adj[w])
+            seen |= comp
+            comps.append(sorted(comp))
+    assert len(comps) >= 4
+    assert G.persistence_plan(0).merges == G.vertex_count - len(comps)
+    rng = np.random.Generator(np.random.Philox(5))
+    for t in SLICE_TYPES:
+        M = restrict(G, Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 4)), t))
+        minima = sorted(float(M.values[c].min()) for c in comps)
+        assert diagram(M, 0).essential.tolist() == minima
