@@ -14,9 +14,8 @@ on every slice, built once per dim: the cells of dimension <= dim and
 only the (dim + 1)-cells whose boundaries `_span_sweep` keeps, from the
 complex itself for dim 0 and from its chunk reduction for dims >= 1.
 Each is exact only for pushes of its own critical points, so it is built
-here and handed to `restrict`, never implied inside persistence. What
-persistence needs of a complex whatever its values, its components and
-the layout of its coboundary columns, is `CellComplex.persistence_plan`.
+here and handed to `restrict`, never implied inside persistence, which
+plans for itself what it reads of a complex whatever its values.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import copy
 import itertools
 import operator
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,74 +135,6 @@ class CellComplex:
 
     def __len__(self) -> int:
         return self.n
-
-    @cached_property
-    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, ends): the edges with a two-vertex boundary, ascending,
-        and an (len(edges), 2) int array of the two vertices of each: the
-        graph a union-find runs over. Every other edge has an empty
-        boundary; it is a cycle and never merges components."""
-        lo, ptr, idx = self.vertex_count, self.boundary_ptr, self.boundary_idx
-        edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + self.edge_count + 1]) == 2)
-        return edges, idx[ptr[edges, None] + np.arange(2)]
-
-    def persistence_plan(self, k: int) -> ComponentPlan | CoboundaryPlan:
-        """What persistence reads of this complex in dimension k, whatever
-        its values: a `ComponentPlan` for k = 0 and a `CoboundaryPlan` for
-        k >= 1, built on first use and kept, one per k. It depends on the
-        cells and their boundaries only, so `translated` copies share it."""
-        cache = self.__dict__.setdefault("_plans", {})
-        if k not in cache:
-            cache[k] = _component_plan(self) if k == 0 else _coboundary_plan(self, k)
-        return cache[k]
-
-
-class ComponentPlan(NamedTuple):
-    """The connected components of the `edge_ends` graph: the components
-    left after a union-find over every edge, on any values."""
-
-    merges: int  # vertex count minus component count: the merges to make
-    vertices: np.ndarray  # the vertices, grouped by component
-    starts: np.ndarray  # where each component begins in `vertices`
-
-
-class CoboundaryPlan(NamedTuple):
-    """The layout of the packed coboundary columns of the k-cells: row r of
-    a buffer of (b - a) * width bytes is the column of the k-cell a + r, and
-    boundary entry i sets the bit of (k + 1)-cell b + owner[i] in the row
-    at byte offset row[i]."""
-
-    a: int  # the k-cells are [a, b)
-    b: int  # the (k + 1)-cells are [b, c)
-    c: int
-    width: int  # bytes per column, one bit per (k + 1)-cell
-    owner: np.ndarray
-    row: np.ndarray
-
-
-def _component_plan(K: CellComplex) -> ComponentPlan:
-    parent = list(range(K.vertex_count))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for u, v in K.edge_ends[1].tolist():
-        u, v = root(u), root(v)
-        parent[max(u, v)] = min(u, v)
-    labels = np.array([root(v) for v in range(K.vertex_count)], dtype=np.int64)
-    vertices = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[vertices], prepend=-1))
-    return ComponentPlan(K.vertex_count - len(starts), vertices, starts)
-
-
-def _coboundary_plan(K: CellComplex, k: int) -> CoboundaryPlan:
-    a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
-    ptr = K.boundary_ptr
-    width = (c - b + 7) // 8
-    owner = np.repeat(np.arange(c - b), np.diff(ptr[b : c + 1]))
-    return CoboundaryPlan(a, b, c, width, owner, (K.boundary_idx[ptr[b] : ptr[c]] - a) * width)
 
 
 def _span_sweep(K: CellComplex, k: int) -> np.ndarray:
@@ -383,13 +314,16 @@ class BiFiltration(CellComplex):
 
         Float rounding is monotone, so the shift keeps face closure and
         monotonicity: the complex structure is shared, not checked again,
-        unless rounding merges two coordinates of one critical set.
+        unless rounding merges two coordinates of one critical set or
+        overflows one to an infinity, which raises NonFiniteCoordinate.
         """
         out = copy.copy(self)
         # its complexes and points are unshifted
         out.__dict__.pop("_reduced", None)
         out.__dict__.pop("distinct_points", None)
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
+        if not (np.isfinite(out.px).all() and np.isfinite(out.py).all()):
+            return validate_bifiltration(self.simplices, out.critical)
         # a reduced critical set has x strictly rising and y strictly falling
         strict = (np.diff(out.px) > 0.0) & (np.diff(out.py) < 0.0)
         strict[out.offsets[1:-1] - 1] = True  # pairs across two sets

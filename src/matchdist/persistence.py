@@ -11,17 +11,18 @@ cut from the complex itself for dimension 0 and from its chunk reduction
 for dimensions >= 1.
 
 What does not depend on the values is planned once per complex and
-dimension, `CellComplex.persistence_plan`: for dimension 0 the connected
-components of the edge graph and so the number of merges, V minus the
-component count; for each k >= 1 the block bounds of the k- and
-(k + 1)-cells, the byte width of a column and, per boundary entry, its
-(k + 1)-cell and its face's row in the column buffer. A slice only sorts
-its values and fills that layout.
+dimension, by `_plan`, and kept with the complex: for dimension 0 the
+edges and their ends and the number of merges, V minus the component
+count; for each k >= 1 the block bounds of the k- and (k + 1)-cells,
+the byte width of a column and, per boundary entry, its (k + 1)-cell
+and its face's row in the column buffer. A slice only sorts its values
+and fills that layout.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
 that order, on vertices relabelled by the rank of their values; it stops
-after the plan's merges, and the essential births are the components'
-minima. An edge whose boundary is empty is a cycle and merges nothing.
+after the plan's merges, and the essential births are the values of the
+vertices that never die, one root per component, its minimum. An edge
+whose boundary is empty is a cycle and merges nothing.
 Dimensions k >= 1 clear with its negative edges, the ones that
 merge two components, and reduce the coboundary matrix over the
 two-element field with clearing (Chen & Kerber's twist, as in Ripser):
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import MonoFiltration, homology_dim
+from .complexes import CellComplex, MonoFiltration, homology_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,32 +101,18 @@ class Diagram:
         return len(self.finite) + len(self.essential)
 
 
-def _merge_edges(M: MonoFiltration) -> tuple[np.ndarray, list[int]]:
-    """Union-find over the edges in cell order, with the elder rule.
-
-    Vertices are relabelled by their rank in a stable argsort of their
-    values, so a component's birth is the value of its smallest label and
-    of two roots the elder is the smaller label: the larger birth value
-    dies, and of two equal births the vertex later in storage order. A
-    root is always its component's smallest label. An edge with an empty
-    boundary is a cycle and merges nothing. The loop stops after the
-    plan's merge count, once the components are those of the whole graph.
-    Returns, per merge in order, the dying root's vertex and the merging
-    edge.
+def _merge_edges(n: int, edges: list[int], us: list[int], vs: list[int],
+                 left: int) -> tuple[list[int], list[int]]:
+    """Union-find with the elder rule over edge i, joining us[i] and vs[i],
+    in turn, on the vertices 0..n-1: of two roots the smaller label
+    survives, so a root is always its component's smallest label. The
+    loop stops after `left` merges; n - 1 at most happen. Returns, per
+    merge in order, the dying root and the merging edge.
     """
-    K = M.complex
-    vorder = np.argsort(M.values[: K.vertex_count], kind="stable")
-    rank = np.empty_like(vorder)
-    rank[vorder] = np.arange(K.vertex_count)
-    edges, ends = K.edge_ends
-    order = np.argsort(M.values[edges], kind="stable")
-    us, vs = rank[ends[order]].T.tolist()
-    parent = list(range(K.vertex_count))
-
-    left = K.persistence_plan(0).merges
-    dying: list[int] = []  # ranks
+    parent = list(range(n))
+    dying: list[int] = []
     merging: list[int] = []
-    for e, u, v in zip(edges[order].tolist(), us, vs):
+    for e, u, v in zip(edges, us, vs):
         # find both roots, halving the paths on the way
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -141,7 +128,43 @@ def _merge_edges(M: MonoFiltration) -> tuple[np.ndarray, list[int]]:
         left -= 1
         if not left:
             break
-    return vorder[dying], merging
+    return dying, merging
+
+
+def _plan(K: CellComplex, k: int) -> tuple:
+    """What persistence reads of K in dimension k, whatever its values,
+    built on first use and kept in K's `__dict__`, one per k. It depends
+    on the cells and their boundaries only, so `translated` copies, which
+    copy that dict, share it.
+
+    For k = 0 it is (edges, ends, merges): the edges with a two-vertex
+    boundary, ascending, an (len(edges), 2) array of the two vertices of
+    each, and the merges a union-find over them makes, V minus the
+    component count. Every other edge has an empty boundary; it is a
+    cycle and never merges components.
+
+    For k >= 1 it is (a, b, c, width, owner, row), the layout of the
+    packed coboundary columns of the k-cells [a, b): row r of a buffer of
+    (b - a) * width bytes, one bit per (k + 1)-cell of [b, c), is the
+    column of the k-cell a + r, and boundary entry i sets the bit of
+    (k + 1)-cell b + owner[i] in the row at byte offset row[i].
+    """
+    cache = K.__dict__.setdefault("_plans", {})
+    if k not in cache:
+        ptr, idx = K.boundary_ptr, K.boundary_idx
+        if k == 0:
+            lo = K.vertex_count
+            edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + K.edge_count + 1]) == 2)
+            ends = idx[ptr[edges, None] + np.arange(2)]
+            # in storage order, with a stop no run reaches: lo - 1 merges at most
+            merges = len(_merge_edges(lo, edges.tolist(), *ends.T.tolist(), lo)[0])
+            cache[k] = edges, ends, merges
+        else:
+            a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
+            width = (c - b + 7) // 8
+            owner = np.repeat(np.arange(c - b), np.diff(ptr[b : c + 1]))
+            cache[k] = a, b, c, width, owner, (idx[ptr[b] : ptr[c]] - a) * width
+    return cache[k]
 
 
 # _ONE_BIT[b] is a byte with only bit b set
@@ -155,7 +178,7 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
     pairs: list[int] = []
     essential: list[int] = []
     for k in range(1, dim + 1):
-        a, b, c, width, owner, row = K.persistence_plan(k)
+        a, b, c, width, owner, row = _plan(K, k)
         up = np.argsort(M.values[b:c], kind="stable")
         # bit p of a column stands for the (k + 1)-cell by_bit[p]: earlier is higher
         bit = np.empty(c - b, dtype=np.int64)
@@ -216,11 +239,20 @@ def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     raises ValueError.
     """
     dim = homology_dim(dim)
-    vals = M.values
-    dying, merging = _merge_edges(M)
+    K, vals = M.complex, M.values
+    n = K.vertex_count
+    edges, ends, merges = _plan(K, 0)
+    # rank labels: a component's birth is the value of its smallest label,
+    # and of two equal births the vertex later in storage order dies
+    vorder = np.argsort(vals[:n], kind="stable")
+    rank = np.empty_like(vorder)
+    rank[vorder] = np.arange(n)
+    order = np.argsort(vals[edges], kind="stable")
+    dying, merging = _merge_edges(n, edges[order].tolist(), *rank[ends[order]].T.tolist(), merges)
     if dim == 0:
-        comps = M.complex.persistence_plan(0)
-        births = np.minimum.reduceat(vals[comps.vertices], comps.starts)
-        return _trusted_diagram(np.column_stack((vals[dying], vals[merging])), births, 0)
+        dead = vorder[dying]
+        alive = np.ones(n, dtype=bool)
+        alive[dead] = False
+        return _trusted_diagram(np.column_stack((vals[dead], vals[merging])), vals[:n][alive], 0)
     pairs, essential = _coboundary_pairs(M, set(merging), dim)
     return _trusted_diagram(vals[pairs].reshape(-1, 2), vals[essential], dim)

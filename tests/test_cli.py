@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io as stdio
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -165,6 +166,16 @@ def test_dist_usage_error_exit_one(dataset):
                                     "--budget-ms", "nan"])):
         code, out, err = run_cli(["dist", str(dataset / "a.txt"), str(dataset / "b.txt")] + extra)
         assert code == 1 and out == "" and word in err
+
+
+def test_dist_exits_one_when_the_common_shift_overflows_to_an_infinity(tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("bifiltration\n3\n0 ; -1e308 0\n1 ; 1e308 0\n0 1 ; 1e308 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["dist", str(big), str(big), "--epsilon", "0.1"])
+    assert code == 1 and out == ""
+    assert err == "matchdist: error: simplex (1,) has critical value (inf, 0.0)\n"
 
 
 def test_heatmap_depth_zero_equals_initial_evals(dataset, tmp_path):

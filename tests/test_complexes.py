@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -26,7 +27,7 @@ from matchdist.errors import (
 )
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.heatmap import compute_heatmap
-from matchdist.persistence import diagram
+from matchdist.persistence import _plan, diagram
 from matchdist.slices import Slice, SliceType
 from matchdist.solver import eval_slice
 
@@ -199,6 +200,20 @@ def test_translated_reduces_a_critical_set_that_rounding_merges(monkeypatch):
     assert calls == [1]
 
 
+def test_translated_rejects_a_shift_that_overflows_to_an_infinity():
+    # normalize_pair shifts x by 1e308, which takes 1e308 to inf; the
+    # check comes before any arithmetic on the infinity, so no warning
+    F = validate_bifiltration([[0], [1], [0, 1]], [[(-1e308, 0.0)], [(1e308, 0.0)], [(1e308, 0.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCoordinate, match="inf"):
+            normalize_pair(F, F)
+        with pytest.raises(NonFiniteCoordinate, match="-inf"):
+            F.translated(-1e308, 0.0)
+        with pytest.raises(NonFiniteCoordinate):
+            F.translated(0.0, float("inf"))
+
+
 def test_lower_star_edge():
     F = lower_star([[0], [1], [0, 1]], {0: (1.0, 4.0), 1: (3.0, 2.0)})
     assert F.critical[F.index[(0, 1)]][0] == (3.0, 4.0)
@@ -243,7 +258,7 @@ def _assert_merge_certificate(F):
     # the kept edges with a critical point <= p joins its endpoints
     kept = complexes._span_sweep(F, 0).tolist()
     lo = F.vertex_count
-    ends = F.edge_ends[1].tolist()  # edge e is row e - lo
+    ends = _plan(F, 0)[1].tolist()  # edge e is row e - lo
     assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, lo + F.edge_count))
     for e in sorted(set(range(lo, lo + F.edge_count)) - set(kept)):
         u, v = ends[e - lo]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import h1_sides, persistence_boundary_oracle, random_genspec
-from matchdist import complexes
+from matchdist import persistence
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import (
     MonoFiltration,
@@ -15,7 +15,7 @@ from matchdist.complexes import (
     validate_bifiltration,
 )
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
-from matchdist.persistence import Diagram, diagram
+from matchdist.persistence import Diagram, _plan, diagram
 from matchdist.slices import SLICE_TYPES, Slice, restrict
 from matchdist.solver import SolverConfig, approximate
 
@@ -326,7 +326,7 @@ def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
         R = F.reduced(1)
         assert R.dims.tolist() == dims
         assert R.boundary_ptr[:3].tolist() == [0, 0, 0]  # the vertex and the cycle
-        assert R.edge_ends[0].tolist() == []
+        assert _plan(R, 0)[0].tolist() == []
         for L in _tied_slices():  # dim 0 too: the union-find skips the cycle
             for dim in (0, 1, 2):
                 D = _assert_canonical(restrict(R, L), dim)
@@ -429,27 +429,31 @@ def test_persistence_output_is_canonical(seed):
                 _assert_canonical(M, dim)
 
 
-def _count_plan_builds(monkeypatch):
-    builds = []
-    for name in ("_component_plan", "_coboundary_plan"):
-        build = getattr(complexes, name)
+def _record_plans(monkeypatch):
+    # (complex, k, plan) per call; holding each plan keeps its id unique,
+    # so each distinct id is one build
+    calls = []
+    plan = persistence._plan
 
-        def counted(K, *k, _build=build):
-            builds.append((id(K), k[0] if k else 0))
-            return _build(K, *k)
+    def recorded(K, k):
+        out = plan(K, k)
+        calls.append((K, k, out))
+        return out
 
-        monkeypatch.setattr(complexes, name, counted)
-    return builds
+    monkeypatch.setattr(persistence, "_plan", recorded)
+    return calls
 
 
 def test_plan_is_built_once_per_complex_and_dimension(monkeypatch):
-    builds = _count_plan_builds(monkeypatch)
+    calls = _record_plans(monkeypatch)
     F1, F2, _ = normalize_pair(*h1_sides())
     res = approximate(F1, F2, SolverConfig(epsilon=0.3, mode="relative", homology_dim=1,
                                            traversal="priority"))
     assert res.calls == 52
     # two diagrams per evaluation, each reading dims 0 and 1 of one reduced complex
-    assert sorted(builds) == sorted((id(F.reduced(1)), k) for F in (F1, F2) for k in (0, 1))
+    builds = {(id(K), k, id(out)) for K, k, out in calls}
+    assert sorted((K, k) for K, k, _ in builds) == sorted(
+        (id(F.reduced(1)), k) for F in (F1, F2) for k in (0, 1))
     assert "_plans" not in F1.__dict__ and "_plans" not in F2.__dict__
 
 
@@ -464,7 +468,7 @@ def test_plan_is_structural_and_shared_by_translated_copies():
         vx, vy = (float(x) for x in rng.integers(1, 4, size=2))
         G = F.translated(vx, vy)
         fresh = validate_bifiltration(F.simplices, [[(x + vx, y + vy) for x, y in c] for c in F.critical])
-        assert all(G.persistence_plan(k) is F.persistence_plan(k) for k in (0, 1, 2))
+        assert all(_plan(G, k) is _plan(F, k) for k in (0, 1, 2))
         for L in slices:
             for dim in (0, 1, 2):
                 D = diagram(restrict(fresh, L), dim)
@@ -495,7 +499,7 @@ def test_dim0_essential_births_are_the_component_minima():
             seen |= comp
             comps.append(sorted(comp))
     assert len(comps) >= 4
-    assert G.persistence_plan(0).merges == G.vertex_count - len(comps)
+    assert _plan(G, 0)[2] == G.vertex_count - len(comps)  # merges
     rng = np.random.Generator(np.random.Philox(5))
     for t in SLICE_TYPES:
         M = restrict(G, Slice(float(rng.uniform(0, 1)), float(rng.uniform(0, 4)), t))
