@@ -7,10 +7,10 @@ A_i (how far above its reference value a critical value can go) and a
 fall B_i (how far below):
 
 * local linear: exact per-point rise and fall against a reference slice,
-  maximized over the distinct critical values in one vectorized scan;
-  linear time in their number. On non-negative points a push is
-  nondecreasing in lam and nonincreasing in mu, so over a box it is
-  largest at (lam_max, mu_min) and smallest at (lam_min, mu_max):
+  maximized over the critical values of the reduced complexes in one
+  vectorized scan; linear time in their number. On non-negative points
+  a push is nondecreasing in lam and nonincreasing in mu, so over a box
+  it is largest at (lam_max, mu_min) and smallest at (lam_min, mu_max):
   A = max(hi - c) and B = max(c - lo) over the points, both at least 0.
 * local constant: a closed-form per-type bound vbar on the variation that
   only depends on the box and the coordinate maxima; constant time.
@@ -60,10 +60,10 @@ The first give the boxes' pre-bounds, the smallest over the references;
 the solver passes the split box's center and the centers of its two
 nearest evaluated ancestors. The second give a box's own bound once its
 center is evaluated, capped_bound with that record, with no second scan.
-A maximum over a multiset is the maximum over its distinct values, so
-the scans read each filtration's distinct critical points
-(BiFiltration.distinct_points): a lower-star filtration repeats a
-vertex's value in every simplex it is the largest vertex of.
+The scans read the critical points of F.reduced(dim), the complex every
+dimension-dim diagram is computed from: it has that diagram on every
+slice, so stability, the minimum over a cell's critical points and the
+essential counts all hold over its points alone.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import BiFiltration
+from .complexes import BiFiltration, CellComplex
 from .errors import InvalidLevel
 from .slices import ParamBox, Slice, SliceType, pair_extents, push_at
 
@@ -173,13 +173,13 @@ class BoundPass(NamedTuple):
     rise_fall: list[RiseFall]
 
 
-def _pass_L(F1: BiFiltration, F2: BiFiltration, boxes: list[ParamBox],
+def _pass_L(K1: CellComplex, K2: CellComplex, boxes: list[ParamBox],
             refs: Sequence[Reference]) -> BoundPass:
     slices = [r.slice for r in refs]
     # (1 + r, k, 4): the rise and fall of both filtrations per box, against
     # its own center and then against each reference
-    rf = np.stack((*_rise_fall(*F1.distinct_points, boxes, slices),
-                   *_rise_fall(*F2.distinct_points, boxes, slices)), axis=-1).tolist()
+    rf = np.stack((*_rise_fall(K1.px, K1.py, boxes, slices),
+                   *_rise_fall(K2.px, K2.py, boxes, slices)), axis=-1).tolist()
     pre = [min((capped_bound(r, *row[i]) for r, row in zip(refs, rf[1:])), default=INF)
            for i in range(len(boxes))]
     return BoundPass(pre, [tuple(q) for q in rf[0]])
@@ -218,20 +218,23 @@ def box_bound(
     kind: BoundKind,
     F1: BiFiltration,
     F2: BiFiltration,
+    dim: int,
     boxes: list[ParamBox],
     refs: Sequence[Reference] = (),
 ) -> BoundPass:
-    """One bound pass over boxes of one slice type under rule kind: each
-    box's pre-bound against the evaluated slices refs and its rise and
-    fall against its own center. The solver makes one pass per split,
-    over the children, and one per level-0 box.
+    """One bound pass over boxes of one slice type under rule kind, for
+    the dimension-dim distance: each box's pre-bound against the evaluated
+    slices refs and its rise and fall against its own center. The solver
+    makes one pass per split, over the children, and one per level-0 box.
 
-    Under L a reference need not lie in the box; one reference gives the
-    plain two-corner rule. C and G take their closed forms as the rise and
-    the fall of both filtrations and bound nothing before an evaluation.
+    Under L the scans read F1.reduced(dim) and F2.reduced(dim), so dim
+    must be the dimension of the references; a reference need not lie in
+    the box, and one reference gives the plain two-corner rule. C and G
+    ignore dim, take their closed forms as the rise and the fall of both
+    filtrations and bound nothing before an evaluation.
     """
     if kind is BoundKind.LOCAL_LINEAR:
-        return _pass_L(F1, F2, boxes, refs) if boxes else BoundPass([], [])
+        return _pass_L(F1.reduced(dim), F2.reduced(dim), boxes, refs) if boxes else BoundPass([], [])
     X, Y, C = pair_extents(F1, F2)
     if kind is BoundKind.LOCAL_CONSTANT:
         v = [_vbar_constant(B, X, Y) for B in boxes]

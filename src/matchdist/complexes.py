@@ -23,7 +23,6 @@ from __future__ import annotations
 import copy
 import itertools
 import operator
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -271,19 +270,6 @@ class BiFiltration(CellComplex):
         # is its rank among the vertex ids; the edges follow as one block
         self.vertex_ids: list[int] = [s[0] for s in self.simplices[: self.vertex_count]]
 
-    @cached_property
-    def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys): the distinct critical points of all cells, in
-        lexicographic order, read-only; the points the L bound scans. A
-        maximum over a multiset is the maximum over its distinct values,
-        and a lower-star filtration repeats a vertex's value in every
-        simplex it is the largest vertex of. `translated` drops them."""
-        pts = np.unique(np.column_stack((self.px, self.py)), axis=0)
-        out = pts[:, 0].copy(), pts[:, 1].copy()
-        for a in out:
-            a.flags.writeable = False
-        return out
-
     def reduced(self, dim: int) -> CellComplex:
         """A smaller complex whose restriction onto any slice has the same
         dimension-dim diagram as this one's, built on first use and kept,
@@ -318,9 +304,8 @@ class BiFiltration(CellComplex):
         overflows one to an infinity, which raises NonFiniteCoordinate.
         """
         out = copy.copy(self)
-        # its complexes and points are unshifted
+        # its reduced complexes are unshifted
         out.__dict__.pop("_reduced", None)
-        out.__dict__.pop("distinct_points", None)
         out._set_critical([tuple((x + vx, y + vy) for x, y in c) for c in self.critical])
         if not (np.isfinite(out.px).all() and np.isfinite(out.py).all()):
             return validate_bifiltration(self.simplices, out.critical)

@@ -308,7 +308,7 @@ def approximate(
         cover.add(eff)
 
     for b in initial_boxes(F1, F2):
-        [rise_fall] = box_bound(cfg.bound_kind, F1, F2, [b]).rise_fall
+        [rise_fall] = box_bound(cfg.bound_kind, F1, F2, cfg.homology_dim, [b]).rise_fall
         push(b, INF, INF, (), rise_fall)
 
     while heap:
@@ -330,7 +330,7 @@ def approximate(
         else:
             cover.remove(eff)
             children = subdivide(box)
-            pre, rise_fall = box_bound(cfg.bound_kind, F1, F2, children, refs)
+            pre, rise_fall = box_bound(cfg.bound_kind, F1, F2, cfg.homology_dim, children, refs)
             bounds = [min(p, eff) for p in pre]
             for i, child in enumerate(children):
                 if prebound and bounds[i] <= threshold:

@@ -79,9 +79,10 @@ def variation_filtration(F: BiFiltration, B: ParamBox) -> float:
     return float(max(rise[0, 0], fall[0, 0]))
 
 
-def own_bound(kind, F1: BiFiltration, F2: BiFiltration, B: ParamBox, ref) -> float:
-    """B's bound under rule kind against ref, the record of B's center."""
-    return capped_bound(ref, *box_bound(kind, F1, F2, [B]).rise_fall[0])
+def own_bound(kind, F1: BiFiltration, F2: BiFiltration, dim: int, B: ParamBox, ref) -> float:
+    """B's bound under rule kind against ref, the dimension-dim record of
+    B's center."""
+    return capped_bound(ref, *box_bound(kind, F1, F2, dim, [B]).rise_fall[0])
 
 
 def four_corner_variation(xs, ys, B: ParamBox, ref: Slice) -> np.ndarray:

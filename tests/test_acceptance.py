@@ -116,9 +116,9 @@ def test_c3_bound_chain():
     checked = 0
     for F1, F2, B in boxes[:: max(1, step)][:200]:
         ref = eval_reference(F1, F2, center(B), 0)
-        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
-        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
-        g = own_bound(BoundKind.GLOBAL, F1, F2, B, ref)
+        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, ref)
+        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, 0, B, ref)
+        g = own_bound(BoundKind.GLOBAL, F1, F2, 0, B, ref)
         assert l <= c <= g
         for L in grid_slices(B, 5):
             assert eval_slice(F1, F2, L, 0) <= l + 1e-9

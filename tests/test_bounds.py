@@ -131,9 +131,9 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
     for stype in SLICE_TYPES:
         B = ParamBox(0.25, 0.75, 1.0, 9.0, stype, 1)
         ref = eval_reference(F1, F2, center(B), 0)
-        pre = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, subdivide(B), [ref]).pre
-        want = [shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, child, ref.slice),
-                                   four_corner_rise_fall(F2.px, F2.py, child, ref.slice))
+        pre = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, subdivide(B), [ref]).pre
+        want = [shift_capped_bound(ref, *(four_corner_rise_fall(K.px, K.py, child, ref.slice)
+                                          for K in (F1.reduced(0), F2.reduced(0))))
                 for child in subdivide(B)]
         assert pre == pytest.approx(want, rel=1e-12, abs=1e-12)
         for child, b in zip(subdivide(B), pre):
@@ -141,7 +141,7 @@ def test_child_prebounds_are_four_corner_scans_against_the_parent_center():
                 assert eval_slice(F1, F2, L, 0) <= b + 1e-9
     flat = ParamBox(0.5, 0.5, 2.0, 2.0, SliceType.FLAT_X, 3)  # degenerate: no variation
     ref = eval_reference(F1, F2, center(flat), 0)
-    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [flat] * 4, [ref]).pre == [ref.d] * 4
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [flat] * 4, [ref]).pre == [ref.d] * 4
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -169,13 +169,13 @@ def test_any_reference_slice_gives_a_sound_bound(kcritical):
             for L_ref in (center(B), corner, Slice(lam, mu, stype)):
                 ref = eval_reference(F1, F2, L_ref, 0)
                 finite += np.isfinite(ref.d)
-                [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
+                [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [B], [ref]).pre
                 for L in grid_slices(B, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert finite > 0
     point = ParamBox(0.5, 0.5, 3.0, 3.0, SliceType.FLAT_X, 9)  # zero variation
     ref = eval_reference(F1, F2, center(point), 0)
-    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [point], [ref]).pre == [ref.d]
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [point], [ref]).pre == [ref.d]
 
 
 @pytest.mark.parametrize("kcritical", [False, True])
@@ -197,8 +197,8 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
             outside = Slice(float(rng.uniform(0.0, 1.0)), 25.0, stype)
             refs = [eval_reference(F1, F2, L, 0)
                     for L in [center(A) for A in ancestors[::-1]] + [outside]]
-            multi = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, children, refs).pre
-            single = [box_bound(BoundKind.LOCAL_LINEAR, F1, F2, children, [r]).pre
+            multi = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, children, refs).pre
+            single = [box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, children, [r]).pre
                       for r in refs]
             assert multi == [min(col) for col in zip(*single)]
             tighter += sum(m < s for m, s in zip(multi, single[0]))
@@ -206,26 +206,26 @@ def test_several_references_give_the_smallest_sound_bound(kcritical):
                 for L in grid_slices(child, 5):
                     assert eval_slice(F1, F2, L, 0) <= bound + 1e-9
     assert tighter > 0  # an ancestor's center beat the parent's for some child
-    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [], refs).pre == []
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [], refs).pre == []
     # against the box's own center, the rule is the capped four-corner scan
     for B in children:
         ref = eval_reference(F1, F2, center(B), 0)
-        want = shift_capped_bound(ref, four_corner_rise_fall(F1.px, F1.py, B, ref.slice),
-                                  four_corner_rise_fall(F2.px, F2.py, B, ref.slice))
-        assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre == [
+        want = shift_capped_bound(ref, *(four_corner_rise_fall(K.px, K.py, B, ref.slice)
+                                         for K in (F1.reduced(0), F2.reduced(0))))
+        assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [B], [ref]).pre == [
             pytest.approx(want, rel=1e-12, abs=1e-12)]
     with pytest.raises(ValueError):  # boxes of one slice type
-        box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [children[0], initial_boxes(F1, F2)[0]], refs)
+        box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [children[0], initial_boxes(F1, F2)[0]], refs)
 
 
 def test_no_reference_bounds_nothing():
     F1 = generate_random(GenSpec(8, 12, 1, seed=51))
     F2 = generate_random(GenSpec(8, 12, 1, seed=52))
     boxes = subdivide(initial_boxes(F1, F2)[1])
-    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, []).pre == [math.inf] * 4
+    assert box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, boxes, []).pre == [math.inf] * 4
     for kind in BoundKind:  # the solver's pass over a level-0 box
-        assert box_bound(kind, F1, F2, boxes).pre == [math.inf] * 4
-        assert box_bound(kind, F1, F2, []) == ([], [])  # no boxes, an empty pass
+        assert box_bound(kind, F1, F2, 0, boxes).pre == [math.inf] * 4
+        assert box_bound(kind, F1, F2, 0, []) == ([], [])  # no boxes, an empty pass
 
 
 @pytest.mark.parametrize("kind", ["1-critical", "k-critical", "lower-star"])
@@ -233,11 +233,12 @@ def test_one_pass_equals_the_per_box_rule(kind):
     # the pass over a split's children (or one level-0 box) against 0-3
     # references, at levels 0-6 of all four slice types, against the rule
     # applied to one box and one reference at a time over every critical
-    # value, repeated ones included: the same floats, not nearly the same
+    # value of the reduced complexes, repeated ones included: the same
+    # floats, not nearly the same
     rng = np.random.Generator(np.random.Philox(1515))
     F1, F2 = _one_complex_pairs(72)[kind]
-    if kind == "lower-star":
-        assert F1.distinct_points[0].size < F1.px.size
+    K1, K2 = F1.reduced(0), F2.reduced(0)
+    assert K1.px.size < F1.px.size and K2.px.size < F2.px.size
     X, Y, C = pair_extents(F1, F2)
     for top in initial_boxes(F1, F2):
         chain = [top]
@@ -251,26 +252,26 @@ def test_one_pass_equals_the_per_box_rule(kind):
             if level % 2:
                 slices.insert(0, Slice(float(rng.uniform(0.0, 1.0)), top.mu_max + 1.0, top.stype))
             refs = [eval_reference(F1, F2, L, 0) for L in slices[: level % 4]]
-            got = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, boxes, refs)
+            got = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, boxes, refs)
             for B, pre, rise_fall in zip(boxes, got.pre, got.rise_fall):
                 def rf(L):
-                    return (*four_corner_rise_fall(F1.px, F1.py, B, L),
-                            *four_corner_rise_fall(F2.px, F2.py, B, L))
+                    return (*four_corner_rise_fall(K1.px, K1.py, B, L),
+                            *four_corner_rise_fall(K2.px, K2.py, B, L))
                 assert pre == min((capped_bound(r, *rf(r.slice)) for r in refs), default=math.inf)
                 assert pre == pytest.approx(min(
                     (shift_capped_bound(r, rf(r.slice)[:2], rf(r.slice)[2:]) for r in refs),
                     default=math.inf), rel=1e-12, abs=1e-12)
                 assert rise_fall == rf(center(B))
                 own = eval_reference(F1, F2, center(B), 0)
-                assert (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, own)
+                assert (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, own)
                         == capped_bound(own, *rf(center(B))))
                 vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
-                assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, own)
+                assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, 0, B, own)
                         == symmetric_bound(own, vbar, vbar))
-                assert own_bound(BoundKind.GLOBAL, F1, F2, B, own) == symmetric_bound(own, g, g)
+                assert own_bound(BoundKind.GLOBAL, F1, F2, 0, B, own) == symmetric_bound(own, g, g)
             for rule, v in ((BoundKind.LOCAL_CONSTANT, lambda B: _vbar_constant(B, X, Y)),
                             (BoundKind.GLOBAL, lambda B: C * 2.0 ** -B.level)):
-                assert box_bound(rule, F1, F2, boxes, refs) == (
+                assert box_bound(rule, F1, F2, 0, boxes, refs) == (
                     [math.inf] * len(boxes), [(v(B),) * 4 for B in boxes])
 
 
@@ -287,11 +288,13 @@ def _record_oracle(F1, F2, L: Slice, dim: int) -> Reference:
     return Reference(L, bottleneck_distance(D1, D2), half(D1), half(D2), e)
 
 
-def _one_complex_pairs(seed: int) -> dict:
-    """Pairs on one random 2-complex, so the essential counts agree in
-    every dimension and the distance is finite: a lower-star, a 3-critical
-    and a random 1-critical filtration, each against one lower-star."""
-    spec = GenSpec(7, 8, 2, seed=seed, coord_range=20)
+def _one_complex_pairs(seed: int, max_dim: int = 2) -> dict:
+    """Pairs on one random max_dim-complex, so the essential counts agree
+    in every dimension and the distance is finite: a lower-star, a
+    3-critical and a random 1-critical filtration, each against one
+    lower-star. Finite dimension-k points need (k + 1)-cells, so a test in
+    dimension k takes max_dim at least k + 1."""
+    spec = GenSpec(7, 8, max_dim, seed=seed, coord_range=20)
     K = generate_random(spec)
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -304,17 +307,19 @@ def _one_complex_pairs(seed: int) -> dict:
             "1-critical": (K, lower)}
 
 
-@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("dim", [0, 1, 2])
 def test_trivial_matching_cap_is_sound(dim):
     # every rule against the record of a reference slice: the center, a
     # corner and a slice outside the box, on whole level-0 boxes and on
     # level-4 boxes of 1/16 their size; each bound is the capped formula
-    # and dominates the distance on a 7 x 7 grid over the box
+    # over the critical values of the reduced complexes and dominates the
+    # distance on a 7 x 7 grid over the box
     rng = np.random.Generator(np.random.Philox(1313 + dim))
     capped = checked = 0
-    pairs = _one_complex_pairs(69)
+    pairs = _one_complex_pairs(69, max(2, dim + 1))
     for F1, F2 in (pairs["lower-star"], pairs["k-critical"]):
         X, Y, C = pair_extents(F1, F2)
+        K1, K2 = F1.reduced(dim), F2.reduced(dim)
         for top in initial_boxes(F1, F2):
             boxes = [top]
             for _ in range(2):
@@ -330,20 +335,20 @@ def test_trivial_matching_cap_is_sound(dim):
                 for L_ref in (center(B), corner, outside):
                     ref = eval_reference(F1, F2, L_ref, dim)
                     assert ref == _record_oracle(F1, F2, L_ref, dim)
-                    rf1, rf2 = (four_corner_rise_fall(F.px, F.py, B, L_ref) for F in (F1, F2))
+                    rf1, rf2 = (four_corner_rise_fall(K.px, K.py, B, L_ref) for K in (K1, K2))
                     (A1, B1), (A2, B2) = rf1, rf2
-                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
+                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, dim, [B], [ref]).pre
                     assert bound == pytest.approx(shift_capped_bound(ref, rf1, rf2), rel=1e-12, abs=1e-12)
                     assert d_max <= bound + 1e-9
                     capped += bound < ref.d + max(A1 + B2, A2 + B1, (A1 + B1 + A2 + B2) / 2)
                     checked += 1
                 ref = eval_reference(F1, F2, center(B), dim)
                 vbar, g = _vbar_constant(B, X, Y), C * 2.0 ** -B.level
-                l, c, g_bound = (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref),
-                                 own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref),
-                                 own_bound(BoundKind.GLOBAL, F1, F2, B, ref))
+                l, c, g_bound = (own_bound(BoundKind.LOCAL_LINEAR, F1, F2, dim, B, ref),
+                                 own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, dim, B, ref),
+                                 own_bound(BoundKind.GLOBAL, F1, F2, dim, B, ref))
                 assert l == pytest.approx(shift_capped_bound(
-                    ref, *(four_corner_rise_fall(F.px, F.py, B, ref.slice) for F in (F1, F2))),
+                    ref, *(four_corner_rise_fall(K.px, K.py, B, ref.slice) for K in (K1, K2))),
                     rel=1e-12, abs=1e-12)
                 # C and G take rise = fall = v: the symmetric combine, bit for bit
                 assert c == symmetric_bound(ref, vbar, vbar)
@@ -355,17 +360,19 @@ def test_trivial_matching_cap_is_sound(dim):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["1-critical", "k-critical", "lower-star"]),
-       st.integers(0, 1))
+       st.integers(0, 2))
 @example(2, "k-critical", 0)
 @example(38, "1-critical", 1)
 @example(33, "lower-star", 1)
+@example(22, "1-critical", 1)
 def test_common_shift_bound_dominates_the_distance(seed, kind, dim):
     # the shift-invariant rule against a reference at the center, at a
     # corner and outside the box, on a level-2 and a level-4 box; taking
     # each filtration's variation at its own best shift is not sound, and
-    # fails each of the explicit examples
+    # fails each of the first three explicit examples; scanning the
+    # critical values of reduced(0) in a dim-1 run fails the last
     rng = np.random.Generator(np.random.Philox(seed))
-    F1, F2 = _one_complex_pairs(seed)[kind]
+    F1, F2 = _one_complex_pairs(seed, max(2, dim + 1))[kind]
     B = initial_boxes(F1, F2)[int(rng.integers(0, 4))]
     for level in range(1, 5):
         B = subdivide(B)[int(rng.integers(0, 4))]
@@ -377,7 +384,7 @@ def test_common_shift_bound_dominates_the_distance(seed, kind, dim):
         outside = Slice(float(rng.uniform(0.0, 1.0)), B.mu_max + 1.0, B.stype)
         for L_ref in (center(B), corner, outside):
             ref = eval_reference(F1, F2, L_ref, dim)
-            [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
+            [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, dim, [B], [ref]).pre
             assert d_max <= bound + 1e-9
 
 
@@ -403,7 +410,7 @@ def test_common_shift_never_loosens_the_symmetric_rule(dim):
                     ref = eval_reference(F1, F2, L_ref, dim)
                     v1, v2 = (float(four_corner_variation(F.px, F.py, B, L_ref).max())
                               for F in (F1, F2))
-                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [B], [ref]).pre
+                    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, dim, [B], [ref]).pre
                     assert bound <= symmetric_bound(ref, v1, v2)
                     if L_ref is low and v1 > 0 and v2 > 0:
                         assert math.isfinite(ref.d)
@@ -436,49 +443,50 @@ def _uncapped(B: ParamBox, d: float) -> Reference:
 def test_bound_L_examples():
     F1, F2 = _pair()
     B = ParamBox(0.5, 0.5, 7.0, 7.0, SliceType.FLAT_X, 7)  # degenerate
-    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, _uncapped(B, 0.25)) == 0.25
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, _uncapped(B, 0.25)) == 0.25
     ref = Reference(center(B), 0.25, 0.125, 0.0625, 0.0)
-    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref) == 0.125
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, ref) == 0.125
     B2 = ParamBox(0.0, 0.5, 0.0, 50.0, SliceType.FLAT_Y, 1)
     # a filtration against itself: d = e = 0, so the bound is the spread
-    # A + B of its critical values, the rise plus the fall
-    rise, fall = four_corner_rise_fall(F1.px, F1.py, B2, center(B2))
+    # A + B of the critical values of its reduced(0), the rise plus the fall
+    K = F1.reduced(0)
+    rise, fall = four_corner_rise_fall(K.px, K.py, B2, center(B2))
     assert 0.0 < rise + fall < 2.0 * variation_filtration(F1, B2)
     ref = eval_reference(F1, F1, center(B2))
-    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F1, B2, ref) == rise + fall
+    assert own_bound(BoundKind.LOCAL_LINEAR, F1, F1, 0, B2, ref) == rise + fall
 
 
 def test_bound_C_formula():
     F1 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
     B = ParamBox(0.25, 0.75, 0.4, 0.6, SliceType.FLAT_Y, 1)
     # vbar = (dmu + X * dlam) / 2 = (0.2 + 2 * 0.5) / 2 = 0.6
-    assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, B, _uncapped(B, 0.0))
+    assert (own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, 0, B, _uncapped(B, 0.0))
             == pytest.approx(1.2, abs=1e-12))
     # the cap adds vbar to h1 and 2 vbar to e: max(1.0 + 0.6, 0.6, 1.2) < 0.5 + 1.2
     ref = Reference(center(B), 0.5, 1.0, 0.0, 0.0)
-    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, B, ref) == pytest.approx(1.6, abs=1e-12)
+    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, 0, B, ref) == pytest.approx(1.6, abs=1e-12)
     degenerate = ParamBox(0.5, 0.5, 0.3, 0.3, SliceType.STEEP_X, 4)
-    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, degenerate,
+    assert own_bound(BoundKind.LOCAL_CONSTANT, F1, F1, 0, degenerate,
                      _uncapped(degenerate, 0.7)) == 0.7
 
 
 def test_bound_G_level_and_errors():
     F1 = validate_bifiltration([[0]], [[(1.0, 1.0)]])
     B = ParamBox(0.0, 0.125, 0.0, 0.125, SliceType.STEEP_Y, 3)
-    assert own_bound(BoundKind.GLOBAL, F1, F1, B, _uncapped(B, 0.0)) == 0.25  # 2 * 1 * 2**-3
+    assert own_bound(BoundKind.GLOBAL, F1, F1, 0, B, _uncapped(B, 0.0)) == 0.25  # 2 * 1 * 2**-3
     # the cap: max(0.25 + 0.125, 0.125, 0.25) < 0.5 + 0.25
     ref = Reference(center(B), 0.5, 0.25, 0.0, 0.0)
-    assert own_bound(BoundKind.GLOBAL, F1, F1, B, ref) == 0.375
+    assert own_bound(BoundKind.GLOBAL, F1, F1, 0, B, ref) == 0.375
     B0 = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 0)
     F2 = validate_bifiltration([[0]], [[(2.0, 1.0)]])
-    assert (own_bound(BoundKind.GLOBAL, F2, F2, B0, _uncapped(B0, 0.5))
+    assert (own_bound(BoundKind.GLOBAL, F2, F2, 0, B0, _uncapped(B0, 0.5))
             == pytest.approx(0.5 + 4.0, abs=0))
     bad = ParamBox(0.0, 1.0, 0.0, 1.0, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        own_bound(BoundKind.GLOBAL, F1, F1, bad, _uncapped(bad, 0.0))
+        own_bound(BoundKind.GLOBAL, F1, F1, 0, bad, _uncapped(bad, 0.0))
     bad = ParamBox(0.0, 0.125, 0.0, 0.9, SliceType.FLAT_X, 3)
     with pytest.raises(InvalidLevel):
-        own_bound(BoundKind.GLOBAL, F1, F1, bad, _uncapped(bad, 0.0))
+        own_bound(BoundKind.GLOBAL, F1, F1, 0, bad, _uncapped(bad, 0.0))
 
 
 def _subdivision_boxes(F1, F2, depth=3):
@@ -496,9 +504,9 @@ def test_bound_chain_on_subdivision_boxes():
     F1, F2 = _pair()
     for B in _subdivision_boxes(F1, F2):
         ref = eval_reference(F1, F2, center(B), 0)
-        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, ref)
-        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, B, ref)
-        g = own_bound(BoundKind.GLOBAL, F1, F2, B, ref)
+        l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, ref)
+        c = own_bound(BoundKind.LOCAL_CONSTANT, F1, F2, 0, B, ref)
+        g = own_bound(BoundKind.GLOBAL, F1, F2, 0, B, ref)
         assert l <= c <= g
 
 
@@ -509,7 +517,7 @@ def test_bounds_dominate_sampled_slices(seed):
     F1, F2 = _pair(int(rng.integers(0, 1000)), int(rng.integers(1000, 2000)), n=5, m=5)
     boxes = _subdivision_boxes(F1, F2, depth=2)
     B = boxes[int(rng.integers(0, len(boxes)))]
-    l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, B, eval_reference(F1, F2, center(B), 0))
+    l = own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, B, eval_reference(F1, F2, center(B), 0))
     for L in grid_slices(B, 5):
         assert eval_slice(F1, F2, L, 0) <= l + 1e-9
 

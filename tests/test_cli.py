@@ -168,6 +168,28 @@ def test_dist_usage_error_exit_one(dataset):
         assert code == 1 and out == "" and word in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "{path}: empty input"),
+    ("# only a comment\n", "{path}: empty input"),
+    ("simplices\n1\n0 ; 0 0\n", "{path}: unknown header 'simplices'"),
+    ("bifiltration\n", "missing simplex count"),
+    ("bifiltration\n1\n; 0 0\n", "simplex has no vertices"),
+    ("bifiltration\n1\n-1 ; 0 0\n", "negative vertex id in simplex (-1,)"),
+    ("bifiltration\n2\n0 ; 0 0\n0 0 ; 0 0\n", "duplicate vertex in simplex (0, 0)"),
+    ("lowerstar\n", "missing counts line"),
+    ("lowerstar\n1\n0 0\n0\n", "expected '<n_vertices> <n_simplices>'"),
+    ("lowerstar\n1 1\n0 0\n", "expected 1 vertex lines and 1 simplex lines"),
+    ("lowerstar\n1 1\n0\n0\n", "expected '<x> <y>' for vertex 0"),
+])
+def test_dist_exits_one_on_a_malformed_input_file(tmp_path, text, message):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_text(text)
+    good.write_text("bifiltration\n1\n0 ; 0 0\n")
+    code, out, err = run_cli(["dist", str(bad), str(good), "--epsilon", "0.1"])
+    assert code == 1 and out == ""
+    assert err == f"matchdist: error: {message.format(path=bad)}\n"
+
+
 def test_dist_exits_one_when_the_common_shift_overflows_to_an_infinity(tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("bifiltration\n3\n0 ; -1e308 0\n1 ; 1e308 0\n0 1 ; 1e308 0\n")
@@ -308,7 +330,7 @@ GOLDEN_DIST = {
         [*_GEN_FLAGS, "--bound", "l"], 0,
         "delta 495.0\nrho 330.0\nresidual_upper 495.0\nrel_error 0.5\ncalls 19\n"
         "deepest_level 3\ndeepest_evaluated_level 2\nreduction_rate 0.703125\nconverged yes\n",
-        "1a1b10e40dae9899f0220614846ba5d9714d4c6fc1cb23437945768478f61e1a",
+        "13af3261ebadb7d327091fe885b2920410de607db8917b56e08c83f5721036b9",
     ),
     "gen-c": (
         [*_GEN_FLAGS, "--bound", "c"], 0,
@@ -333,9 +355,9 @@ GOLDEN_DIST = {
     "lowerstar": (
         ["--dim", "1", "--epsilon", "0.3", "--relative", "--traversal", "priority"], 0,
         "delta 1.2999999999999998\nrho 1.0\nresidual_upper 1.2999999999999998\n"
-        "rel_error 0.2999999999999998\ncalls 582\ndeepest_level 6\n"
-        "deepest_evaluated_level 5\nreduction_rate 0.85791015625\nconverged yes\n",
-        "ac31c24e443f0fb17534565ba52764b0db8e34e948a04e41b2acae7e6690c9bc",
+        "rel_error 0.2999999999999998\ncalls 564\ndeepest_level 6\n"
+        "deepest_evaluated_level 5\nreduction_rate 0.8623046875\nconverged yes\n",
+        "e32151c3bd1018faa76c0cad820ad31964f4e696c24c771eb08a6d4a4bf8352e",
     ),
 }
 

@@ -12,6 +12,7 @@ import matchdist.complexes as complexes
 from matchdist.complexes import (
     BiFiltration,
     CellComplex,
+    MonoFiltration,
     lower_star,
     mono_filtration,
     normalize_pair,
@@ -77,6 +78,12 @@ def test_nonfinite_coordinate():
 def test_duplicate_simplex_rejected():
     with pytest.raises(ValueError):
         validate_bifiltration([[0], [0]], [[(0.0, 0.0)], [(1.0, 1.0)]])
+
+
+@pytest.mark.parametrize("critical", [[], [[(0.0, 0.0)]] * 2])
+def test_one_critical_set_per_simplex_required(critical):
+    with pytest.raises(ValueError, match="one critical set per simplex required"):
+        validate_bifiltration([[0]], critical)
 
 
 def test_antichain_reduction():
@@ -244,6 +251,12 @@ def test_mono_filtration_checks_faces():
     M.check_monotone()
     with pytest.raises(MonotonicityViolation):
         mono_filtration([[0], [1], [0, 1]], [0.0, 1.0, 0.5])
+    # the checks of a MonoFiltration built on a complex directly
+    with pytest.raises(ValueError, match="one value per simplex required"):
+        MonoFiltration(M.complex, [0.0, 1.0])
+    with pytest.raises(MonotonicityViolation,
+                       match=r"value of cell 1 \(1.0\) > value of its coface 2 \(0.5\)"):
+        MonoFiltration(M.complex, [0.0, 1.0, 0.5]).check_monotone()
 
 
 def test_storage_sorted_by_dimension_then_vertices():
@@ -306,26 +319,6 @@ def test_c7_pair_keeps_under_60_percent_of_its_edges():
     for seed in (7000, 7100):
         F = generate_random(GenSpec(100, 400, 1, seed=seed))
         assert F.reduced(0).edge_count < 0.6 * F.edge_count
-
-
-def test_distinct_points_are_rebuilt_after_a_shift():
-    # a lower-star filtration repeats each vertex's value in the simplices
-    # it is the largest vertex of; a shift must not keep the old points
-    K = generate_random(GenSpec(8, 12, 2, seed=5, coord_range=4))
-    rng = np.random.Generator(np.random.Philox(5))
-    F = lower_star(K.simplices, {v: tuple(rng.integers(-3, 4, size=2).tolist()) for v in K.vertex_ids})
-    assert "distinct_points" not in F.__dict__  # built on first use
-    xs, ys = F.distinct_points
-    assert F.distinct_points[0] is xs and not xs.flags.writeable
-    assert xs.size < F.px.size
-    assert list(zip(xs.tolist(), ys.tolist())) == sorted(set(zip(F.px.tolist(), F.py.tolist())))
-    G = F.translated(0.5, 0.25)
-    assert np.array_equal(G.distinct_points[0], xs + 0.5)
-    assert np.array_equal(G.distinct_points[1], ys + 0.25)
-    H, _, (vx, vy) = normalize_pair(F, F)
-    assert vx > 0.0 and vy > 0.0
-    assert np.array_equal(H.distinct_points[0], xs + vx)
-    assert np.array_equal(H.distinct_points[1], ys + vy)
 
 
 def _assert_same_cut(R, S):

@@ -36,6 +36,10 @@ def test_infeasible_specs():
         generate_random(GenSpec(0, 1, 1))
     with pytest.raises(InfeasibleSpec):
         generate_random(GenSpec(3, 1, 0))
+    with pytest.raises(InfeasibleSpec, match="coordinate range must be non-negative"):
+        generate_random(GenSpec(3, 1, 1, coord_range=-1))
+    with pytest.raises(InfeasibleSpec, match="k must be at least 1"):
+        generate_random_kcritical(GenSpec(3, 1, 1), 0)
 
 
 @settings(max_examples=100, deadline=None)

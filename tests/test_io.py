@@ -1,5 +1,6 @@
 import pytest
 
+from matchdist.complexes import validate_bifiltration
 from matchdist.errors import MissingFace
 from matchdist.generators import GenSpec, generate_random, generate_random_kcritical
 from matchdist.io import (
@@ -29,6 +30,16 @@ def test_roundtrip_multicritical(tmp_path):
     assert G.critical == F.critical
 
 
+def test_roundtrip_non_integer_coordinates(tmp_path):
+    # integers are written without a fraction, other values by repr
+    F = validate_bifiltration([[0], [1], [0, 1]],
+                              [[(0.1, 2.5)], [(1e-17, 2.5)], [(0.1, 3.0), (2.5, 2.5)]])
+    p = tmp_path / "f.txt"
+    write_bifiltration(p, F)
+    assert p.read_text().splitlines()[2:] == ["0 ; 0.1 2.5", "1 ; 1e-17 2.5", "0 1 ; 0.1 3 2.5 2.5"]
+    assert load_bifiltration(p).critical == F.critical
+
+
 def test_comments_and_whitespace():
     text = """
 # a comment
@@ -52,6 +63,8 @@ def test_parse_errors():
         parse_bifiltration("something\n")
     with pytest.raises(ValueError):
         parse_bifiltration("bifiltration\n1\n0 ; 1\n")  # odd coordinate count
+    with pytest.raises(ValueError, match="expected 'lowerstar' header"):
+        parse_lowerstar("bifiltration\n1 1\n0 0\n0\n")
 
 
 def test_lowerstar_parse():

@@ -169,6 +169,23 @@ def test_subdivide_degenerate_mu():
     assert sorted({(k.lam_min, k.lam_max) for k in kids}) == [(0.0, 0.5), (0.5, 1.0)]
 
 
+@pytest.mark.parametrize("make, args, message", [
+    (Slice, (-0.5, 0.0, SliceType.FLAT_X), r"lam=-0.5 outside \[0, 1\]"),
+    (Slice, (1.5, 0.0, SliceType.FLAT_Y), r"lam=1.5 outside \[0, 1\]"),
+    (Slice, (0.5, -1.0, SliceType.STEEP_X), "mu=-1.0 must be finite and >= 0"),
+    (Slice, (0.5, np.inf, SliceType.STEEP_Y), "mu=inf must be finite and >= 0"),
+    (Slice, (0.5, np.nan, SliceType.STEEP_Y), "mu=nan must be finite and >= 0"),
+    (ParamBox, (0.75, 0.25, 0.0, 1.0, SliceType.FLAT_X), "lam range"),
+    (ParamBox, (0.0, 1.5, 0.0, 1.0, SliceType.FLAT_X), "lam range"),
+    (ParamBox, (0.0, 1.0, 2.0, 1.0, SliceType.FLAT_Y), "mu range"),
+    (ParamBox, (0.0, 1.0, -1.0, 1.0, SliceType.FLAT_Y), "mu range"),
+    (ParamBox, (0.0, 1.0, 0.0, 1.0, SliceType.STEEP_X, -1), "level must be non-negative"),
+])
+def test_slices_and_boxes_reject_parameters_outside_their_ranges(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
 def test_subdivide_point_box_fails():
     with pytest.raises(DegenerateBox):
         subdivide(ParamBox(0.5, 0.5, 1.0, 1.0, SliceType.FLAT_X, 3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -175,7 +176,7 @@ def _parent_center_prebound(F1, F2, box, parent):
     """The L bound of box against its parent's center alone, the first
     reference of its pre-bound."""
     ref = eval_reference(F1, F2, center(parent))
-    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, [box], [ref]).pre
+    [bound] = box_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, [box], [ref]).pre
     return bound
 
 
@@ -195,7 +196,7 @@ def test_retired_bounds_never_exceed_the_linear_bound():
             for box, eff in res.retired_boxes:
                 if box in evaluated:
                     own = eval_reference(F1, F2, center(box))
-                    assert eff <= own_bound(BoundKind.LOCAL_LINEAR, F1, F2, box, own)
+                    assert eff <= own_bound(BoundKind.LOCAL_LINEAR, F1, F2, 0, box, own)
                     continue
                 assert eff <= res.residual_upper
                 assert eff <= _parent_center_prebound(F1, F2, box, parent_of[box])
@@ -356,10 +357,38 @@ def _invariance_pair(dim, seed):
     if dim == 0:
         return [generate_random(GenSpec(8, 12, 1, seed=s, coord_range=10))
                 for s in (seed, seed + 50)]
+    return _lower_stars_on_one_complex(seed, 2)
+
+
+def _lower_stars_on_one_complex(seed, count):
+    """count sets of lower-star vertex values in [0, 10]^2 on the complex
+    of GenSpec(7, 9, 2): any two are finitely apart in every dimension."""
     K = generate_random(GenSpec(7, 9, 2, seed=seed, coord_range=10))
     rng = np.random.Generator(np.random.Philox(seed))
     return [lower_star(K.simplices, dict(zip(K.vertex_ids, rng.integers(0, 11, (K.vertex_count, 2)))))
-            for _ in range(2)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_brackets_obey_the_triangle_inequality(dim):
+    # each rho is at most the distance and each certified upper bound at
+    # least it, so for every ordering of three inputs on one complex
+    # rho(A, C) <= d(A, C) <= d(A, B) + d(B, C) <= upper(A, B) + upper(B, C)
+    configs = [SolverConfig(epsilon=0.25, homology_dim=dim),
+               SolverConfig(epsilon=0.5, mode="relative", homology_dim=dim)]
+    checked, rho_max = 0, 0.0
+    for seed in range(3):
+        F = _lower_stars_on_one_complex(seed, 3)
+        for cfg in configs:
+            res = {}
+            for i, j in itertools.combinations(range(3), 2):
+                res[i, j] = res[j, i] = approximate(F[i], F[j], cfg)
+                rho_max = max(rho_max, res[i, j].rho)
+            for a, b, c in itertools.permutations(range(3)):
+                assert res[a, c].rho <= res[a, b].residual_upper + res[b, c].residual_upper
+                checked += 1
+    assert checked == 3 * 2 * 6
+    assert 0.0 < rho_max < math.inf
 
 
 @pytest.mark.parametrize("dim", [0, 1])
