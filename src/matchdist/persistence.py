@@ -1,8 +1,9 @@
 """Persistence diagrams of mono-filtrations.
 
 A MonoFiltration gives each cell of a `CellComplex` one value. Cells are
-ordered by (value, storage index) ascending; storage order goes up by
-dimension, so faces come before cofaces at equal values. Every cell of
+ordered by value, faces before cofaces at equal values, and tied cells of
+one dimension in whatever order one unstable sort leaves them: with pairs
+of zero length dropped, the diagram does not depend on it. Every cell of
 the complex given is read, whatever made its values; the solver hands
 persistence the smaller complex `BiFiltration.reduced(dim)`, whose
 dimension-dim diagram on every slice is the same: the cells of dimension
@@ -11,31 +12,32 @@ cut from the complex itself for dimension 0 and from its chunk reduction
 for dimensions >= 1.
 
 What does not depend on the values is planned once per complex and
-dimension, by `_plan`, and kept with the complex: for dimension 0 the
-edges and their ends and the number of merges, V minus the component
+dimension, by `_plan`, and kept with the complex: for dimension 0 the two
+ends of every edge and the number of merges, V minus the component
 count; for each k >= 1 the block bounds of the k- and (k + 1)-cells,
 the byte width of a column and, per boundary entry, its (k + 1)-cell
-and its face's row in the column buffer. A slice only sorts its values
-and fills that layout.
+and its face's row in the column buffer. A slice sorts its edge values
+and those of each higher dimension it reads once, and fills that layout.
 
 Dimension 0 is one union-find pass with the elder rule over the edges in
-that order, on vertices relabelled by the rank of their values; it stops
-after the plan's merges, and the essential births are the values of the
-vertices that never die, one root per component, its minimum. An edge
-whose boundary is empty is a cycle and merges nothing.
-Dimensions k >= 1 clear with its negative edges, the ones that
-merge two components, and reduce the coboundary matrix over the
-two-element field with clearing (Chen & Kerber's twist, as in Ripser):
-dimensions go upward, a k-cell that dimension k - 1 paired as a death is
-skipped, and each remaining k-cell, in reverse order, has its coboundary
-column reduced. A column is an integer bitmask over the (k + 1)-cells
-ranked in slice order, the earliest as the highest bit. All columns of a
-dimension are built at once from the flat boundary of the (k + 1)-cells:
-each entry sets its cell's bit in its face's row of one packed byte
-buffer, and each row is read as an int. A column's pivot is the cofacet
-that kills the class the cell creates; a column that reduces to zero is
-essential. The pairs equal those of boundary-matrix reduction on the
-same order.
+that order: of two roots, the one with the larger value dies. It stops
+after the plan's merges; a merge pairs the dying root's value with its
+edge's, and the vertices that never die, one root per component, hold
+the essential births. An edge whose boundary is empty, a cycle, is a
+loop and merges nothing. Dimensions k >= 1 clear with its negative
+edges, the ones that merge two components, and reduce the coboundary
+matrix over the two-element field with clearing (Chen & Kerber's twist,
+as in Ripser): dimensions go upward, a k-cell that dimension k - 1
+paired as a death is skipped, and each remaining k-cell, in reverse of
+the order that ranked it in dimension k - 1, has its coboundary column
+reduced, so clearing and reduction read one order. A column is an
+integer bitmask over the (k + 1)-cells ranked in slice order, the
+earliest as the highest bit. All columns of a dimension are built at
+once from the flat boundary of the (k + 1)-cells: each entry sets its
+cell's bit in its face's row of one packed byte buffer, and each row is
+read as an int. A column's pivot is the cofacet that kills the class the
+cell creates; a column that reduces to zero is essential. The pairs
+equal those of boundary-matrix reduction on the same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
@@ -101,18 +103,18 @@ class Diagram:
         return len(self.finite) + len(self.essential)
 
 
-def _merge_edges(n: int, edges: list[int], us: list[int], vs: list[int],
+def _merge_edges(vals: list[float], us: list[int], vs: list[int],
                  left: int) -> tuple[list[int], list[int]]:
     """Union-find with the elder rule over edge i, joining us[i] and vs[i],
-    in turn, on the vertices 0..n-1: of two roots the smaller label
-    survives, so a root is always its component's smallest label. The
-    loop stops after `left` merges; n - 1 at most happen. Returns, per
-    merge in order, the dying root and the merging edge.
+    in turn, on vertices of values vals: of two roots the one of larger
+    value dies, either on a tie, so a root holds its component's minimum.
+    The loop stops after `left` merges. Returns, per merge in order, the
+    dying root and the merging edge's position i.
     """
-    parent = list(range(n))
+    parent = list(range(len(vals)))
     dying: list[int] = []
     merging: list[int] = []
-    for e, u, v in zip(edges, us, vs):
+    for i, u, v in zip(range(len(us)), us, vs):
         # find both roots, halving the paths on the way
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -120,11 +122,11 @@ def _merge_edges(n: int, edges: list[int], us: list[int], vs: list[int],
             parent[v] = v = parent[parent[v]]
         if u == v:
             continue
-        if u > v:
+        if vals[u] < vals[v]:
             u, v = v, u
-        parent[v] = u  # v is the younger root
-        dying.append(v)
-        merging.append(e)
+        parent[u] = v  # u is the younger root
+        dying.append(u)
+        merging.append(i)
         left -= 1
         if not left:
             break
@@ -137,11 +139,11 @@ def _plan(K: CellComplex, k: int) -> tuple:
     on the cells and their boundaries only, so `translated` copies, which
     copy that dict, share it.
 
-    For k = 0 it is (edges, ends, merges): the edges with a two-vertex
-    boundary, ascending, an (len(edges), 2) array of the two vertices of
-    each, and the merges a union-find over them makes, V minus the
-    component count. Every other edge has an empty boundary; it is a
-    cycle and never merges components.
+    For k = 0 it is (us, vs, merges): the two ends of every edge, in
+    storage order, and the merges a union-find over them makes, V minus
+    the component count. An edge with an empty boundary, a cycle, is a
+    loop at vertex 0 and merges nothing: the chunk reduction that leaves
+    cycles keeps H0, so a complex with an edge has a vertex.
 
     For k >= 1 it is (a, b, c, width, owner, row), the layout of the
     packed coboundary columns of the k-cells [a, b): row r of a buffer of
@@ -153,12 +155,14 @@ def _plan(K: CellComplex, k: int) -> tuple:
     if k not in cache:
         ptr, idx = K.boundary_ptr, K.boundary_idx
         if k == 0:
-            lo = K.vertex_count
-            edges = lo + np.flatnonzero(np.diff(ptr[lo : lo + K.edge_count + 1]) == 2)
-            ends = idx[ptr[edges, None] + np.arange(2)]
-            # in storage order, with a stop no run reaches: lo - 1 merges at most
-            merges = len(_merge_edges(lo, edges.tolist(), *ends.T.tolist(), lo)[0])
-            cache[k] = edges, ends, merges
+            n, e = K.vertex_count, K.edge_count
+            pair = np.diff(ptr[n : n + e + 1]) == 2
+            # idx is read for the two-vertex edges only: it is empty when all are cycles
+            us, vs = ends = np.zeros((2, e), dtype=np.int64)
+            ends[:, pair] = idx[ptr[n : n + e][pair] + np.arange(2)[:, None]]
+            # with a stop no run reaches: n - 1 merges at most
+            merges = len(_merge_edges([0.0] * n, us.tolist(), vs.tolist(), n)[0])
+            cache[k] = us, vs, merges
         else:
             a, b, c = np.searchsorted(K.dims, (k, k + 1, k + 2)).tolist()
             width = (c - b + 7) // 8
@@ -171,15 +175,18 @@ def _plan(K: CellComplex, k: int) -> tuple:
 _ONE_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
-def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[list, list]:
+def _coboundary_pairs(M: MonoFiltration, order: np.ndarray, cleared: set[int],
+                      dim: int) -> tuple[list, list]:
     """Flattened (cell, pivot cell) pairs and essential cells of dimension
-    dim, by reduction with clearing from the negative edges."""
+    dim, by reduction with clearing from the negative edges. Each k walks
+    its k-cells as dimension k - 1 ranked them, the edges in the
+    union-find's order, so clearing and reduction read one total order."""
     K = M.complex
     pairs: list[int] = []
     essential: list[int] = []
     for k in range(1, dim + 1):
         a, b, c, width, owner, row = _plan(K, k)
-        up = np.argsort(M.values[b:c], kind="stable")
+        up = np.argsort(M.values[b:c])
         # bit p of a column stands for the (k + 1)-cell by_bit[p]: earlier is higher
         bit = np.empty(c - b, dtype=np.int64)
         bit[up] = np.arange(c - b - 1, -1, -1)
@@ -192,7 +199,7 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
         raw = memoryview(buf)
 
         reduced: dict[int, int] = {}  # pivot bit -> reduced column
-        for s in (a + np.argsort(M.values[a:b], kind="stable")[::-1]).tolist():
+        for s in (a + order[::-1]).tolist():
             if s in cleared:
                 continue
             r = (s - a) * width
@@ -210,6 +217,7 @@ def _coboundary_pairs(M: MonoFiltration, cleared: set[int], dim: int) -> tuple[l
                 if k == dim:
                     essential.append(s)
         cleared = {by_bit[p] for p in reduced}
+        order = up
     return pairs, essential
 
 
@@ -232,27 +240,24 @@ def _trusted_diagram(ends: np.ndarray, essential: np.ndarray, dim: int) -> Diagr
 def diagram(M: MonoFiltration, dim: int = 0) -> Diagram:
     """Persistence diagram of M in homology dimension dim.
 
-    Dimension 0 is the union-find diagram: each connected component
-    contributes one essential point at its minimal vertex value. Higher
-    dimensions reduce coboundary columns with clearing, starting from the
-    negative edges of the union-find. A non-integer or negative dim
-    raises ValueError.
+    Dimension 0 is the union-find diagram over the edges in one sort of
+    their values: each connected component contributes one essential
+    point at its minimal vertex value. Higher dimensions reduce coboundary
+    columns with clearing, starting from the negative edges of the
+    union-find and walking the edges in its order. A non-integer or
+    negative dim raises ValueError.
     """
     dim = homology_dim(dim)
     K, vals = M.complex, M.values
     n = K.vertex_count
-    edges, ends, merges = _plan(K, 0)
-    # rank labels: a component's birth is the value of its smallest label,
-    # and of two equal births the vertex later in storage order dies
-    vorder = np.argsort(vals[:n], kind="stable")
-    rank = np.empty_like(vorder)
-    rank[vorder] = np.arange(n)
-    order = np.argsort(vals[edges], kind="stable")
-    dying, merging = _merge_edges(n, edges[order].tolist(), *rank[ends[order]].T.tolist(), merges)
+    us, vs, merges = _plan(K, 0)
+    order = np.argsort(vals[n : n + len(us)])
+    dying, merging = _merge_edges(vals[:n].tolist(), us[order].tolist(), vs[order].tolist(), merges)
+    dead = n + order[merging]
     if dim == 0:
-        dead = vorder[dying]
+        dying = np.fromiter(dying, np.int64, len(dying))  # one conversion, two reads
         alive = np.ones(n, dtype=bool)
-        alive[dead] = False
-        return _trusted_diagram(np.column_stack((vals[dead], vals[merging])), vals[:n][alive], 0)
-    pairs, essential = _coboundary_pairs(M, set(merging), dim)
+        alive[dying] = False
+        return _trusted_diagram(np.column_stack((vals[dying], vals[dead])), vals[:n][alive], 0)
+    pairs, essential = _coboundary_pairs(M, order, set(dead.tolist()), dim)
     return _trusted_diagram(vals[pairs].reshape(-1, 2), vals[essential], dim)

@@ -271,7 +271,7 @@ def _assert_merge_certificate(F):
     # the kept edges with a critical point <= p joins its endpoints
     kept = complexes._span_sweep(F, 0).tolist()
     lo = F.vertex_count
-    ends = _plan(F, 0)[1].tolist()  # edge e is row e - lo
+    ends = np.column_stack(_plan(F, 0)[:2]).tolist()  # edge e is row e - lo
     assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, lo + F.edge_count))
     for e in sorted(set(range(lo, lo + F.edge_count)) - set(kept)):
         u, v = ends[e - lo]

@@ -44,9 +44,8 @@ def test_zero_persistence_pair_discarded():
 
 
 def test_elder_rule_tie_breaking():
-    # equal births: the union-find labels vertices by the rank of their
-    # value, ties in storage order, and the larger label dies, here vertex
-    # 1; either root dying gives the same point
+    # equal births: the union-find lets either root die, and either gives
+    # the same point
     M = mono_filtration([[0], [1], [0, 1]], [0.5, 0.5, 1.0])
     assert diagram(M, 0) == Diagram([(0.5, 1.0)], [0.5], 0)
 
@@ -282,6 +281,44 @@ def test_boundary_oracle_agrees_on_each_reduced_complex_and_its_parent(seed):
                         == persistence_boundary_oracle(restrict(G, L), d))
 
 
+def _renamed(F, seed):
+    """F with its vertex ids permuted by a seeded permutation, which moves
+    tied cells to other storage positions, and that permutation."""
+    perm = np.random.Generator(np.random.Philox(seed)).permutation(max(F.vertex_ids) + 1).tolist()
+    return validate_bifiltration([[perm[v] for v in s] for s in F.simplices], F.critical), perm
+
+
+def test_diagrams_do_not_depend_on_how_ties_are_broken(monkeypatch):
+    # renaming the vertices of a tie-heavy input moves its tied cells in
+    # storage, and the unstable edge sort breaks ties as it pleases, so the
+    # copy's union-find merges along other edges; every diagram, on the
+    # input and on its reduced complexes, must still agree with the oracle
+    merged = []
+    merge_edges = persistence._merge_edges
+
+    def recorded(vals, us, vs, left):
+        dying, merging = merge_edges(vals, us, vs, left)
+        merged.append([(us[i], vs[i]) for i in merging])
+        return dying, merging
+
+    monkeypatch.setattr(persistence, "_merge_edges", recorded)
+    other_merges = 0
+    for i, (coord_range, k) in enumerate([(2, 1), (2, 2), (3, 1), (3, 2)] * 2):
+        F = generate_random_kcritical(GenSpec(7, 10, 3, seed=80_800 + i, coord_range=coord_range), k)
+        G, perm = _renamed(F, 80_900 + i)
+        for L in _tied_slices():
+            diagram(restrict(F, L), 0)
+            ours = {frozenset(perm[F.vertex_ids[u]] for u in e) for e in merged[-1]}
+            diagram(restrict(G, L), 0)
+            theirs = {frozenset(G.vertex_ids[u] for u in e) for e in merged[-1]}
+            other_merges += ours != theirs
+            for dim in (0, 1, 2):
+                D = persistence_boundary_oracle(restrict(F, L), dim)
+                for K in (F, G, F.reduced(dim), G.reduced(dim)):
+                    assert diagram(restrict(K, L), dim) == D
+    assert other_merges > 0
+
+
 def test_chunk_reduced_three_complexes_match_boundary_oracle():
     # dense lower-star and random 3-complexes, so that dims 2 and 3 have
     # cells left after the reduction
@@ -326,7 +363,8 @@ def test_chunk_reduction_leaves_an_edge_with_an_empty_boundary():
         R = F.reduced(1)
         assert R.dims.tolist() == dims
         assert R.boundary_ptr[:3].tolist() == [0, 0, 0]  # the vertex and the cycle
-        assert _plan(R, 0)[0].tolist() == []
+        us, vs, merges = _plan(R, 0)
+        assert (us.tolist(), vs.tolist(), merges) == ([0], [0], 0)  # the cycle is a loop
         for L in _tied_slices():  # dim 0 too: the union-find skips the cycle
             for dim in (0, 1, 2):
                 D = _assert_canonical(restrict(R, L), dim)
