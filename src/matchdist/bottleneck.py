@@ -25,11 +25,11 @@ the answer: it was in all but 14 of the 1,858 calls the four workloads of
 bench/ make at seed 0. So lb, and the feasibility check at lb, are
 computed from as few rows of the n1 x n2 distance matrix as possible:
 
-- Each side is sorted by falling diagonal cost. A point whose diagonal
-  cost is at most the running lb cannot raise lb, and the check at lb
-  must cover only the points that cost more than lb. Both are a prefix
-  of the sorted side, so the rows the check needs are rows already
-  computed for lb.
+- Each side is read as its Diagram stores it, by falling persistence,
+  which is falling diagonal cost. A point whose diagonal cost is at most
+  the running lb cannot raise lb, and the check at lb must cover only
+  the points that cost more than lb. Both are a prefix of the side, so
+  the rows the check needs are rows already computed for lb.
 - Both sides are seeded before either continues: the rows of the first
   _SEED points of each side give a first lb, and only then does each side
   add the rows of its remaining points that cost more than the running
@@ -53,6 +53,13 @@ same check. For every t >= lb this is exact:
 
 Feasibility is monotone in t, and ub, the all-unmatched cost, is always
 feasible, so bisecting the candidates in (lb, ub) finds the answer.
+
+The value does not depend on how a Diagram orders points of equal
+persistence, though ties decide which points fill a seed block: lb is a
+maximum over all points, since a point whose row is skipped costs at most
+lb; feasibility asks only whether a matching exists; and the candidates go
+through np.unique, where an extra row adds only values the bisection
+rejects below the answer or passes over above it.
 """
 
 from __future__ import annotations
@@ -208,16 +215,13 @@ def _search_above(rows: list[np.ndarray], diags: tuple[np.ndarray, np.ndarray],
 
 
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact bottleneck distance of the finite parts (n x 2 arrays)."""
-    diag1 = (a[:, 1] - a[:, 0]) / 2.0
-    diag2 = (b[:, 1] - b[:, 0]) / 2.0
+    """Exact bottleneck distance of the finite parts, (n, 2) arrays with
+    rows by falling persistence, as a Diagram stores them."""
+    pts = (a, b)
+    diags = tuple((p[:, 1] - p[:, 0]) / 2.0 for p in pts)
     if len(a) == 0 or len(b) == 0:  # every point goes to the diagonal
-        return float(np.concatenate((diag1, diag2)).max(initial=0.0))
+        return float(np.concatenate(diags).max(initial=0.0))
 
-    order1 = np.argsort(diag1)[::-1]
-    order2 = np.argsort(diag2)[::-1]
-    pts = (a[order1], b[order2])
-    diags = (diag1[order1], diag2[order2])
     # seed both sides before continuing either: a high lb from one side
     # spares rows of the other
     rows = [_sup_rows(pts[0][:_SEED], pts[1])]
@@ -256,7 +260,8 @@ def essential_distance(D1: Diagram, D2: Diagram) -> float:
 def half_persistence(D: Diagram) -> float:
     """Half the largest finite persistence of D, 0.0 without finite points:
     the cost of matching every finite point of D to the diagonal."""
-    return float((D.finite[:, 1] - D.finite[:, 0]).max(initial=0.0)) / 2.0
+    pts = D.finite  # row 0 has the largest persistence
+    return float(pts[0, 1] - pts[0, 0]) / 2.0 if len(pts) else 0.0
 
 
 def bottleneck_distance(D1: Diagram, D2: Diagram) -> float:

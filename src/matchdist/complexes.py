@@ -334,17 +334,6 @@ class MonoFiltration:
         if not np.isfinite(self.values).all():
             raise ValueError("filtration values must be finite")
 
-    def check_monotone(self) -> None:
-        """Raise MonotonicityViolation unless faces enter no later than cofaces."""
-        K, vals = self.complex, self.values
-        cells = np.repeat(np.arange(K.n), np.diff(K.boundary_ptr))
-        late = np.flatnonzero(vals[K.boundary_idx] > vals[cells])
-        if len(late):
-            i, j = int(cells[late[0]]), int(K.boundary_idx[late[0]])
-            raise MonotonicityViolation(
-                f"value of cell {j} ({vals[j]}) > value of its coface {i} ({vals[i]})"
-            )
-
 
 def mono_filtration(
     simplices: Iterable[Iterable[int]], values: Iterable[float]

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .complexes import BiFiltration, lower_star, validate_bifiltration
-from .persistence import Diagram
+from .persistence import Diagram, lexicographic
 from .solver import TraceRow
 
 
@@ -120,7 +120,7 @@ def format_diagram(D: Diagram, comment: str | None = None) -> str:
     out = [f"# dim={D.homology_dimension}"]
     if comment:
         out.append(f"# {comment}")
-    out += [f"{b!r} {d!r}" for b, d in D.finite.tolist()]
+    out += [f"{b!r} {d!r}" for b, d in lexicographic(D.finite).tolist()]
     out += [f"{b!r} inf" for b in D.essential.tolist()]
     return "\n".join(out) + "\n"
 

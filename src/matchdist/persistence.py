@@ -41,12 +41,13 @@ equal those of boundary-matrix reduction on the same order.
 
 Pairs with death equal to birth are dropped: they cost nothing in any
 bottleneck matching and bloat diagrams on degenerate slices. A Diagram's
-`finite` is an (n, 2) float64 array with rows in lexicographic (birth,
-death) order, `essential` a sorted float64 array, both read-only: the
-one form that the bottleneck and the dumps read. `Diagram(...)` checks
-and sorts any points into that form. `diagram` builds it directly: a
-MonoFiltration's values are finite, and a pair's death is never below
-its birth, so its points need only the mask, one lexsort and one sort.
+`finite` is an (n, 2) float64 array with rows by falling persistence,
+the order the bottleneck reads, ties as one argsort leaves them;
+`essential` a sorted float64 array; both read-only. Both constructors
+store through `_store`: `Diagram(...)` checks any points first, and
+`diagram` needs no checks, as a MonoFiltration's values are finite and a
+pair's death is never below its birth. Equality and the dumps read the
+rows in `lexicographic` (birth, death) order, which ties cannot change.
 """
 
 from __future__ import annotations
@@ -58,13 +59,32 @@ import numpy as np
 from .complexes import CellComplex, MonoFiltration, homology_dim
 
 
+def _store(D: Diagram, pts: np.ndarray, ess: np.ndarray, dim: int) -> None:
+    """Set D's fields: the (n, 2) finite points by falling persistence, with
+    one argsort (birth - death rises as death - birth falls, bit for bit),
+    the essential births sorted, both read-only, and the dimension."""
+    pts = pts[np.argsort(pts[:, 0] - pts[:, 1])]
+    ess = np.sort(ess)
+    pts.flags.writeable = ess.flags.writeable = False
+    object.__setattr__(D, "finite", pts)
+    object.__setattr__(D, "essential", ess)
+    object.__setattr__(D, "homology_dimension", dim)
+
+
+def lexicographic(pts: np.ndarray) -> np.ndarray:
+    """The rows of an (n, 2) array in lexicographic (birth, death) order."""
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
 @dataclass(frozen=True, eq=False)
 class Diagram:
-    """Finite (birth, death) points plus essential births, made canonical.
+    """Finite (birth, death) points plus essential births, stored sorted.
 
     A point given in `finite` with death +inf is essential, and is kept as
     its birth in `essential`. A finite point with death < birth or a nan or
-    -inf coordinate, or a nan essential birth, raises ValueError.
+    -inf coordinate, a nan essential birth, or a homology dimension that is
+    not a non-negative integer raises ValueError. Two diagrams are equal
+    when their dimensions and their multisets of points are.
     """
 
     finite: np.ndarray
@@ -72,30 +92,27 @@ class Diagram:
     homology_dimension: int = 0
 
     def __post_init__(self):
+        dim = homology_dim(self.homology_dimension)
         pts = np.asarray(self.finite, dtype=np.float64)
         pts = pts.reshape(len(pts), 2)  # (0, 2) when empty; other shapes raise
-        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-        # "not >=" also catches a nan in either coordinate; births ascend,
-        # so with death >= birth a -inf shows in the first birth
-        if not (pts[:, 1] >= pts[:, 0]).all() or (len(pts) and pts[0, 0] == -np.inf):
+        # "not >=" also catches a nan in either coordinate; with death >=
+        # birth, a -inf is a birth
+        if not (pts[:, 1] >= pts[:, 0]).all() or np.isneginf(pts[:, 0]).any():
             raise ValueError("diagram points need -inf < birth <= death and no nan")
         ess = np.asarray(self.essential, dtype=np.float64)
-        if len(pts) and pts[:, 1].max() == np.inf:
+        if np.isnan(ess).any():
+            raise ValueError("essential births need no nan")
+        if np.isposinf(pts[:, 1]).any():
             ess = np.append(ess, pts[pts[:, 1] == np.inf, 0])
             pts = pts[pts[:, 1] < np.inf]
-        ess = np.sort(ess)
-        if len(ess) and np.isnan(ess[-1]):  # nan sorts last
-            raise ValueError("essential births need no nan")
-        pts.flags.writeable = ess.flags.writeable = False
-        object.__setattr__(self, "finite", pts)
-        object.__setattr__(self, "essential", ess)
+        _store(self, pts, ess, dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
         return (
             self.homology_dimension == other.homology_dimension
-            and np.array_equal(self.finite, other.finite)
+            and np.array_equal(lexicographic(self.finite), lexicographic(other.finite))
             and np.array_equal(self.essential, other.essential)
         )
 
@@ -226,14 +243,8 @@ def _trusted_diagram(ends: np.ndarray, essential: np.ndarray, dim: int) -> Diagr
     checks. ends holds (birth, death) rows with birth <= death, essential
     the essential births, all finite: MonoFiltration admits finite values
     only, and essential classes never reach ends."""
-    pts = ends[ends[:, 1] > ends[:, 0]]
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    ess = np.sort(essential)
-    pts.flags.writeable = ess.flags.writeable = False
     D = object.__new__(Diagram)
-    object.__setattr__(D, "finite", pts)
-    object.__setattr__(D, "essential", ess)
-    object.__setattr__(D, "homology_dimension", dim)
+    _store(D, ends[ends[:, 1] > ends[:, 0]], essential, dim)
     return D
 
 

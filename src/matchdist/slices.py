@@ -34,14 +34,6 @@ class SliceType(enum.Enum):
     FLAT_Y = "flat-y"
     STEEP_Y = "steep-y"
 
-    @property
-    def is_flat(self) -> bool:
-        return self in (SliceType.FLAT_X, SliceType.FLAT_Y)
-
-    @property
-    def is_x(self) -> bool:
-        return self in (SliceType.FLAT_X, SliceType.STEEP_X)
-
     def __str__(self) -> str:
         return self.value
 

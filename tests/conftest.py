@@ -16,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matchdist.bounds import _rise_fall, box_bound, capped_bound
 from matchdist.complexes import BiFiltration, MonoFiltration, lower_star, validate_bifiltration
+from matchdist.errors import MonotonicityViolation
 from matchdist.generators import GenSpec, generate_random
 from matchdist.persistence import Diagram
 from matchdist.slices import (
@@ -29,6 +30,28 @@ from matchdist.slices import (
 from matchdist.solver import eval_slice
 
 
+def is_flat(stype: SliceType) -> bool:
+    """Whether slices of this type have slope at most 1."""
+    return stype in (SliceType.FLAT_X, SliceType.FLAT_Y)
+
+
+def is_x(stype: SliceType) -> bool:
+    """Whether slices of this type enter the quadrant on the x-axis."""
+    return stype in (SliceType.FLAT_X, SliceType.STEEP_X)
+
+
+def check_monotone(M: MonoFiltration) -> None:
+    """Raise MonotonicityViolation unless faces enter no later than cofaces."""
+    K, vals = M.complex, M.values
+    cells = np.repeat(np.arange(K.n), np.diff(K.boundary_ptr))
+    late = np.flatnonzero(vals[K.boundary_idx] > vals[cells])
+    if len(late):
+        i, j = int(cells[late[0]]), int(K.boundary_idx[late[0]])
+        raise MonotonicityViolation(
+            f"value of cell {j} ({vals[j]}) > value of its coface {i} ({vals[i]})"
+        )
+
+
 def wpush_geometric(px: float, py: float, L: Slice) -> float:
     """Weighted push via the angle parameterization; requires lam > 0.
 
@@ -37,10 +60,10 @@ def wpush_geometric(px: float, py: float, L: Slice) -> float:
     sin(angle) for flat slices and cos(angle) for steep ones.
     """
     assert L.lam > 0.0
-    slope = L.lam if L.stype.is_flat else 1.0 / L.lam
+    slope = L.lam if is_flat(L.stype) else 1.0 / L.lam
     gamma = math.atan(slope)
-    ox, oy = (L.mu, 0.0) if L.stype.is_x else (0.0, L.mu)
-    w = math.sin(gamma) if L.stype.is_flat else math.cos(gamma)
+    ox, oy = (L.mu, 0.0) if is_x(L.stype) else (0.0, L.mu)
+    w = math.sin(gamma) if is_flat(L.stype) else math.cos(gamma)
     line_y = oy + slope * (px - ox)
     if py >= line_y:
         qx, qy = ox + (py - oy) / slope, py
@@ -263,7 +286,7 @@ def dmatch_sampled(F1, F2, n: int = 64, dim: int = 0) -> float:
     X, Y, _ = pair_extents(F1, F2)
     best = 0.0
     for t in SLICE_TYPES:
-        R = X if t.is_x else Y
+        R = X if is_x(t) else Y
         for lam in np.linspace(0.0, 1.0, n):
             for mu in np.linspace(0.0, R, n):
                 d = eval_slice(F1, F2, Slice(float(lam), float(mu), t), dim)

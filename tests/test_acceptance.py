@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     bottleneck_brute,
+    check_monotone,
     diagram_scaled,
     diagram_shifted,
     dmatch_sampled,
@@ -229,11 +230,11 @@ def test_c8_kcritical_soundness():
         c, d = sorted(rng.uniform(0.0, 900.0, size=2))
         B = ParamBox(float(a), float(b), float(c), float(d), t)
         mc = restrict(F, center(B))
-        mc.check_monotone()
+        check_monotone(mc)
         v = variation_filtration(F, B)
         for L in grid_slices(B, 3):
             ml = restrict(F, L)
-            ml.check_monotone()
+            check_monotone(ml)
             assert np.all(np.abs(ml.values - mc.values) <= v + 1e-9)
 
 

@@ -11,13 +11,14 @@ from conftest import (
     bottleneck_brute,
     diagram_scaled,
     diagram_shifted,
+    is_x,
     random_diagram,
 )
 import matchdist.bottleneck as bottleneck_module
 from matchdist.bottleneck import _saturates, bottleneck_distance, essential_distance, half_persistence
 from matchdist.errors import DimensionMismatch
 from matchdist.generators import GenSpec, generate_random
-from matchdist.persistence import Diagram, diagram
+from matchdist.persistence import Diagram, _trusted_diagram, diagram, lexicographic
 from matchdist.slices import SLICE_TYPES, Slice, pair_extents, restrict
 
 
@@ -392,7 +393,7 @@ def test_matches_assignment_oracle_on_c7_slice_diagrams():
     rng = np.random.Generator(np.random.Philox(7))
     for i in range(32):
         stype = SLICE_TYPES[i % 4]
-        L = Slice(float(rng.uniform()), float(rng.uniform(0.0, X if stype.is_x else Y)), stype)
+        L = Slice(float(rng.uniform()), float(rng.uniform(0.0, X if is_x(stype) else Y)), stype)
         # the finite parts: essential points are paired apart from the search
         d1 = D(diagram(restrict(F1, L), 0).finite)
         d2 = D(diagram(restrict(F2, L), 0).finite)
@@ -402,8 +403,9 @@ def test_matches_assignment_oracle_on_c7_slice_diagrams():
 
 
 def _perturbed(d: Diagram, m: int, rng: np.random.Generator) -> Diagram:
-    """The first m points of d, each coordinate moved by at most 1/4."""
-    pts = np.array(d.finite[:m], dtype=np.float64).reshape(-1, 2)
+    """The first m points of d in lexicographic order, each coordinate
+    moved by at most 1/4."""
+    pts = np.array(lexicographic(d.finite)[:m], dtype=np.float64).reshape(-1, 2)
     pts += rng.integers(-2, 3, size=pts.shape) / 8.0
     pts[:, 1] = np.maximum(pts[:, 1], pts[:, 0] + 0.125)
     return D([tuple(p) for p in pts])
@@ -454,6 +456,31 @@ def test_sweep_matches_assignment_oracle_around_the_seed_block(monkeypatch):
         assert bottleneck_distance(d2, d1) == expected, (len(d1.finite), len(d2.finite))
         at_lb += len(fallbacks) == before
     assert 10 <= at_lb < len(pairs) - 10
+
+
+def test_the_order_of_tied_points_does_not_change_the_distance(monkeypatch):
+    # a Diagram leaves points of equal persistence in whatever order its
+    # argsort gives them, and that order decides which points fill a seed
+    # block; store tie-heavy multisets in several row orders, through
+    # Diagram of permuted points and _trusted_diagram of permuted rows
+    fallbacks = _count_search_above(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(31))
+    pairs = [(_tied_diagram(rng, n, 8.0), _tied_diagram(rng, n, 8.0)) for n in (20, 33, 40, 64)]
+    long = np.concatenate([_tied_diagram(rng, 28, 40.0).finite,
+                           _tied_diagram(rng, 8, 16.0).finite])
+    pairs.append((D(long), _tied_diagram(rng, 36, 16.0)))
+    for d1, d2 in pairs:
+        expected = bottleneck_assignment(d1, d2)
+        stored, values = set(), set()
+        for _ in range(4):
+            x = D(rng.permutation(d1.finite))
+            y = _trusted_diagram(rng.permutation(d2.finite), np.empty(0), 0)
+            assert x == d1 and y == d2
+            stored.add(x.finite.tobytes())
+            values |= {bottleneck_distance(x, y), bottleneck_distance(y, x)}
+        assert values == {expected}, (len(d1.finite), len(d2.finite))
+        assert len(stored) > 1  # the orders stored differ
+    assert fallbacks  # some lb is infeasible, so the candidates are searched too
 
 
 def _ladder(n: int, shift: float, outlier: float) -> tuple[Diagram, Diagram]:
@@ -521,10 +548,13 @@ def test_distinct_nearest_partners_certify_lb_without_matching(monkeypatch):
 def test_colliding_nearest_partners_with_a_matching_at_lb(monkeypatch):
     # both points of d1 are nearest to (0, 10); (0.25, 10.5) can still take
     # (1, 11) at lb = 0.75: one check at lb, each side once, and one search,
-    # on d1's side, whose nearest partners collide
+    # on d1's side, whose nearest partners collide. d1's points tie in
+    # persistence and are stored as listed: with (0.25, 10.5) first it takes
+    # (0, 10), and (0, 10.25) is left to the search
     calls = _count_saturates(monkeypatch)
     searches = _count_augment(monkeypatch)
-    d1, d2 = D([(0.0, 10.25), (0.25, 10.5)]), D([(0.0, 10.0), (1.0, 11.0)])
+    d1, d2 = D([(0.25, 10.5), (0.0, 10.25)]), D([(0.0, 10.0), (1.0, 11.0)])
+    assert d1.finite.tolist() == [[0.25, 10.5], [0.0, 10.25]]
     assert _lb_and_candidates(d1, d2)[0] == 0.75
     assert bottleneck_brute(d1, d2) == 0.75
     assert bottleneck_distance(d1, d2) == 0.75

@@ -320,6 +320,56 @@ def test_dist_dim1_dump_diagrams_match_boundary_oracle(tmp_path):
     assert points > 0
 
 
+def _relabelled(text: str, seed: int) -> str:
+    """The same bifiltration file with its vertices relabelled by a seeded
+    permutation and its simplex lines shuffled."""
+    import random
+
+    header, body = text.splitlines()[:2], text.splitlines()[2:]
+    rng = random.Random(seed)
+    rows = [line.split(";") for line in body]
+    vertices = sorted({int(v) for left, _ in rows for v in left.split()})
+    image = vertices[:]
+    rng.shuffle(image)
+    perm = dict(zip(vertices, image))
+    body = [" ".join(str(perm[int(v)]) for v in left.split()) + " ;" + right for left, right in rows]
+    rng.shuffle(body)
+    return "\n".join(header + body) + "\n"
+
+
+def test_dist_output_does_not_depend_on_vertex_labels(tmp_path):
+    # a diagram stores points of equal persistence in whatever order its
+    # sort leaves them, and relabelling moves tied cells; the dumps list
+    # the points in lexicographic order, so no output may change
+    from matchdist.complexes import normalize_pair
+    from matchdist.io import load_bifiltration
+    from matchdist.persistence import diagram
+    from matchdist.slices import restrict
+    from matchdist.solver import SolverConfig, approximate
+
+    # integer coordinates in [0, 4]: many ties in persistence
+    for name, seed in (("a.txt", 2), ("b.txt", 4)):
+        run_cli(["gen", "--vertices", "12", "--maximal", "24", "--dim", "1", "--seed", str(seed),
+                 "--coord-range", "4", "--out", str(tmp_path / name)])
+        text = (tmp_path / name).read_text()
+        (tmp_path / f"r{name}").write_text(_relabelled(text, seed - 1))
+    runs, pairs = [], []
+    for a, b, dd in (("a.txt", "b.txt", "d"), ("ra.txt", "rb.txt", "rd")):
+        paths = [str(tmp_path / a), str(tmp_path / b)]
+        code, out, _ = run_cli(["dist", *paths, "--epsilon", "0.1", "--relative",
+                                "--dump-diagrams", str(tmp_path / dd)])
+        assert code == 0
+        dumps = [(tmp_path / dd / name).read_bytes() for name in ("f1_diagram.txt", "f2_diagram.txt")]
+        runs.append((out, dumps))
+        pairs.append(normalize_pair(*(load_bifiltration(p) for p in paths))[:2])
+    assert runs[0] == runs[1]
+    assert all(len(dump.splitlines()) > 4 for dump in runs[0][1])
+    # not vacuous: at the best slice, a diagram is stored in another order
+    L = approximate(*pairs[0], SolverConfig(epsilon=0.1, mode="relative")).best_slice
+    stored = [[diagram(restrict(F.reduced(0), L)).finite.tolist() for F in pair] for pair in pairs]
+    assert stored[0] != stored[1]
+
+
 # stdout of `dist` on the CI's two input pairs, recorded once, with its
 # exit code and the SHA-256 of the --trace CSV without its elapsed_ms
 # column (rows joined by newlines); a change meant to keep every output

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import h1_sides
+from conftest import check_monotone, h1_sides
 import matchdist.complexes as complexes
 from matchdist.complexes import (
     BiFiltration,
@@ -248,7 +248,7 @@ def test_lower_star_output_validates(seed):
 
 def test_mono_filtration_checks_faces():
     M = mono_filtration([[0], [1], [0, 1]], [0.0, 1.0, 2.0])
-    M.check_monotone()
+    check_monotone(M)
     with pytest.raises(MonotonicityViolation):
         mono_filtration([[0], [1], [0, 1]], [0.0, 1.0, 0.5])
     # the checks of a MonoFiltration built on a complex directly
@@ -256,7 +256,7 @@ def test_mono_filtration_checks_faces():
         MonoFiltration(M.complex, [0.0, 1.0])
     with pytest.raises(MonotonicityViolation,
                        match=r"value of cell 1 \(1.0\) > value of its coface 2 \(0.5\)"):
-        MonoFiltration(M.complex, [0.0, 1.0, 0.5]).check_monotone()
+        check_monotone(MonoFiltration(M.complex, [0.0, 1.0, 0.5]))
 
 
 def test_storage_sorted_by_dimension_then_vertices():

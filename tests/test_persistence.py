@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import h1_sides, persistence_boundary_oracle, random_genspec
+from conftest import check_monotone, h1_sides, persistence_boundary_oracle, random_genspec
 from matchdist import persistence
 from matchdist.bottleneck import bottleneck_distance
 from matchdist.complexes import (
@@ -99,7 +99,7 @@ def test_stability_under_perturbation(seed, eps):
         for j in faces[ptr[i] : ptr[i + 1]]:
             vals[i] = max(vals[i], vals[j])
     M2 = MonoFiltration(M.complex, vals)
-    M2.check_monotone()
+    check_monotone(M2)
     assert np.all(np.abs(vals - M.values) <= eps + 1e-12)
     d = bottleneck_distance(diagram(M, 0), diagram(M2, 0))
     assert d <= eps + 1e-12
@@ -345,7 +345,7 @@ def _assert_canonical(M, dim):
     pts = D.finite
     assert pts.shape == (len(pts), 2) and np.isfinite(pts).all() and np.isfinite(D.essential).all()
     assert (pts[:, 1] > pts[:, 0]).all()
-    assert np.lexsort((pts[:, 1], pts[:, 0])).tolist() == list(range(len(pts)))
+    assert (np.diff(pts[:, 1] - pts[:, 0]) <= 0).all()  # by falling persistence
     assert (np.diff(D.essential) >= 0).all()
     return D
 
@@ -382,7 +382,7 @@ def test_hand_built_values_keep_every_edge_in_dim0():
     M = MonoFiltration(K.complex, [0.0, 0.0, 0.0, 5.0, 5.0, 1.0])
     D = diagram(M, 0)
     assert D == persistence_boundary_oracle(M, 0)
-    assert D.finite.tolist() == [[0.0, 1.0], [0.0, 5.0]]
+    assert D.finite.tolist() == [[0.0, 5.0], [0.0, 1.0]]
 
 
 def test_diagram_canonical_form():
@@ -392,7 +392,9 @@ def test_diagram_canonical_form():
     ess = [2.0, 0.0, 1.0, 0.0]
     src = np.array(pts)
     D = Diagram(src, ess, 1)
-    assert D.finite.tolist() == [[-0.25, 4.0], [0.1, 0.3], [0.1, 0.9], [0.5, 1.0], [0.5, 1.0]]
+    # by falling persistence; the one tie is between equal rows
+    assert D.finite.tolist() == [[-0.25, 4.0], [0.1, 0.9], [0.5, 1.0], [0.5, 1.0], [0.1, 0.3]]
+    assert (np.diff(D.finite[:, 1] - D.finite[:, 0]) <= 0).all()
     assert D.essential.tolist() == [0.0, 0.0, 1.0, 2.0]
     assert D.finite.dtype == D.essential.dtype == np.float64
     for _ in range(10):
@@ -428,6 +430,14 @@ def test_diagram_rejects_points_below_the_diagonal_and_nan():
     assert len(D) == 2
     assert D == Diagram([(1.0, 1.0)], [0.0], 0)
     assert Diagram([(2.0, inf), (0.5, 1.0)], [3.0, 1.0], 0).essential.tolist() == [1.0, 2.0, 3.0]
+    # and the dimension: "0" used to be stored as given, and a bottleneck
+    # distance against a dimension-0 diagram then raised "dimension 0 vs 0"
+    for dim in ("0", -1, 1.5, 1.0, None):
+        with pytest.raises(ValueError, match="homology dimension"):
+            Diagram([(0.0, 1.0)], [0.0], dim)
+    D = Diagram([(0.0, 1.0)], [0.0], np.int64(1))
+    assert type(D.homology_dimension) is int and D.homology_dimension == 1
+    assert D == Diagram([(0.0, 1.0)], [0.0], 1)
 
 
 def test_mono_filtration_rejects_non_finite_values():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wpush_geometric
+from conftest import check_monotone, wpush_geometric
 from matchdist.complexes import validate_bifiltration
 from matchdist.errors import DegenerateBox
 from matchdist.slices import (
@@ -122,7 +122,7 @@ def test_restrict_is_monotone(seed, lam, mu, stype):
     rng = np.random.Generator(np.random.Philox(seed))
     spec = GenSpec(5, int(rng.integers(2, 6)), int(rng.integers(1, 3)), seed=seed)
     F = generate_random(spec) if seed % 2 else generate_random_kcritical(spec, 3)
-    restrict(F, Slice(lam, mu, stype)).check_monotone()
+    check_monotone(restrict(F, Slice(lam, mu, stype)))
 
 
 def test_initial_boxes_shapes():
