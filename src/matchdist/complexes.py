@@ -2,8 +2,18 @@
 
 A bi-filtration assigns each simplex a non-empty antichain of points in the
 plane (a single point in the common 1-critical case); a mono-filtration
-assigns a single real. Both are validated against face closure and
-monotonicity along faces. Coordinates are plain doubles throughout.
+assigns a single real. Coordinates are plain doubles throughout.
+
+`validate_bifiltration` is the one constructor of a `BiFiltration`;
+`lower_star`, `mono_filtration` and the generators build through it. It
+canonicalizes each simplex once, sorts them once into storage order by
+(dimension, vertex tuple), builds one index, and looks each facet up in
+it once: that lookup fills the boundary arrays and finds a missing face.
+Its checks run in order: simplex well-formedness, one critical set per
+simplex, no simplex listed twice, critical-set sanity, face closure, and
+monotonicity of the staircase regions along faces. The steps after the
+count run in storage order, so an input with several faults in one step
+reports the first in storage order, not in input order.
 
 Restriction and persistence read one interface, `CellComplex`: cell
 dimensions, critical sets flat in `px`/`py` with offsets, and the
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import operator
 from typing import Iterable, Mapping, Sequence
 
@@ -40,8 +51,13 @@ Point = tuple[float, float]
 
 
 def canonical_simplex(vertices: Iterable[int]) -> Simplex:
-    """Sorted vertex tuple; rejects empty sets, duplicates, negative ids."""
-    vs = tuple(sorted(int(v) for v in vertices))
+    """Sorted vertex tuple; rejects empty sets, duplicates, negative ids and
+    ids that are not integers (operator.index, so numpy's integers pass)
+    with ValueError."""
+    try:
+        vs = tuple(sorted(operator.index(v) for v in vertices))
+    except TypeError:
+        raise ValueError(f"simplex {vertices!r} needs integer vertex ids") from None
     if not vs:
         raise ValueError("simplex has no vertices")
     if any(v < 0 for v in vs):
@@ -49,6 +65,16 @@ def canonical_simplex(vertices: Iterable[int]) -> Simplex:
     if len(set(vs)) != len(vs):
         raise ValueError(f"duplicate vertex in simplex {vs}")
     return vs
+
+
+def _pair(p, kind: str, name) -> Point:
+    """p as two floats; a value that is not an (x, y) pair raises
+    ValueError naming the simplex or vertex it belongs to."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} {name} has value {p!r}, not an (x, y) pair") from None
+    return float(x), float(y)
 
 
 def homology_dim(dim) -> int:
@@ -252,23 +278,25 @@ def _chunk_complex(F: CellComplex) -> CellComplex:
 class BiFiltration(CellComplex):
     """Validated bi-filtered simplicial complex.
 
-    Immutable after construction; safe to share across workers. Use
-    :func:`validate_bifiltration`, :func:`lower_star` or the generators to
-    build one. Simplices are stored sorted by (dimension, vertex tuple) so
-    all downstream tie-breaking is deterministic.
+    Immutable after construction; safe to share across workers. Build one
+    with :func:`validate_bifiltration`, the one constructor, which
+    :func:`lower_star`, :func:`mono_filtration` and the generators go
+    through; `__init__` stores what it is handed, in storage order:
+    simplices sorted by (dimension, vertex tuple), so all downstream
+    tie-breaking is deterministic, their `index`, critical sets and
+    boundary arrays.
     """
 
-    def __init__(self, simplices: list[Simplex], critical: list[tuple[Point, ...]]):
-        # trusted inputs: validate_bifiltration is the checked entry point
-        order = sorted(range(len(simplices)), key=lambda i: (len(simplices[i]), simplices[i]))
-        self.simplices: list[Simplex] = [simplices[i] for i in order]
-        self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        dims = np.array([len(s) - 1 for s in self.simplices], dtype=np.int64)
-        super().__init__(dims, [critical[i] for i in order],
-                         *_csr([[self.index[f] for f in facets(s)] for s in self.simplices]))
+    def __init__(self, simplices: list[Simplex], index: dict[Simplex, int],
+                 critical: list[tuple[Point, ...]], boundary_ptr: np.ndarray, boundary_idx: np.ndarray):
+        # trusted inputs, in storage order: validate_bifiltration builds them
+        self.simplices = simplices
+        self.index = index
+        dims = np.array([len(s) - 1 for s in simplices], dtype=np.int64)
+        super().__init__(dims, critical, boundary_ptr, boundary_idx)
         # vertices come first in storage order, so a vertex's storage index
         # is its rank among the vertex ids; the edges follow as one block
-        self.vertex_ids: list[int] = [s[0] for s in self.simplices[: self.vertex_count]]
+        self.vertex_ids: list[int] = [s[0] for s in simplices[: self.vertex_count]]
 
     def reduced(self, dim: int) -> CellComplex:
         """A smaller complex whose restriction onto any slice has the same
@@ -338,66 +366,69 @@ class MonoFiltration:
 def mono_filtration(
     simplices: Iterable[Iterable[int]], values: Iterable[float]
 ) -> MonoFiltration:
-    """Build a validated mono-filtration from raw simplices and values."""
-    simps = [canonical_simplex(s) for s in simplices]
-    vals = [float(v) for v in values]
-    F = validate_bifiltration(simps, [[(v, v)] for v in vals])
-    # validate_bifiltration re-sorts; map values onto the storage order
-    raw = dict(zip(simps, vals))
-    return MonoFiltration(F, np.array([raw[s] for s in F.simplices]))
+    """Build a validated mono-filtration from raw simplices and values; a
+    value v is the critical point (v, v), so `px` holds the values."""
+    F = validate_bifiltration(simplices, (((v, v),) for v in map(float, values)))
+    return MonoFiltration(F, F.px.copy())
 
 
-def validate_bifiltration(
-    simplices: Iterable[Iterable[int]],
-    critical: Iterable[Iterable[Sequence[float]]],
-) -> BiFiltration:
-    """Check a raw simplex/critical-set list and build a BiFiltration.
+def validate_bifiltration(simplices: Iterable[Iterable[int]],
+                          critical: Iterable[Iterable[Sequence[float]]]) -> BiFiltration:
+    """Check a raw simplex/critical-set list and build a BiFiltration, the
+    one constructor: `lower_star` and `mono_filtration` build through it.
 
-    Checks, in order: simplex well-formedness, critical-set sanity
-    (non-empty, finite), face closure, and monotonicity of the staircase
-    regions along faces. Face closure is an error, never repaired.
+    Checks, in order: simplex well-formedness, one critical set per
+    simplex, no simplex listed twice, critical-set sanity (non-empty,
+    (x, y) pairs, finite), face closure, and monotonicity of the staircase
+    regions along faces. Face closure is an error, never repaired. The
+    steps after the count run in storage order, so an input with several
+    faults in one step reports the first in storage order, not in input order.
     """
-    simps = [canonical_simplex(s) for s in simplices]
+    return _validated([canonical_simplex(s) for s in simplices], critical)
+
+
+def _validated(simps: list[Simplex], critical) -> BiFiltration:
+    """validate_bifiltration on simplices that are already canonical."""
     crits_raw = [list(c) for c in critical]
     if len(simps) != len(crits_raw):
         raise ValueError("one critical set per simplex required")
-    if len(set(simps)) != len(simps):
-        seen: set[Simplex] = set()
-        for s in simps:
-            if s in seen:
-                raise ValueError(f"simplex {s} listed more than once")
-            seen.add(s)
+    order = sorted(range(len(simps)), key=lambda i: (len(simps[i]), simps[i]))
+    simplices = [simps[i] for i in order]
+    index = {s: i for i, s in enumerate(simplices)}
+    if len(index) != len(simplices):  # a duplicate sits next to its twin
+        s = next(s for s, t in zip(simplices, simplices[1:]) if s == t)
+        raise ValueError(f"simplex {s} listed more than once")
 
     crits: list[tuple[Point, ...]] = []
-    for s, c in zip(simps, crits_raw):
-        if not c:
+    for s, i in zip(simplices, order):
+        if not crits_raw[i]:
             raise EmptyCriticalSet(f"simplex {s} has no critical values")
         pts = []
-        for p in c:
-            x, y = float(p[0]), float(p[1])
-            if not (np.isfinite(x) and np.isfinite(y)):
+        for p in crits_raw[i]:
+            x, y = _pair(p, "simplex", s)
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise NonFiniteCoordinate(f"simplex {s} has critical value ({x}, {y})")
             pts.append((x, y))
         crits.append(reduce_antichain(pts))
 
-    present = dict(zip(simps, crits))
-    for s in simps:
-        for f in facets(s):
-            if f not in present:
-                raise MissingFace(f"face {f} of {s} is missing")
+    rows = []
+    for s in simplices:
+        try:
+            rows.append([index[f] for f in facets(s)])
+        except KeyError as missing:
+            raise MissingFace(f"face {missing.args[0]} of {s} is missing") from None
 
     # staircase containment against immediate facets suffices by transitivity
-    for s in simps:
-        for f in facets(s):
-            cf = present[f]
-            for px, py in present[s]:
-                if not any(qx <= px and qy <= py for qx, qy in cf):
+    for t, row in enumerate(rows):
+        for f in row:
+            for px, py in crits[t]:
+                if not any(qx <= px and qy <= py for qx, qy in crits[f]):
                     raise MonotonicityViolation(
-                        f"face {f} enters after coface {s}: "
-                        f"no critical value of {f} is <= ({px}, {py})"
+                        f"face {simplices[f]} enters after coface {simplices[t]}: "
+                        f"no critical value of {simplices[f]} is <= ({px}, {py})"
                     )
 
-    return BiFiltration(simps, crits)
+    return BiFiltration(simplices, index, crits, *_csr(rows))
 
 
 def normalize_pair(
@@ -424,12 +455,12 @@ def lower_star(
     """1-critical bi-filtration with each simplex at the componentwise max
     of its vertex values."""
     simps = [canonical_simplex(s) for s in simplices]
+    point: dict[int, Point] = {}  # each vertex's value, checked once
     critical = []
     for s in simps:
         for v in s:
             if v not in vertex_values:
                 raise MissingVertexValue(f"vertex {v} of {s} has no value")
-        xs = [float(vertex_values[v][0]) for v in s]
-        ys = [float(vertex_values[v][1]) for v in s]
-        critical.append([(max(xs), max(ys))])
-    return validate_bifiltration(simps, critical)
+        point.update((v, _pair(vertex_values[v], "vertex", v)) for v in s if v not in point)
+        critical.append([(max(point[v][0] for v in s), max(point[v][1] for v in s))])
+    return _validated(simps, critical)

@@ -82,9 +82,10 @@ class Diagram:
 
     A point given in `finite` with death +inf is essential, and is kept as
     its birth in `essential`. A finite point with death < birth or a nan or
-    -inf coordinate, a nan essential birth, or a homology dimension that is
-    not a non-negative integer raises ValueError. Two diagrams are equal
-    when their dimensions and their multisets of points are.
+    -inf coordinate, an `essential` that is not 1-D or holds a nan, or a
+    homology dimension that is not a non-negative integer raises
+    ValueError. Two diagrams are equal when their dimensions and their
+    multisets of points are.
     """
 
     finite: np.ndarray
@@ -100,8 +101,8 @@ class Diagram:
         if not (pts[:, 1] >= pts[:, 0]).all() or np.isneginf(pts[:, 0]).any():
             raise ValueError("diagram points need -inf < birth <= death and no nan")
         ess = np.asarray(self.essential, dtype=np.float64)
-        if np.isnan(ess).any():
-            raise ValueError("essential births need no nan")
+        if ess.ndim != 1 or np.isnan(ess).any():
+            raise ValueError("essential births need a 1-D array and no nan")
         if np.isposinf(pts[:, 1]).any():
             ess = np.append(ess, pts[pts[:, 1] == np.inf, 0])
             pts = pts[pts[:, 1] < np.inf]

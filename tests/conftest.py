@@ -5,9 +5,12 @@ push oracle goes through angles and trigonometry instead of the closed
 formulas, the bottleneck oracles either enumerate every partial matching
 or solve assignment problems on the diagonal-augmented matrix, and the
 persistence oracle reduces the full boundary matrix where the package
-uses union-find and coboundary reduction with clearing.
+uses union-find and coboundary reduction with clearing. The validation
+oracle checks every proper face of a simplex where the package checks
+only its facets.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matchdist.bounds import _rise_fall, box_bound, capped_bound
 from matchdist.complexes import BiFiltration, MonoFiltration, lower_star, validate_bifiltration
-from matchdist.errors import MonotonicityViolation
+from matchdist.errors import MissingFace, MonotonicityViolation
 from matchdist.generators import GenSpec, generate_random
 from matchdist.persistence import Diagram
 from matchdist.slices import (
@@ -50,6 +53,24 @@ def check_monotone(M: MonoFiltration) -> None:
         raise MonotonicityViolation(
             f"value of cell {j} ({vals[j]}) > value of its coface {i} ({vals[i]})"
         )
+
+
+def bifiltration_fault(simplices, critical) -> type | None:
+    """The error a valid-looking simplex/critical-set list should raise:
+    MissingFace if any proper face of any simplex, not only a facet, is
+    absent, else MonotonicityViolation if some critical point of a simplex
+    lies above no critical point of one of its proper faces, else None.
+    Simplices are vertex lists in any order; critical sets may hold
+    dominated points."""
+    crit = {tuple(sorted(s)): c for s, c in zip(simplices, critical)}
+    faces = [(s, f) for s in crit for r in range(1, len(s))
+             for f in itertools.combinations(s, r)]
+    if any(f not in crit for _, f in faces):
+        return MissingFace
+    if any(not any(qx <= px and qy <= py for qx, qy in crit[f])
+           for s, f in faces for px, py in crit[s]):
+        return MonotonicityViolation
+    return None
 
 
 def wpush_geometric(px: float, py: float, L: Slice) -> float:

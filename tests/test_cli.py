@@ -180,6 +180,17 @@ def test_dist_usage_error_exit_one(dataset):
     ("lowerstar\n1\n0 0\n0\n", "expected '<n_vertices> <n_simplices>'"),
     ("lowerstar\n1 1\n0 0\n", "expected 1 vertex lines and 1 simplex lines"),
     ("lowerstar\n1 1\n0\n0\n", "expected '<x> <y>' for vertex 0"),
+    # one fault each, found by validation rather than by the parsers
+    ("bifiltration\n2\n0 ; 0 0\n0 1 ; 1 1\n", "face (1,) of (0, 1) is missing"),
+    ("bifiltration\n2\n0 ; 0 0\n0 ; 1 1\n", "simplex (0,) listed more than once"),
+    ("lowerstar\n2 3\n0 0\n1 1\n0\n0 1\n0 1\n", "simplex (0, 1) listed more than once"),
+    ("bifiltration\n3\n0 ; 1 0\n1 ; 0 0\n0 1 ; 0 0\n",
+     "face (0,) enters after coface (0, 1): no critical value of (0,) is <= (0.0, 0.0)"),
+    ("bifiltration\n3\n0 ; 0 2 2 0\n1 ; 0 0\n0 1 ; 1 1\n",
+     "face (0,) enters after coface (0, 1): no critical value of (0,) is <= (1.0, 1.0)"),
+    ("bifiltration\n1\n0 ; nan 0\n", "simplex (0,) has critical value (nan, 0.0)"),
+    ("lowerstar\n2 3\n0 0\nnan 1\n0\n1\n0 1\n", "simplex (1,) has critical value (nan, 1.0)"),
+    ("lowerstar\n1 2\n0 0\n0\n0 1\n", "vertex 1 of (0, 1) has no value"),
 ])
 def test_dist_exits_one_on_a_malformed_input_file(tmp_path, text, message):
     bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"

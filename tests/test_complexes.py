@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_monotone, h1_sides
+from conftest import bifiltration_fault, check_monotone, h1_sides
 import matchdist.complexes as complexes
 from matchdist.complexes import (
     BiFiltration,
@@ -78,6 +78,71 @@ def test_nonfinite_coordinate():
 def test_duplicate_simplex_rejected():
     with pytest.raises(ValueError):
         validate_bifiltration([[0], [0]], [[(0.0, 0.0)], [(1.0, 1.0)]])
+
+
+@pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0), 1.0])
+def test_a_critical_value_that_is_not_a_pair_is_rejected(point):
+    # (1.0,) and 1.0 used to raise IndexError and TypeError, and the third
+    # coordinate of (1.0, 2.0, 3.0) was dropped
+    with pytest.raises(ValueError, match=r"simplex \(0,\) has value .*, not an \(x, y\) pair"):
+        validate_bifiltration([[0]], [[point]])
+
+
+@pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0), 1.0])
+def test_a_vertex_value_that_is_not_a_pair_is_rejected(value):
+    with pytest.raises(ValueError, match=r"vertex 0 has value .*, not an \(x, y\) pair"):
+        lower_star([[0]], {0: value})
+
+
+def test_a_vertex_id_that_is_not_an_integer_is_rejected():
+    # 0.5 used to be truncated to vertex 0
+    for simplex in ([0.5], [0, 1.0], ["0"], 0):
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            validate_bifiltration([simplex], [[(0.0, 0.0)]])
+    with pytest.raises(ValueError, match="integer vertex ids"):
+        lower_star([[0.5]], {0: (0.0, 0.0)})
+    # numpy's integers are integers
+    F = validate_bifiltration([[np.int64(1)], [np.int32(0)], np.array([0, 1])], [[(0.0, 0.0)]] * 3)
+    assert F.simplices == [(0,), (1,), (0, 1)] and all(type(v) is int for s in F.simplices for v in s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_validation_agrees_with_an_every_face_oracle(seed):
+    # one fault at most injected into a valid k-critical input, listed in
+    # shuffled order with shuffled vertices: a face dropped, or one
+    # coordinate of one critical point raised above a coface's
+    rng = np.random.Generator(np.random.Philox(seed))
+    for k in (1, 2, 3):
+        F = generate_random_kcritical(GenSpec(8, 12, 2, seed=seed, coord_range=4), k)
+        simplices, critical = list(F.simplices), [list(c) for c in F.critical]
+        cofaces = [[t for t in simplices if len(t) == len(s) + 1 and set(s) < set(t)]
+                   for s in simplices]
+        inner = [i for i, c in enumerate(cofaces) if c]
+        for fault in ("none", "drop", "raise"):
+            S, C = list(simplices), [list(c) for c in critical]
+            i = inner[int(rng.integers(len(inner)))]
+            if fault == "drop":
+                del S[i], C[i]
+            elif fault == "raise":
+                t = cofaces[i][int(rng.integers(len(cofaces[i])))]
+                j, axis = int(rng.integers(len(C[i]))), int(rng.integers(2))
+                p = list(C[i][j])
+                p[axis] = max(q[axis] for q in F.critical[F.index[t]]) + 1.0
+                C[i][j] = tuple(p)
+            order = rng.permutation(len(S))
+            S = [rng.permutation(S[o]).tolist() for o in order]
+            C = [C[o] for o in order]
+            expected = bifiltration_fault(S, C)
+            # a dropped face with a coface, or a raised 1-critical point,
+            # is always a fault
+            assert expected is not None or fault == "none" or (fault == "raise" and k > 1)
+            try:
+                validate_bifiltration(S, C)
+            except (MissingFace, MonotonicityViolation) as e:
+                assert type(e) is expected, (fault, k)
+            else:
+                assert expected is None, (fault, k)
 
 
 @pytest.mark.parametrize("critical", [[], [[(0.0, 0.0)]] * 2])

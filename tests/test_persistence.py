@@ -421,9 +421,14 @@ def test_diagram_rejects_points_below_the_diagonal_and_nan():
     nan, inf = float("nan"), float("inf")
     for finite, essential in (([(3.0, 1.0)], []), ([(nan, 1.0)], []), ([(1.0, nan)], []),
                               ([(0.0, 1.0), (2.0, 1.5)], [0.0]), ([], [nan]), ([], [1.0, nan, 0.0]),
-                              ([(-inf, 1.0)], []), ([(-inf, -inf)], []), ([(0.0, 1.0), (-inf, inf)], [])):
+                              ([(-inf, 1.0)], []), ([(-inf, -inf)], []), ([(0.0, 1.0), (-inf, inf)], []),
+                              ([], [[0.0, 1.0]]), ([], 2.0)):
         with pytest.raises(ValueError):
             Diagram(finite, essential, 0)
+    # a 2-D essential used to be stored as given, counted as one point and
+    # fail a bottleneck distance with a TypeError
+    with pytest.raises(ValueError, match="1-D"):
+        Diagram([], [[0.0, 1.0]], 0)
     # a point on the diagonal and an infinite death are well formed; the
     # infinite death makes its point essential
     D = Diagram([(1.0, 1.0), (0.0, inf)], [], 0)
